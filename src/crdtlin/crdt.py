@@ -4,8 +4,10 @@ The replication layer is generic over ``SemilatticeValue``: anything with a
 partial-order ``compare``, a least-upper-bound ``merge``, and a canonical
 byte form. Two concrete value types ship here, a grow-only counter and a
 grow-only set. ``CausalTaggedState`` wraps any value with the set of update
-tags that produced it; instrumented runs use the tags for history checking
-while production payloads stay untagged.
+tags that produced it; instrumented runs use the tags for history checking.
+Each replica applies its own tags in sequence, so a tag set is summarised by
+a per-replica frontier (a version vector) and instrumentation costs
+O(replicas) per payload, however long the history.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ QueryResult = "int | bool | tuple[bytes, ...]"
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-_TAG = struct.Struct(">QQ")
 
 
 class CrdtError(Exception):
@@ -203,20 +204,41 @@ class GSet(SemilatticeValue):
 class CausalTaggedState(SemilatticeValue):
     """A value plus the tags of every update folded into it.
 
-    Ordering and merging are driven by the wrapped value so that tagged runs
-    behave exactly like untagged ones; tags ride along as bookkeeping.
+    Replica ``r`` issues tags ``(r, 1), (r, 2), ...`` and applies them to its
+    own payload in that order, so every payload holds a prefix of each
+    replica's sequence. ``frontier[r - 1]`` is the length of replica ``r``'s
+    prefix: tag ``(r, k)`` is present iff ``frontier[r - 1] >= k``. The width
+    is fixed at cluster creation, like ``GCounter``'s, and a tagged payload
+    costs 8 bytes per replica whatever the history length.
+
+    Ordering is driven by the wrapped value alone so that tagged runs behave
+    exactly like untagged ones; the frontier rides along as bookkeeping and
+    merges by pointwise max.
     """
 
     value: SemilatticeValue
-    tags: frozenset[CausalTag]
+    frontier: tuple[int, ...]
 
     @classmethod
-    def initial(cls, value: SemilatticeValue) -> "CausalTaggedState":
-        return cls(value, frozenset())
+    def initial(cls, value: SemilatticeValue, n_replicas: int) -> "CausalTaggedState":
+        if n_replicas < 1:
+            raise ShapeError(f"frontier needs at least one replica, got {n_replicas}")
+        return cls(value, (0,) * n_replicas)
+
+    @property
+    def tags(self) -> tuple[CausalTag, ...]:
+        """Every tag folded in, expanded from the frontier, in sorted order."""
+        return tuple(
+            (r, k) for r, top in enumerate(self.frontier, 1) for k in range(1, top + 1)
+        )
 
     def _check(self, other: "SemilatticeValue") -> "CausalTaggedState":
         if not isinstance(other, CausalTaggedState):
             raise ShapeError("cannot combine tagged state with an untagged value")
+        if len(other.frontier) != len(self.frontier):
+            raise ShapeError(
+                f"frontier width mismatch: {len(self.frontier)} vs {len(other.frontier)}"
+            )
         return other
 
     def compare(self, other: "SemilatticeValue") -> bool:
@@ -224,19 +246,23 @@ class CausalTaggedState(SemilatticeValue):
 
     def merge(self, other: "SemilatticeValue") -> "CausalTaggedState":
         other = self._check(other)
-        return CausalTaggedState(self.value.merge(other.value), self.tags | other.tags)
+        return CausalTaggedState(
+            self.value.merge(other.value), tuple(map(max, self.frontier, other.frontier))
+        )
 
     def canonical_bytes(self) -> bytes:
-        parts = [b"T", self.value.canonical_bytes(), _U32.pack(len(self.tags))]
-        for tag in sorted(self.tags):
-            parts.append(_TAG.pack(*tag))
-        return b"".join(parts)
+        width = len(self.frontier)
+        return (
+            b"T"
+            + self.value.canonical_bytes()
+            + struct.pack(f">I{width}Q", width, *self.frontier)
+        )
 
     def canonical_size(self) -> int:
-        return 1 + self.value.canonical_size() + 4 + 16 * len(self.tags)
+        return 1 + self.value.canonical_size() + 4 + 8 * len(self.frontier)
 
     def render(self) -> str:
-        return f"{self.value.render()}+{len(self.tags)}t"
+        return f"{self.value.render()}+{sum(self.frontier)}t"
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,7 +310,18 @@ class QueryCommand:
 def apply_update(cmd: UpdateCommand, state: SemilatticeValue) -> SemilatticeValue:
     """Apply an update command, returning an inflated copy of ``state``."""
     if isinstance(state, CausalTaggedState):
-        return CausalTaggedState(apply_update(cmd, state.value), state.tags | {cmd.tag})
+        # the closure invariant behind the frontier: each origin's tags
+        # arrive at its own payload in sequence, with no gap or repeat
+        origin, seq = cmd.tag
+        frontier = list(state.frontier)
+        if not 1 <= origin <= len(frontier):
+            raise CommandError(f"tag origin {origin} outside 1..{len(frontier)}")
+        if seq != frontier[origin - 1] + 1:
+            raise CommandError(
+                f"tag {cmd.tag} out of sequence: replica {origin} is at {frontier[origin - 1]}"
+            )
+        frontier[origin - 1] = seq
+        return CausalTaggedState(apply_update(cmd, state.value), tuple(frontier))
     if cmd.kind == "increment":
         if not isinstance(state, GCounter):
             raise CommandError("increment targets a counter state")
@@ -366,12 +403,9 @@ def _parse_state(data: bytes, offset: int) -> tuple[SemilatticeValue, int]:
         if isinstance(inner, CausalTaggedState):
             raise SerializationError("nested tagged state")
         end = _need(data, offset, 4)
-        (count,) = _U32.unpack(data[offset:end])
+        (width,) = _U32.unpack(data[offset:end])
         offset = end
-        tags = []
-        for _ in range(count):
-            end = _need(data, offset, 16)
-            tags.append(_TAG.unpack(data[offset:end]))
-            offset = end
-        return CausalTaggedState(inner, frozenset(tags)), offset
+        end = _need(data, offset, 8 * width)
+        frontier = struct.unpack(f">{width}Q", data[offset:end])
+        return CausalTaggedState(inner, frontier), end
     raise SerializationError(f"unknown state lead byte {lead!r}")

@@ -274,8 +274,9 @@ class Replica:
         return _REQ_ID.pack(self.rid, self._request_counter)
 
     def _next_tag(self) -> CausalTag:
-        self._update_seq += 1
-        return (self.rid, self._update_seq)
+        # consumed by _start_update only once the update applies, so a
+        # rejected command leaves no gap in this replica's tag sequence
+        return (self.rid, self._update_seq + 1)
 
     def _peers(self) -> Iterable[int]:
         return (r for r in range(1, self.config.n_replicas + 1) if r != self.rid)
@@ -369,6 +370,7 @@ class Replica:
                     )
                 )
                 continue
+            self._update_seq += 1
             bound.append((client, token, cmd))
         if not bound:
             return None

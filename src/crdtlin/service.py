@@ -132,7 +132,7 @@ class ClusterConfig:
         else:
             base = GSet.empty()
         if self.instrument:
-            return CausalTaggedState.initial(base)
+            return CausalTaggedState.initial(base, len(self.replicas))
         return base
 
 
@@ -197,6 +197,8 @@ class ReplicaDaemon:
         self._client_writers: dict[bytes, asyncio.StreamWriter] = {}
         self._timers: set[asyncio.TimerHandle] = set()
         self._tasks: set[asyncio.Task] = set()
+        # inbound connection handlers, which asyncio.start_server spawns
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stop = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.Server | None = None
@@ -224,6 +226,12 @@ class ReplicaDaemon:
         finally:
             self._server.close()
             await self._server.wait_closed()
+            await asyncio.sleep(0)  # let just-accepted handlers register
+            # closing each inbound stream ends its handler at a clean EOF; a
+            # handler cancelled at loop exit would log an asyncio error instead
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             for handle in self._timers:
                 handle.cancel()
             for task in self._tasks:
@@ -304,6 +312,8 @@ class ReplicaDaemon:
 
     async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         peer_name = writer.get_extra_info("peername")
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 header = await reader.readexactly(4)
@@ -319,6 +329,7 @@ class ReplicaDaemon:
         except ConnectionError:
             pass
         finally:
+            del self._connections[task]
             stale = [rid for rid, w in self._client_writers.items() if w is writer]
             for rid in stale:
                 del self._client_writers[rid]
@@ -351,12 +362,23 @@ class ReplicaDaemon:
             try:
                 while True:
                     msg = await queue.get()
-                    writer.write(encode(msg))
+                    try:
+                        frame = encode(msg)
+                    except FrameError as exc:
+                        # a payload too big for one frame is lost like any
+                        # other dropped frame; the link itself stays up
+                        log.warning(
+                            "replica %d: dropping %s to peer %d: %s",
+                            self.endpoint.id, type(msg).__name__, peer.id, exc,
+                        )
+                        continue
+                    writer.write(frame)
                     await writer.drain()
             except (ConnectionError, OSError):
                 log.debug("replica %d: link to peer %d dropped", self.endpoint.id, peer.id)
-                writer.close()
-                await asyncio.sleep(_RECONNECT_DELAY)
+            finally:
+                writer.close()  # also when shutdown cancels this task
+            await asyncio.sleep(_RECONNECT_DELAY)
 
 
 # -------------------------------------------------------------------- client
@@ -460,7 +482,7 @@ class ReplicaClient:
         learned_tags = None
         learned_value = None
         if isinstance(reply.learned, CausalTaggedState):
-            learned_tags = tuple(sorted(reply.learned.tags))
+            learned_tags = reply.learned.tags
             learned_value = reply.learned.value.render()
         if rec is not None:
             rec.outcome = "ok"

@@ -374,7 +374,7 @@ class Simulation:
         else:
             base = GSet.empty()
         if self.config.instrument:
-            return CausalTaggedState.initial(base)
+            return CausalTaggedState.initial(base, self.config.n_replicas)
         return base
 
     def _push(self, t: int, kind: str, data: tuple) -> None:
@@ -527,7 +527,7 @@ class Simulation:
         if reply.kind == "update":
             rec.tag = reply.tag
         if reply.ok and reply.kind == "query" and isinstance(reply.learned, CausalTaggedState):
-            rec.learned_tags = tuple(sorted(reply.learned.tags))
+            rec.learned_tags = reply.learned.tags
             rec.learned_value = reply.learned.value.render()
         rec.incremental_retry_times = tuple(
             rt for rt, kind in self._retry_times.get(reply.request_id, ()) if kind == "incremental"

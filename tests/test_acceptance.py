@@ -395,18 +395,22 @@ def test_criterion_09_crdt_algebra():
             if a.compare(b) and b.compare(a):
                 assert a == b
 
-    for i in range(cases):
-        s = CausalTaggedState(counter(), frozenset({(1, i)}))
-        cmd = UpdateCommand.increment(rng.randrange(3), (2, i))
-        grown = apply_update(cmd, s)
-        assert s.compare(grown) and not grown.compare(s)  # strict inflation
-        assert grown.tags == s.tags | {(2, i)}
+    def frontier() -> tuple[int, ...]:
+        return tuple(rng.randrange(6) for _ in range(3))
 
-    for i in range(cases):
-        a = CausalTaggedState(counter(), frozenset({(1, i), (3, i)}))
-        b = CausalTaggedState(counter(), frozenset({(2, i)}))
+    for _ in range(cases):
+        s = CausalTaggedState(counter(), frontier())
+        origin = rng.randint(1, 3)
+        tag = (origin, s.frontier[origin - 1] + 1)
+        grown = apply_update(UpdateCommand.increment(rng.randrange(3), tag), s)
+        assert s.compare(grown) and not grown.compare(s)  # strict inflation
+        assert set(grown.tags) == set(s.tags) | {tag}
+
+    for _ in range(cases):
+        a = CausalTaggedState(counter(), frontier())
+        b = CausalTaggedState(counter(), frontier())
         joined = a.merge(b)
-        assert joined.tags == a.tags | b.tags  # tag sets join homomorphically
+        assert set(joined.tags) == set(a.tags) | set(b.tags)  # tag sets join homomorphically
         assert joined.value == a.value.merge(b.value)
 
     _line(9, True, f"{cases} cases each: lattice laws, inflation, tag homomorphism")

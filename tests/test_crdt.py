@@ -192,14 +192,14 @@ def test_update_inflates(state, slot):
 def _random_run(rng: random.Random, n_updates: int):
     """Apply the same updates in two orders, each slot owned by one part."""
     width = 3
-    cmds = []
-    for i in range(n_updates):
+    queues: list[list[UpdateCommand]] = [[] for _ in range(width)]
+    for _ in range(n_updates):
         pid = rng.randint(1, width)
-        cmds.append(UpdateCommand.increment(pid - 1, (pid, i + 1)))
+        queues[pid - 1].append(UpdateCommand.increment(pid - 1, (pid, len(queues[pid - 1]) + 1)))
 
     def fold(order):
         # slot increments stay on their owning part: max-merge is not additive
-        parts = [CausalTaggedState.initial(GCounter.zero(width)) for _ in range(width)]
+        parts = [CausalTaggedState.initial(GCounter.zero(width), width) for _ in range(width)]
         for cmd in order:
             parts[cmd.slot] = apply_update(cmd, parts[cmd.slot])
         out = parts[0]
@@ -207,11 +207,15 @@ def _random_run(rng: random.Random, n_updates: int):
             out = out.merge(p)
         return out
 
-    first = fold(list(cmds))
-    shuffled = list(cmds)
-    rng.shuffle(shuffled)
-    second = fold(shuffled)
-    return first, second
+    def interleave():
+        # a random interleaving that keeps each part's own tags in sequence
+        pending = [list(q) for q in queues]
+        order = []
+        while any(pending):
+            order.append(rng.choice([q for q in pending if q]).pop(0))
+        return order
+
+    return fold(interleave()), fold(interleave())
 
 
 def test_equal_tag_sets_imply_equivalent_values():
@@ -224,11 +228,12 @@ def test_equal_tag_sets_imply_equivalent_values():
 
 
 def test_tagged_merge_unions_tags():
-    base = CausalTaggedState.initial(GCounter.zero(2))
+    base = CausalTaggedState.initial(GCounter.zero(2), 2)
     a = apply_update(UpdateCommand.increment(0, (1, 1)), base)
     b = apply_update(UpdateCommand.increment(1, (2, 1)), base)
     m = a.merge(b)
-    assert m.tags == frozenset({(1, 1), (2, 1)})
+    assert m.frontier == (1, 1)
+    assert m.tags == ((1, 1), (2, 1))
     assert m.value == GCounter((1, 1))
     # ordering ignores tags entirely
     assert a.compare(m) and b.compare(m)
@@ -236,7 +241,30 @@ def test_tagged_merge_unions_tags():
 
 def test_tagged_cannot_mix_with_untagged():
     with pytest.raises(ShapeError):
-        CausalTaggedState.initial(GCounter.zero(2)).merge(GCounter.zero(2))
+        CausalTaggedState.initial(GCounter.zero(2), 2).merge(GCounter.zero(2))
+
+
+def test_tagged_frontier_widths_must_match():
+    with pytest.raises(ShapeError):
+        CausalTaggedState.initial(GCounter.zero(2), 2).merge(
+            CausalTaggedState.initial(GCounter.zero(2), 3)
+        )
+    with pytest.raises(ShapeError):
+        CausalTaggedState.initial(GCounter.zero(2), 0)
+
+
+def test_tags_expand_the_frontier_in_order():
+    state = CausalTaggedState(GSet.empty(), (2, 0, 3))
+    assert state.tags == ((1, 1), (1, 2), (3, 1), (3, 2), (3, 3))
+
+
+def test_tagged_update_must_be_its_origins_next_tag():
+    state = CausalTaggedState(GCounter.zero(3), (2, 0, 0))
+    grown = apply_update(UpdateCommand.increment(0, (1, 3)), state)
+    assert grown.frontier == (3, 0, 0)
+    for tag in ((1, 2), (1, 4), (2, 2), (2, 0), (4, 1), (0, 1)):
+        with pytest.raises(CommandError):  # repeat, skip, or unknown origin
+            apply_update(UpdateCommand.increment(0, tag), state)
 
 
 # ---------------------------------------------------------------- serialization
@@ -259,9 +287,9 @@ def test_set_bytes_roundtrip(state):
 
 
 @settings(max_examples=200, deadline=None)
-@given(gsets, st.frozensets(st.tuples(st.integers(1, 9), st.integers(1, 99)), max_size=6))
-def test_tagged_bytes_roundtrip(value, tags):
-    state = CausalTaggedState(value, tags)
+@given(gsets, st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(tuple))
+def test_tagged_bytes_roundtrip(value, frontier):
+    state = CausalTaggedState(value, frontier)
     data = state_to_bytes(state)
     assert len(data) == state.canonical_size()
     assert state_from_bytes(data) == state
@@ -285,8 +313,21 @@ def test_malformed_bytes_rejected():
         state_from_bytes(b"")
 
 
+def test_malformed_tagged_bytes_rejected():
+    good = state_to_bytes(CausalTaggedState(GCounter((1, 2, 3)), (1, 0, 4)))
+    assert len(good) == 58
+    with pytest.raises(SerializationError):
+        state_from_bytes(good[:-1])  # truncated frontier
+    with pytest.raises(SerializationError):
+        state_from_bytes(good[:-24])  # frontier width with no entries
+    with pytest.raises(SerializationError):
+        state_from_bytes(good + b"\x00")
+    with pytest.raises(SerializationError):
+        state_from_bytes(good + bytes(8))  # a whole extra entry beyond the width
+
+
 def test_render_forms():
     assert GCounter((1, 0, 2)).render() == "[1,0,2]"
     assert GSet.of(b"b", b"a").render() == "{a,b}"
-    tagged = CausalTaggedState(GCounter((1,)), frozenset({(1, 1)}))
+    tagged = CausalTaggedState(GCounter((1,)), (1,))
     assert tagged.render() == "[1]+1t"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from crdtlin.crdt import GCounter, QueryCommand, UpdateCommand
+from crdtlin.crdt import CausalTaggedState, GCounter, QueryCommand, UpdateCommand
 from crdtlin.messages import (
     BOTTOM_ID,
     BOTTOM_NR,
@@ -572,3 +572,17 @@ def test_bad_command_against_cluster_type_fails_cleanly():
     out = r.step(ClientUpdate(UpdateOp.set_add(b"x"), client=1, token=1))
     assert len(out.replies) == 1 and not out.replies[0].ok
     assert out.sends == []
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_rejected_update_burns_no_tag(tagged):
+    initial = GCounter.zero(3)
+    if tagged:
+        initial = CausalTaggedState.initial(initial, 3)
+    r = Replica(1, ProtocolConfig(n_replicas=3, quorum=MajorityQuorum(3)), initial)
+    failed = r.step(ClientUpdate(UpdateOp.set_add(b"x"), client=1, token=1))
+    assert not failed.replies[0].ok
+    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=2))
+    req_id = sends_by_type(out, Merge)[0][1].request_id
+    reply = r.step(Merged(sender=2, request_id=req_id)).replies[0]
+    assert reply.ok and reply.tag == (1, 1)

@@ -4,6 +4,7 @@ malformed-frame robustness, and client-side history recording."""
 
 import asyncio
 import json
+import logging
 import socket
 import struct
 import threading
@@ -11,6 +12,8 @@ import threading
 import pytest
 
 from crdtlin.checker import check_all, linearize
+from crdtlin.crdt import GSet
+from crdtlin.messages import Merge, Merged
 from crdtlin.service import (
     ClusterConfig,
     ClusterConfigError,
@@ -20,6 +23,7 @@ from crdtlin.service import (
     RequestFailed,
     load_cluster_config,
 )
+from crdtlin.wire import MAX_FRAME, try_decode
 
 
 def _free_ports(n: int) -> list[int]:
@@ -72,7 +76,7 @@ class Cluster:
 
 
 @pytest.fixture
-def cluster():
+def cluster(caplog):
     started: list[Cluster] = []
 
     def factory(n: int = 3, **config_kw) -> Cluster:
@@ -84,6 +88,14 @@ def cluster():
     yield factory
     for c in started:
         c.stop_all()
+    # a clean shutdown leaves no cancelled connection handler for asyncio to report
+    asyncio_errors = [
+        rec.getMessage()
+        for when in ("setup", "call", "teardown")
+        for rec in caplog.get_records(when)
+        if rec.name == "asyncio" and rec.levelno >= logging.ERROR
+    ]
+    assert not asyncio_errors
 
 
 # ------------------------------------------------------------- configuration
@@ -251,6 +263,33 @@ def test_malformed_frame_drops_connection_but_not_daemon(cluster):
     with c.client(1) as alice:  # the daemon itself is unharmed
         alice.increment()
         assert alice.value().result == 1
+
+
+def test_oversized_frame_to_a_peer_is_dropped_and_the_link_kept(caplog):
+    rid_a, rid_b = bytes(15) + b"\x01", bytes(15) + b"\x02"
+    huge = GSet.of(b"a" * (MAX_FRAME // 2), b"b" * (MAX_FRAME // 2))
+    c = Cluster(2, crdt="gset")
+    # a bare listener stands in for replica 2 and reads what replica 1 sends it
+    with socket.create_server(("127.0.0.1", c.config.endpoint(2).port)) as peer:
+        c.start(1)
+        daemon = c.daemons[1]
+        try:
+            for msg in (Merge(1, rid_a, huge), Merged(1, rid_b)):
+                daemon._loop.call_soon_threadsafe(daemon._enqueue_peer, 2, msg)
+            peer.settimeout(5)
+            conn, _ = peer.accept()
+            with conn:
+                conn.settimeout(5)
+                buf = bytearray()
+                while (decoded := try_decode(buf)) is None:
+                    chunk = conn.recv(65536)
+                    assert chunk, "link to the peer closed"
+                    buf += chunk
+            assert decoded[0] == Merged(1, rid_b)  # the next frame still arrives
+        finally:
+            c.stop_all()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("Merge" in w and "exceeds" in w for w in warnings), warnings
 
 
 def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):

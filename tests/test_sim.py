@@ -322,3 +322,15 @@ def test_simulation_object_runs_once():
     sim.run()
     with pytest.raises(ConfigError):
         sim.run()
+
+
+def test_tagged_payload_size_does_not_grow_with_the_history():
+    def run(n_clients, ops_per_client):
+        cfg = SimConfig(n_clients=n_clients, ops_per_client=ops_per_client,
+                        update_fraction=1.0, record_trace=False, seed=5)
+        return sim_run(cfg)
+
+    after_first = run(1, 1).metrics.max_payload_bytes
+    long_run = run(4, 250)
+    assert sum(r.kind == "update" and r.outcome == "ok" for r in long_run.history) == 1000
+    assert long_run.metrics.max_payload_bytes == after_first == 58  # 3-replica counter + frontier

@@ -28,7 +28,7 @@ from crdtlin.messages import (
 from crdtlin.wire import MAX_FRAME, FrameError, decode_payload, encode, try_decode
 
 RID = bytes(range(16))
-STATE = CausalTaggedState(GCounter((3, 0, 7)), frozenset({(1, 1), (3, 2)}))
+STATE = CausalTaggedState(GCounter((3, 0, 7)), (1, 0, 2))
 PLAIN = GCounter((1, 2, 3))
 SET_STATE = GSet(frozenset({b"", b"alpha", b"\x00\xff"}))
 
@@ -188,8 +188,8 @@ def _random_state(rng: random.Random):
         return GCounter(tuple(rng.randrange(1 << 40) for _ in range(rng.randrange(1, 6))))
     if pick == 1:
         return GSet(frozenset(rng.randbytes(rng.randrange(0, 12)) for _ in range(rng.randrange(0, 6))))
-    tags = frozenset((rng.randrange(1, 8), rng.randrange(1, 1 << 30)) for _ in range(rng.randrange(0, 5)))
-    return CausalTaggedState(GCounter((rng.randrange(1 << 20),)), tags)
+    frontier = tuple(rng.randrange(1 << 30) for _ in range(rng.randrange(1, 8)))
+    return CausalTaggedState(GCounter((rng.randrange(1 << 20),)), frontier)
 
 
 def test_hundred_thousand_random_valid_messages_round_trip():
