@@ -404,6 +404,8 @@ def _parse_state(data: bytes, offset: int) -> tuple[SemilatticeValue, int]:
             raise SerializationError("nested tagged state")
         end = _need(data, offset, 4)
         (width,) = _U32.unpack(data[offset:end])
+        if width < 1:
+            raise SerializationError("tagged state with an empty frontier")
         offset = end
         end = _need(data, offset, 8 * width)
         frontier = struct.unpack(f">{width}Q", data[offset:end])

@@ -23,9 +23,11 @@ from typing import AbstractSet, Iterable
 
 from .crdt import (
     CausalTag,
+    CausalTaggedState,
     CommandError,
     QueryCommand,
     SemilatticeValue,
+    ShapeError,
     UpdateCommand,
     apply_query,
     apply_update,
@@ -52,6 +54,14 @@ _REQ_ID = struct.Struct(">QQ")
 
 class ProtocolError(Exception):
     """Misuse of the protocol layer (not a peer misbehaving)."""
+
+
+class PayloadRejected(Exception):
+    """A peer's payload claims updates this replica never issued.
+
+    Raised by :meth:`Replica.step` before any state changes; the runtime
+    drops the message.
+    """
 
 
 class QuorumSystem(ABC):
@@ -288,6 +298,8 @@ class Replica:
 
     def step(self, event) -> StepOutput:
         out = StepOutput()
+        if isinstance(event, (Merge, Prepare, Vote, Ack, Nack)):
+            self._admit(event)
         match event:
             case ClientUpdate():
                 self.on_client_update(event.op, event.client, event.token, out)
@@ -308,6 +320,24 @@ class Replica:
             case _:
                 raise ProtocolError(f"unknown event {event!r}")
         return out
+
+    def _admit(self, m) -> None:
+        state = m.state
+        if not isinstance(state, CausalTaggedState):
+            return  # a mismatched shape raises ShapeError in the merge itself
+        if len(state.frontier) != self.config.n_replicas:
+            raise ShapeError(
+                f"frontier of width {len(state.frontier)} in a {self.config.n_replicas}-replica cluster"
+            )
+        # only this replica issues its own tags, so a claim beyond its
+        # sequence is forged; taking it in would put every later local
+        # update out of sequence
+        claimed = state.frontier[self.rid - 1]
+        if claimed > self._update_seq:
+            raise PayloadRejected(
+                f"{type(m).__name__} from replica {m.sender} holds {claimed} updates "
+                f"of replica {self.rid}, which has issued {self._update_seq}"
+            )
 
     def _acceptor_dispatch(self, m, out: StepOutput) -> None:
         if not 1 <= m.sender <= self.config.n_replicas:

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crdt import CausalTaggedState, GCounter, GSet, QueryCommand, SemilatticeValue
+from .crdt import CausalTaggedState, CrdtError, GCounter, GSet, QueryCommand, SemilatticeValue
 from .history import OpRecord
 from .messages import (
     Failed,
@@ -49,6 +49,7 @@ from .protocol import (
     ClientReply,
     ClientUpdate,
     MajorityQuorum,
+    PayloadRejected,
     ProtocolConfig,
     Replica,
     TimerFire,
@@ -71,6 +72,9 @@ log = logging.getLogger(__name__)
 
 _PEER_QUEUE_LIMIT = 1000
 _RECONNECT_DELAY = 0.2
+# expanding a learned frontier costs one tuple per tag; a frontier naming
+# more tags than this comes from a forged payload, not a recordable session
+_MAX_LEARNED_TAGS = 1 << 20
 
 
 class ClusterConfigError(Exception):
@@ -225,13 +229,15 @@ class ReplicaDaemon:
             await self._stop.wait()
         finally:
             self._server.close()
-            await self._server.wait_closed()
             await asyncio.sleep(0)  # let just-accepted handlers register
             # closing each inbound stream ends its handler at a clean EOF; a
-            # handler cancelled at loop exit would log an asyncio error instead
+            # handler cancelled at loop exit would log an asyncio error instead.
+            # This comes before wait_closed(), which from Python 3.12.1 on
+            # waits for every open connection to end.
             for writer in self._connections.values():
                 writer.close()
             await asyncio.gather(*self._connections, return_exceptions=True)
+            await self._server.wait_closed()
             for handle in self._timers:
                 handle.cancel()
             for task in self._tasks:
@@ -321,7 +327,7 @@ class ReplicaDaemon:
                 if length + 4 > MAX_FRAME:
                     raise FrameError(f"declared frame of {length + 4} bytes exceeds the cap")
                 payload = await reader.readexactly(length)
-                self._handle_message(try_decode(header + payload), writer)
+                self._handle_message(try_decode(header + payload), writer, peer_name)
         except asyncio.IncompleteReadError:
             pass  # clean disconnect
         except FrameError as exc:
@@ -335,7 +341,7 @@ class ReplicaDaemon:
                 del self._client_writers[rid]
             writer.close()
 
-    def _handle_message(self, decoded, writer: asyncio.StreamWriter) -> None:
+    def _handle_message(self, decoded, writer: asyncio.StreamWriter, peer_name) -> None:
         msg, _consumed = decoded
         match msg:
             case Update():
@@ -347,7 +353,15 @@ class ReplicaDaemon:
             case UpdateDone() | QueryDone() | Failed():
                 raise FrameError(f"{type(msg).__name__} is a reply, not a request")
             case _:
-                self._dispatch(msg)
+                try:
+                    self._dispatch(msg)
+                except (CrdtError, PayloadRejected) as exc:
+                    # the replica refused the payload before changing any
+                    # state; drop this frame like a lost one, keep the link
+                    log.warning(
+                        "replica %d: dropping %s from %s: %s",
+                        self.endpoint.id, type(msg).__name__, peer_name, exc,
+                    )
 
     # -- outbound peer links
 
@@ -482,6 +496,11 @@ class ReplicaClient:
         learned_tags = None
         learned_value = None
         if isinstance(reply.learned, CausalTaggedState):
+            n_tags = sum(reply.learned.frontier)
+            if n_tags > _MAX_LEARNED_TAGS:
+                if rec is not None:
+                    rec.outcome = "failed"
+                raise RequestFailed("query", f"learned state names {n_tags} tags")
             learned_tags = reply.learned.tags
             learned_value = reply.learned.value.render()
         if rec is not None:

@@ -190,32 +190,35 @@ def test_update_inflates(state, slot):
 
 
 def _random_run(rng: random.Random, n_updates: int):
-    """Apply the same updates in two orders, each slot owned by one part."""
+    """Reach the same tags twice through different merge histories.
+
+    Each part owns one slot and applies its own tags in sequence; the two
+    runs interleave the parts differently, and before each step a part may
+    first merge a random other part's current payload.
+    """
     width = 3
     queues: list[list[UpdateCommand]] = [[] for _ in range(width)]
     for _ in range(n_updates):
         pid = rng.randint(1, width)
         queues[pid - 1].append(UpdateCommand.increment(pid - 1, (pid, len(queues[pid - 1]) + 1)))
 
-    def fold(order):
+    def run():
         # slot increments stay on their owning part: max-merge is not additive
         parts = [CausalTaggedState.initial(GCounter.zero(width), width) for _ in range(width)]
-        for cmd in order:
-            parts[cmd.slot] = apply_update(cmd, parts[cmd.slot])
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.merge(p)
+        pending = [list(q) for q in queues]
+        while any(pending):
+            if rng.random() < 0.5:
+                dst, src = rng.sample(range(width), 2)
+                parts[dst] = parts[dst].merge(parts[src])
+            pid = rng.choice([i for i in range(width) if pending[i]])
+            parts[pid] = apply_update(pending[pid].pop(0), parts[pid])
+        order = rng.sample(range(width), width)
+        out = parts[order[0]]
+        for i in order[1:]:
+            out = out.merge(parts[i])
         return out
 
-    def interleave():
-        # a random interleaving that keeps each part's own tags in sequence
-        pending = [list(q) for q in queues]
-        order = []
-        while any(pending):
-            order.append(rng.choice([q for q in pending if q]).pop(0))
-        return order
-
-    return fold(interleave()), fold(interleave())
+    return run(), run()
 
 
 def test_equal_tag_sets_imply_equivalent_values():
@@ -320,6 +323,9 @@ def test_malformed_tagged_bytes_rejected():
         state_from_bytes(good[:-1])  # truncated frontier
     with pytest.raises(SerializationError):
         state_from_bytes(good[:-24])  # frontier width with no entries
+    empty = state_to_bytes(GCounter((1, 2, 3))) + b"\x00" * 4
+    with pytest.raises(SerializationError):
+        state_from_bytes(b"T" + empty)  # a frontier of width 0
     with pytest.raises(SerializationError):
         state_from_bytes(good + b"\x00")
     with pytest.raises(SerializationError):

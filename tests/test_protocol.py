@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from crdtlin.crdt import CausalTaggedState, GCounter, QueryCommand, UpdateCommand
+from crdtlin.crdt import CausalTaggedState, GCounter, QueryCommand, ShapeError, UpdateCommand
 from crdtlin.messages import (
     BOTTOM_ID,
     BOTTOM_NR,
@@ -29,6 +29,7 @@ from crdtlin.protocol import (
     ClientQuery,
     ClientUpdate,
     MajorityQuorum,
+    PayloadRejected,
     ProtocolConfig,
     ProtocolError,
     Replica,
@@ -586,3 +587,24 @@ def test_rejected_update_burns_no_tag(tagged):
     req_id = sends_by_type(out, Merge)[0][1].request_id
     reply = r.step(Merged(sender=2, request_id=req_id)).replies[0]
     assert reply.ok and reply.tag == (1, 1)
+
+
+def test_payload_claiming_unissued_local_updates_is_refused():
+    config = ProtocolConfig(n_replicas=3, quorum=MajorityQuorum(3))
+    r = Replica(2, config, CausalTaggedState.initial(GCounter.zero(3), 3))
+    before = r.acceptor.state
+    forged = CausalTaggedState(GCounter((0, 1, 0)), (0, 1, 0))  # (2, 1) was never issued
+    for msg in (
+        Merge(1, REQ, forged),
+        Prepare(1, REQ, incremental_round(X), forged),
+        Vote(1, REQ, Round(1, X), forged),
+    ):
+        with pytest.raises(PayloadRejected):
+            r.step(msg)
+    with pytest.raises(ShapeError):
+        r.step(Merge(1, REQ, CausalTaggedState.initial(GCounter.zero(3), 2)))
+    assert r.acceptor.state == before and r.acceptor.round == Round(0, BOTTOM_ID)
+    # once (2, 1) is issued here, the same payload is an ordinary merge
+    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
+    assert sends_by_type(out, Merge)
+    assert r.step(Merge(1, REQ, forged)).sends == [(1, Merged(2, REQ))]

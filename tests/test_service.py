@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from crdtlin.checker import check_all, linearize
-from crdtlin.crdt import GSet
+from crdtlin.crdt import CausalTaggedState, GCounter, GSet
 from crdtlin.messages import Merge, Merged
 from crdtlin.service import (
     ClusterConfig,
@@ -23,7 +23,7 @@ from crdtlin.service import (
     RequestFailed,
     load_cluster_config,
 )
-from crdtlin.wire import MAX_FRAME, try_decode
+from crdtlin.wire import MAX_FRAME, encode, try_decode
 
 
 def _free_ports(n: int) -> list[int]:
@@ -292,9 +292,55 @@ def test_oversized_frame_to_a_peer_is_dropped_and_the_link_kept(caplog):
     assert any("Merge" in w and "exceeds" in w for w in warnings), warnings
 
 
+def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
+    rid_a, rid_b, rid_c = (bytes(15) + bytes([i]) for i in (1, 2, 3))
+    forged = CausalTaggedState(GCounter((5, 0, 0)), (5, 0, 0))  # 5 updates replica 1 never issued
+    narrow = CausalTaggedState.initial(GCounter.zero(2), 2)  # width 2 in a 3-replica cluster
+    c = Cluster(3)
+    # a bare listener stands in for replica 2 and reads what replica 1 sends it
+    with socket.create_server(("127.0.0.1", c.config.endpoint(2).port)) as peer:
+        c.start(1)
+        c.start(3)
+        try:
+            endpoint = c.config.endpoint(1)
+            with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
+                raw.sendall(encode(Merge(2, rid_a, forged)))
+                raw.sendall(encode(Merge(2, rid_b, narrow)))
+                # the same connection still carries a well-formed merge
+                raw.sendall(encode(Merge(2, rid_c, c.config.initial_state())))
+                peer.settimeout(5)
+                conn, _ = peer.accept()
+                with conn:
+                    conn.settimeout(5)
+                    buf = bytearray()
+                    while (decoded := try_decode(buf)) is None:
+                        chunk = conn.recv(65536)
+                        assert chunk, "link to the peer closed"
+                        buf += chunk
+            assert decoded[0] == Merged(1, rid_c)  # neither refused merge was answered
+            with c.client(1) as alice:
+                assert alice.increment().tag == (1, 1)
+                assert alice.increment().tag == (1, 2)
+                outcome = alice.value()
+                assert outcome.result == 2
+                assert outcome.learned_tags == ((1, 1), (1, 2))
+            # a forged entry for another replica passes here, but a client
+            # refuses to expand it into tags instead of exhausting memory
+            with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
+                raw.sendall(encode(Merge(2, rid_a, CausalTaggedState(GCounter((2, 0, 0)), (2, 2**63, 0)))))
+            with c.client(1) as alice:
+                with pytest.raises(RequestFailed):
+                    alice.value()
+        finally:
+            c.stop_all()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("holds 5 updates of replica 1" in w for w in warnings), warnings
+    assert any("width 2" in w for w in warnings), warnings
+    assert not [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+
+
 def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
     from crdtlin.messages import UpdateDone
-    from crdtlin.wire import encode
 
     c = cluster(3)
     endpoint = c.config.endpoint(2)
