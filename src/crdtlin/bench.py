@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .service import ClusterConfig, ReplicaClient, RequestFailed
-from .sim import SimConfig, sim_run
+from .sim import SimConfig, percentile, sim_run
 
 __all__ = [
     "BenchRow",
@@ -156,16 +156,11 @@ def bench_live(
 # ----------------------------------------------------------------- summaries
 
 
-def _percentile(values: list[float], q: float) -> float:
-    idx = max(0, min(len(values) - 1, round(q * (len(values) - 1))))
-    return sorted(values)[idx]
-
-
 def summarize(rows: list[BenchRow]) -> dict:
     out: dict = {}
     for kind in ("update", "query"):
         ok = [r for r in rows if r.kind == kind and r.outcome == "ok"]
-        latencies = [r.latency for r in ok]
+        latencies = sorted(r.latency for r in ok)
         hist = Counter(r.round_trips for r in ok)
         entry = {
             "ok": len(ok),
@@ -174,8 +169,8 @@ def summarize(rows: list[BenchRow]) -> dict:
             "round_trips": dict(sorted(hist.items())),
         }
         if latencies:
-            entry["p50"] = _percentile(latencies, 0.50)
-            entry["p95"] = _percentile(latencies, 0.95)
+            entry["p50"] = percentile(latencies, 0.50)
+            entry["p95"] = percentile(latencies, 0.95)
         out[kind] = entry
     return out
 

@@ -222,8 +222,8 @@ def _cmd_client(args) -> int:
                         "result": result,
                         "round_trips": outcome.round_trips,
                         "retries": outcome.retries,
-                        "learned_tags": [list(t) for t in outcome.learned_tags]
-                        if outcome.learned_tags is not None
+                        "learned_frontier": list(outcome.learned_frontier)
+                        if outcome.learned_frontier is not None
                         else None,
                     }
                 )

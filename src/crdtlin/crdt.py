@@ -3,11 +3,12 @@
 The replication layer is generic over ``SemilatticeValue``: anything with a
 partial-order ``compare``, a least-upper-bound ``merge``, and a canonical
 byte form. Two concrete value types ship here, a grow-only counter and a
-grow-only set. ``CausalTaggedState`` wraps any value with the set of update
-tags that produced it; instrumented runs use the tags for history checking.
-Each replica applies its own tags in sequence, so a tag set is summarised by
-a per-replica frontier (a version vector) and instrumentation costs
-O(replicas) per payload, however long the history.
+grow-only set. ``CausalTaggedState`` wraps any value with the update tags
+that produced it. Each replica applies its own tags in sequence, so that tag
+set is summarised by a per-replica frontier (a version vector); instrumented
+runs record the frontier each query learned and the checker works on it
+directly, so instrumentation costs O(replicas) per payload and per recorded
+query, however long the history.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 from .crdt import CausalTag
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class HistoryFormatError(Exception):
@@ -27,8 +27,11 @@ class OpRecord:
     """One client operation: its invocation, and its response if any.
 
     ``outcome`` is "ok", "failed", or None while the operation is still
-    pending (no response was ever observed). ``learned_tags`` is populated
-    for instrumented query responses only.
+    pending (no response was ever observed). ``learned_frontier`` is set for
+    instrumented query responses only: entry ``r - 1`` is the highest
+    sequence number of replica ``r`` folded into the learned state, so the
+    learned tags are ``(r, 1..frontier[r - 1])`` and a record costs
+    O(replicas) however many updates came before it.
     """
 
     op_id: int
@@ -41,7 +44,7 @@ class OpRecord:
     response_t: int | None = None
     outcome: str | None = None
     result: object = None
-    learned_tags: tuple[CausalTag, ...] | None = None
+    learned_frontier: tuple[int, ...] | None = None
     learned_value: str | None = None
     round_trips: int | None = None
     retries: int | None = None
@@ -100,8 +103,8 @@ def record_to_json(rec: OpRecord) -> str:
         "response_t": rec.response_t,
         "outcome": rec.outcome,
         "result": _encode_result(rec.result),
-        "learned_tags": (
-            [list(t) for t in rec.learned_tags] if rec.learned_tags is not None else None
+        "learned_frontier": (
+            list(rec.learned_frontier) if rec.learned_frontier is not None else None
         ),
         "learned_value": rec.learned_value,
         "round_trips": rec.round_trips,
@@ -130,9 +133,9 @@ def record_from_json(line: str) -> OpRecord:
             response_t=obj.get("response_t"),
             outcome=obj.get("outcome"),
             result=_decode_result(obj.get("result")),
-            learned_tags=(
-                tuple(tuple(t) for t in obj["learned_tags"])
-                if obj.get("learned_tags") is not None
+            learned_frontier=(
+                tuple(obj["learned_frontier"])
+                if obj.get("learned_frontier") is not None
                 else None
             ),
             learned_value=obj.get("learned_value"),

@@ -72,8 +72,9 @@ log = logging.getLogger(__name__)
 
 _PEER_QUEUE_LIMIT = 1000
 _RECONNECT_DELAY = 0.2
-# expanding a learned frontier costs one tuple per tag; a frontier naming
-# more tags than this comes from a forged payload, not a recordable session
+# bounds what a forged frontier can claim: no recordable session folds in
+# more updates than this, so a learned frontier naming more is refused
+# rather than recorded for the checker
 _MAX_LEARNED_TAGS = 1 << 20
 
 
@@ -408,7 +409,7 @@ class UpdateOutcome:
 @dataclass(frozen=True, slots=True)
 class QueryOutcome:
     result: object
-    learned_tags: tuple | None
+    learned_frontier: tuple[int, ...] | None
     round_trips: int
     retries: int
 
@@ -493,7 +494,7 @@ class ReplicaClient:
         reply, rec = self._roundtrip(
             lambda rid: Query(self.client_id, rid, command), op_desc, "query"
         )
-        learned_tags = None
+        learned_frontier = None
         learned_value = None
         if isinstance(reply.learned, CausalTaggedState):
             n_tags = sum(reply.learned.frontier)
@@ -501,16 +502,16 @@ class ReplicaClient:
                 if rec is not None:
                     rec.outcome = "failed"
                 raise RequestFailed("query", f"learned state names {n_tags} tags")
-            learned_tags = reply.learned.tags
+            learned_frontier = reply.learned.frontier
             learned_value = reply.learned.value.render()
         if rec is not None:
             rec.outcome = "ok"
             rec.result = reply.result
-            rec.learned_tags = learned_tags
+            rec.learned_frontier = learned_frontier
             rec.learned_value = learned_value
             rec.round_trips = reply.round_trips
             rec.retries = reply.retries
-        return QueryOutcome(reply.result, learned_tags, reply.round_trips, reply.retries)
+        return QueryOutcome(reply.result, learned_frontier, reply.round_trips, reply.retries)
 
     def _update_outcome(self, reply, rec) -> UpdateOutcome:
         if rec is not None:

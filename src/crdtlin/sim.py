@@ -55,6 +55,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Simulation",
+    "percentile",
     "sim_run",
     "workload_generate",
 ]
@@ -167,7 +168,11 @@ def workload_generate(config: SimConfig) -> list[list[str]]:
     return scripts
 
 
-def _percentile(sorted_values: list[int], q: float) -> int | None:
+def percentile(sorted_values: list, q: float):
+    """The sample at index ``q * (n - 1)`` rounded half up; None for no samples.
+
+    The one percentile for ``metrics.csv`` and bench summaries alike.
+    """
     if not sorted_values:
         return None
     idx = max(0, min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5)))
@@ -214,8 +219,8 @@ class Metrics:
             rows.append((f"round_trips_{kind}_{n}", self.round_trips[(kind, n)]))
         for kind in ("update", "query"):
             values = sorted(self.latencies[kind])
-            p50 = _percentile(values, 0.50)
-            p95 = _percentile(values, 0.95)
+            p50 = percentile(values, 0.50)
+            p95 = percentile(values, 0.95)
             if p50 is not None:
                 rows.append((f"latency_{kind}_p50", p50))
                 rows.append((f"latency_{kind}_p95", p95))
@@ -527,7 +532,7 @@ class Simulation:
         if reply.kind == "update":
             rec.tag = reply.tag
         if reply.ok and reply.kind == "query" and isinstance(reply.learned, CausalTaggedState):
-            rec.learned_tags = reply.learned.tags
+            rec.learned_frontier = reply.learned.frontier
             rec.learned_value = reply.learned.value.render()
         rec.incremental_retry_times = tuple(
             rt for rt, kind in self._retry_times.get(reply.request_id, ()) if kind == "incremental"

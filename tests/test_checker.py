@@ -2,6 +2,9 @@
 minimality, the explicit-order construction, and cross-validation of
 linearize() against the exhaustive oracle on random small histories.
 
+Queries are built with the frontier they learned: ``(2, 0, 1)`` names the
+tags (1, 1), (1, 2) and (3, 1).
+
 The oracle and linearize() share no machinery, so agreement between them on
 arbitrary histories (safe and corrupt alike) is strong evidence both are
 right. For tag-exact histories the five safety conditions are not merely
@@ -41,12 +44,11 @@ def u(op_id, inv, resp, tag, outcome="ok", client=0):
     )
 
 
-def q(op_id, inv, resp, learned, outcome="ok", client=0):
+def q(op_id, inv, resp, frontier, outcome="ok", client=0):
     return OpRecord(
         op_id=op_id, client=client, replica=1, kind="query",
         op={"kind": "counter_value"}, invoke_t=inv, response_t=resp,
-        outcome=outcome,
-        learned_tags=tuple(sorted(learned)) if learned is not None else None,
+        outcome=outcome, learned_frontier=frontier,
     )
 
 
@@ -67,14 +69,15 @@ def test_empty_history_passes_everything():
 
 
 def test_validity_rejects_never_invoked_tag():
-    history = [u(1, 0, 5, (1, 1)), q(2, 10, 20, {(1, 1), (9, 9)})]
+    # the frontier reaches one past origin 1's last update
+    history = [u(1, 0, 5, (1, 1)), q(2, 10, 20, (2, 0, 0))]
     verdict = check_validity(history)
     retriggers(check_validity, history, verdict)
-    assert "(9, 9)" in verdict.witness.message
+    assert "(1, 2)" in verdict.witness.message
 
 
 def test_validity_rejects_tag_learned_before_its_invocation():
-    history = [q(1, 0, 10, {(1, 1)}), u(2, 50, 60, (1, 1))]
+    history = [q(1, 0, 10, (1, 0, 0)), u(2, 50, 60, (1, 1))]
     verdict = check_validity(history)
     retriggers(check_validity, history, verdict)
     assert set(verdict.witness.op_ids) == {1, 2}
@@ -82,32 +85,61 @@ def test_validity_rejects_tag_learned_before_its_invocation():
 
 def test_validity_accepts_pending_update_whose_tag_leaked():
     # the update never finished, but it was invoked before the learn
-    history = [u(1, 0, None, (1, 1), outcome=None), q(2, 10, 20, {(1, 1)})]
+    history = [u(1, 0, None, (1, 1), outcome=None), q(2, 10, 20, (1, 0, 0))]
     assert check_validity(history).passed
+
+
+def test_validity_rejects_two_updates_with_one_tag():
+    # two increments were made, but one tag cannot tell them apart
+    history = [u(1, 0, 10, (1, 1)), u(2, 20, 30, (1, 1)), q(3, 40, 50, (1, 0, 0))]
+    verdict = check_validity(history)
+    retriggers(check_validity, history, verdict)
+    assert verdict.witness.op_ids == (1, 2)
+    with pytest.raises(PreconditionFailed) as exc:
+        linearize(history)
+    assert exc.value.verdict.condition == "validity"
+
+
+def test_validity_rejects_frontiers_of_different_widths():
+    history = [u(1, 0, 5, (1, 1)), q(2, 10, 20, (1, 0, 0)), q(3, 30, 40, (1, 0))]
+    verdict = check_validity(history)
+    retriggers(check_validity, history, verdict)
+    assert verdict.witness.op_ids == (2, 3)
+    # the other checks read a missing entry as holding no tags
+    assert [name for name, v in check_all(history).items() if not v.passed] == ["validity"]
 
 
 # ----------------------------------------------------------------- stability
 
 
 def test_single_query_is_stable():
-    assert check_stability([q(1, 0, 5, {(1, 1)})]).passed
+    assert check_stability([q(1, 0, 5, (1, 0, 0))]).passed
 
 
 def test_stability_rejects_lost_tag():
     history = [
-        q(1, 0, 10, {(1, 1), (2, 1)}),
-        q(2, 20, 30, {(1, 1)}),
+        q(1, 0, 10, (1, 1, 0)),
+        q(2, 20, 30, (1, 0, 0)),
     ]
     verdict = check_stability(history)
     retriggers(check_stability, history, verdict)
     assert verdict.witness.op_ids == (1, 2)
 
 
+def test_stability_remembers_every_finished_query():
+    # op 2 finished last before op 3 began, but op 1 finished earlier and
+    # learned more than op 3
+    history = [q(1, 0, 10, (2, 0, 0)), q(2, 5, 15, (1, 0, 0)), q(3, 20, 30, (1, 0, 0))]
+    verdict = check_stability(history)
+    retriggers(check_stability, history, verdict)
+    assert verdict.witness.op_ids == (1, 3)
+
+
 def test_stability_ignores_overlapping_queries():
     # neither finished before the other began, so shrinkage is no violation
     history = [
-        q(1, 0, 50, {(1, 1), (2, 1)}),
-        q(2, 10, 40, {(1, 1)}),
+        q(1, 0, 50, (1, 1, 0)),
+        q(2, 10, 40, (1, 0, 0)),
     ]
     assert check_stability(history).passed
 
@@ -116,18 +148,18 @@ def test_stability_ignores_overlapping_queries():
 
 
 def test_consistency_rejects_disjoint_learned_sets():
-    history = [q(1, 0, 50, {(1, 1)}), q(2, 10, 40, {(2, 1)})]
+    history = [q(1, 0, 50, (1, 0, 0)), q(2, 10, 40, (0, 1, 0))]
     verdict = check_consistency(history)
     retriggers(check_consistency, history, verdict)
 
 
 def test_consistency_accepts_nested_learned_sets():
-    history = [q(1, 0, 50, {(1, 1)}), q(2, 10, 40, {(1, 1), (2, 1)})]
+    history = [q(1, 0, 50, (1, 0, 0)), q(2, 10, 40, (1, 1, 0))]
     assert check_consistency(history).passed
 
 
 def test_consistency_rejects_equal_size_different_sets():
-    history = [q(1, 0, 50, {(1, 1), (2, 1)}), q(2, 10, 40, {(1, 1), (3, 1)})]
+    history = [q(1, 0, 50, (1, 1, 0)), q(2, 10, 40, (1, 0, 1))]
     verdict = check_consistency(history)
     retriggers(check_consistency, history, verdict)
 
@@ -139,7 +171,7 @@ def test_update_stability_rejects_second_without_first():
     history = [
         u(1, 0, 10, (1, 1)),
         u(2, 20, 30, (2, 1)),  # invoked after op 1 finished
-        q(3, 40, 50, {(2, 1)}),
+        q(3, 40, 50, (0, 1, 0)),
     ]
     verdict = check_update_stability(history)
     retriggers(check_update_stability, history, verdict)
@@ -150,31 +182,31 @@ def test_update_stability_allows_concurrent_updates_split():
     history = [
         u(1, 0, 30, (1, 1)),
         u(2, 10, 20, (2, 1)),  # overlaps op 1
-        q(3, 40, 50, {(2, 1)}),
-        q(4, 60, 70, {(1, 1), (2, 1)}),
+        q(3, 40, 50, (0, 1, 0)),
+        q(4, 60, 70, (1, 1, 0)),
     ]
     assert check_update_stability(history).passed
 
 
 def test_update_visibility_rejects_missing_finished_update():
-    history = [u(1, 0, 10, (1, 1)), q(2, 20, 30, set())]
+    history = [u(1, 0, 10, (1, 1)), q(2, 20, 30, (0, 0, 0))]
     verdict = check_update_visibility(history)
     retriggers(check_update_visibility, history, verdict)
     assert verdict.witness.op_ids == (1, 2)
 
 
 def test_update_visibility_allows_concurrent_exclusion():
-    history = [u(1, 0, 30, (1, 1)), q(2, 10, 20, set())]
+    history = [u(1, 0, 30, (1, 1)), q(2, 10, 20, (0, 0, 0))]
     assert check_update_visibility(history).passed
 
 
 def test_failed_update_constrains_nothing():
     # the proposer gave up at t=10, but the effect may still surface later,
     # so a query invoked afterwards need not see it
-    history = [u(1, 0, 10, (1, 1), outcome="failed"), q(2, 20, 30, set())]
+    history = [u(1, 0, 10, (1, 1), outcome="failed"), q(2, 20, 30, (0, 0, 0))]
     assert check_update_visibility(history).passed
     assert check_update_stability(
-        history + [u(3, 20, 25, (3, 1)), q(4, 40, 50, {(3, 1)})]
+        history + [u(3, 20, 25, (3, 1)), q(4, 40, 50, (0, 0, 1))]
     ).passed
 
 
@@ -191,20 +223,27 @@ def test_uninstrumented_query_is_unsupported():
         check_stability([q(1, 0, 5, None)])
 
 
+def test_malformed_tag_or_frontier_is_unsupported():
+    with pytest.raises(UnsupportedInput, match="start at 1"):
+        check_validity([u(1, 0, 5, (0, 1))])
+    with pytest.raises(UnsupportedInput, match="negative"):
+        check_stability([q(1, 0, 5, (1, -1, 0))])
+
+
 # ----------------------------------------------------------------- linearize
 
 
 def test_linearize_single_update_then_query():
-    history = [u(1, 0, 10, (1, 1)), q(2, 20, 30, {(1, 1)})]
+    history = [u(1, 0, 10, (1, 1)), q(2, 20, 30, (1, 0, 0))]
     witness = linearize(history)
     assert witness.order == (1, 2)
-    assert witness.levels == (frozenset({(1, 1)}),)
+    assert witness.levels == ((1, 0, 0),)
 
 
 def test_linearize_orders_excluded_concurrent_update_after_query():
     # the query's learned state excludes the overlapping update, so the
     # query linearizes first
-    history = [u(1, 0, 20, (1, 1)), q(2, 5, 15, set())]
+    history = [u(1, 0, 20, (1, 1)), q(2, 5, 15, (0, 0, 0))]
     witness = linearize(history)
     assert witness.order == (2, 1)
 
@@ -213,15 +252,15 @@ def test_linearize_refuses_unsafe_history_and_names_the_check():
     history = [
         u(1, 0, None, (1, 1), outcome=None),
         u(2, 0, None, (2, 1), outcome=None),
-        q(3, 0, 50, {(1, 1)}),
-        q(4, 10, 40, {(2, 1)}),
+        q(3, 0, 50, (1, 0, 0)),
+        q(4, 10, 40, (0, 1, 0)),
     ]
     with pytest.raises(PreconditionFailed) as exc:
         linearize(history)
     assert exc.value.verdict.condition == "consistency"
     # an unknown tag is a validity failure, reported ahead of consistency
     with pytest.raises(PreconditionFailed) as exc:
-        linearize([q(1, 0, 50, {(1, 1)}), q(2, 10, 40, {(2, 1)})])
+        linearize([q(1, 0, 50, (1, 0, 0)), q(2, 10, 40, (0, 1, 0))])
     assert exc.value.verdict.condition == "validity"
 
 
@@ -229,7 +268,7 @@ def test_linearize_breaks_simultaneous_invocations_deterministically():
     history = [
         u(1, 0, None, (1, 1), outcome=None, client=1),
         u(2, 0, None, (2, 1), outcome=None, client=0),
-        q(3, 5, 9, set()),
+        q(3, 5, 9, (0, 0, 0)),
     ]
     witness = linearize(history)
     # both updates unlearned: placed after the query, client id breaks the tie
@@ -256,25 +295,27 @@ def test_linearize_levels_form_a_chain_on_sim_history():
     cfg = SimConfig(n_replicas=5, n_clients=5, ops_per_client=12, update_fraction=0.5,
                     drop_probability=0.1, delay_max=4, record_trace=False, seed=13)
     witness = linearize(sim_run(cfg).history)
+    assert len(witness.levels) > 1
     for small, big in zip(witness.levels, witness.levels[1:]):
-        assert small < big
+        # strict pointwise growth, not merely lexicographic order
+        assert small != big and all(a <= b for a, b in zip(small, big))
 
 
 # -------------------------------------------------------------------- oracle
 
 
 def test_oracle_rejects_incomparable_learned_states():
-    history = [q(1, 0, 50, {(1, 1)}), q(2, 10, 40, {(2, 1)})]
+    history = [q(1, 0, 50, (1, 0, 0)), q(2, 10, 40, (0, 1, 0))]
     assert not linearizability_oracle(history)
 
 
 def test_oracle_rejects_lost_update():
-    history = [u(1, 0, 10, (1, 1)), q(2, 20, 30, set())]
+    history = [u(1, 0, 10, (1, 1)), q(2, 20, 30, (0, 0, 0))]
     assert not linearizability_oracle(history)
 
 
 def test_oracle_accepts_concurrent_split():
-    history = [u(1, 0, 20, (1, 1)), q(2, 5, 15, set()), q(3, 30, 40, {(1, 1)})]
+    history = [u(1, 0, 20, (1, 1)), q(2, 5, 15, (0, 0, 0)), q(3, 30, 40, (1, 0, 0))]
     assert linearizability_oracle(history)
 
 
@@ -292,8 +333,8 @@ def test_verdicts_do_not_depend_on_record_order():
     history = [
         u(1, 0, 10, (1, 1)),
         u(2, 5, 25, (2, 1)),
-        q(3, 12, 18, {(1, 1)}),
-        q(4, 30, 40, {(1, 1), (2, 1)}),
+        q(3, 12, 18, (1, 0, 0)),
+        q(4, 30, 40, (1, 1, 0)),
     ]
     baseline = {name: v.passed for name, v in check_all(history).items()}
     rng = random.Random(3)
@@ -307,15 +348,22 @@ def test_verdicts_do_not_depend_on_record_order():
 
 
 def _random_history(rng: random.Random) -> list:
-    """Small histories, safe and corrupt alike, with tag-exact updates."""
+    """Small histories, safe and corrupt alike, with tag-exact updates.
+
+    Each origin numbers its updates 1, 2, ... (no tag repeats, as the tag
+    model assumes). Each learned frontier entry is drawn from 0 to the
+    origin's last update, and one query in ten reaches one past it.
+    """
     records = []
     op_id = 0
-    tags = []
+    issued = [0, 0, 0]
     for _ in range(rng.randint(0, 4)):
         op_id += 1
         inv = rng.randrange(0, 40)
         resp = inv + rng.randrange(1, 25)
-        tag = (rng.randint(1, 3), op_id)
+        origin = rng.randint(1, 3)
+        issued[origin - 1] += 1
+        tag = (origin, issued[origin - 1])
         roll = rng.random()
         if roll < 0.6:
             records.append(u(op_id, inv, resp, tag, client=rng.randrange(3)))
@@ -323,15 +371,15 @@ def _random_history(rng: random.Random) -> list:
             records.append(u(op_id, inv, None, tag, outcome=None, client=rng.randrange(3)))
         else:
             records.append(u(op_id, inv, resp, tag, outcome="failed", client=rng.randrange(3)))
-        tags.append(tag)
     for _ in range(rng.randint(0, 4)):
         op_id += 1
         inv = rng.randrange(0, 40)
         resp = inv + rng.randrange(1, 25)
-        learned = {t for t in tags if rng.random() < 0.5}
+        frontier = [rng.randint(0, n) for n in issued]
         if rng.random() < 0.1:
-            learned.add((9, 9))  # a tag no update ever carried
-        records.append(q(op_id, inv, resp, learned, client=rng.randrange(3)))
+            origin = rng.randrange(3)
+            frontier[origin] = issued[origin] + 1  # a tag no update ever carried
+        records.append(q(op_id, inv, resp, tuple(frontier), client=rng.randrange(3)))
     return records
 
 

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from crdtlin.cli import main
-from crdtlin.history import write_history
+from crdtlin.history import HistoryFormatError, read_history, record_to_json, write_history
 from crdtlin.service import ClusterConfig, ReplicaDaemon, ReplicaEndpoint
 from crdtlin.sim import SimConfig, sim_run
 
@@ -98,7 +98,7 @@ def test_check_gla_violation_exits_one_with_witness_json(tmp_path, capsys):
 
     history = [
         make_update(1, 0, 10, (1, 1)),
-        make_query(2, 20, 30, set()),
+        make_query(2, 20, 30, (0, 0, 0)),
     ]
     path = _write_history(tmp_path, history)
     assert run_cli("check", str(path), "--mode", "gla") == 1
@@ -112,7 +112,7 @@ def test_check_gla_violation_exits_one_with_witness_json(tmp_path, capsys):
 def test_check_lin_mode_reports_precondition(tmp_path, capsys):
     from tests_support import make_query
 
-    history = [make_query(1, 0, 50, {(1, 1)}), make_query(2, 10, 40, {(2, 1)})]
+    history = [make_query(1, 0, 50, (1, 0, 0)), make_query(2, 10, 40, (0, 1, 0))]
     path = _write_history(tmp_path, history)
     assert run_cli("check", str(path), "--mode", "lin") == 1
     assert "linearizable: FAIL" in capsys.readouterr().out
@@ -136,6 +136,22 @@ def test_check_malformed_history_is_a_usage_error(tmp_path, capsys):
     path.write_text('{"no": "schema"}\n')
     assert run_cli("check", str(path)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_schema_1_history_is_refused(tmp_path, capsys):
+    from tests_support import make_query
+
+    # a schema-1 query record listed every learned tag
+    record = json.loads(record_to_json(make_query(1, 0, 10, (1, 0, 0))))
+    record["v"] = 1
+    del record["learned_frontier"]
+    record["learned_tags"] = [[1, 1]]
+    path = tmp_path / "v1.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with open(path) as fp, pytest.raises(HistoryFormatError, match="unsupported history schema: 1"):
+        read_history(fp)
+    assert run_cli("check", str(path)) == 2
+    assert "unsupported history schema" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- bench
@@ -243,6 +259,18 @@ def test_client_incr_and_get(live_cluster, capsys):
         values.append(json.loads(lines[-1])["result"])
     assert values == sorted(values)  # monotone on a quiet cluster
     assert values[-1] == 3
+
+
+def test_client_get_json_reports_learned_frontier(live_cluster, capsys):
+    _config, endpoints = live_cluster
+    target = f"{endpoints[0].host}:{endpoints[0].port}"
+    for _ in range(2):
+        assert run_cli("client", target, "incr") == 0
+    assert run_cli("client", target, "get", "--json") == 0
+    reply = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert reply["result"] == 2
+    assert reply["learned_frontier"] == [2, 0, 0]  # both increments went through replica 1
+    assert "learned_tags" not in reply
 
 
 def test_client_missing_element_is_usage_error(live_cluster, capsys):

@@ -217,7 +217,7 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
         alice.increment()
         outcome = alice.value()
         assert outcome.result == 1
-        assert outcome.learned_tags is None
+        assert outcome.learned_frontier is None
 
 
 def test_concurrent_clients_agree_on_the_total(cluster):
@@ -323,9 +323,10 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
                 assert alice.increment().tag == (1, 2)
                 outcome = alice.value()
                 assert outcome.result == 2
-                assert outcome.learned_tags == ((1, 1), (1, 2))
+                assert outcome.learned_frontier == (2, 0, 0)
             # a forged entry for another replica passes here, but a client
-            # refuses to expand it into tags instead of exhausting memory
+            # refuses a learned frontier that claims more updates than any
+            # recordable session holds
             with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
                 raw.sendall(encode(Merge(2, rid_a, CausalTaggedState(GCounter((2, 0, 0)), (2, 2**63, 0)))))
             with c.client(1) as alice:

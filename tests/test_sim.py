@@ -3,11 +3,13 @@ the execution invariants it enforces while running."""
 
 import io
 import json
+import re
 
 import pytest
 
-from crdtlin.history import read_history, write_trace
-from crdtlin.sim import ConfigError, SimConfig, Simulation, sim_run, workload_generate
+from crdtlin.bench import BenchRow, summarize
+from crdtlin.history import read_history, record_to_json, write_trace
+from crdtlin.sim import ConfigError, Metrics, SimConfig, Simulation, sim_run, workload_generate
 
 
 def _config_fields(cfg: SimConfig) -> dict:
@@ -334,3 +336,33 @@ def test_tagged_payload_size_does_not_grow_with_the_history():
     long_run = run(4, 250)
     assert sum(r.kind == "update" and r.outcome == "ok" for r in long_run.history) == 1000
     assert long_run.metrics.max_payload_bytes == after_first == 58  # 3-replica counter + frontier
+
+
+def test_query_records_do_not_grow_with_the_history():
+    def run(ops_per_client):
+        cfg = SimConfig(n_clients=1, ops_per_client=ops_per_client, update_fraction=0.5,
+                        record_trace=False, seed=5)
+        history = sim_run(cfg).history
+        updates = sum(r.kind == "update" and r.outcome == "ok" for r in history)
+        # every number counts as one character, so only the record's shape is compared
+        longest = max(
+            len(re.sub(r"\d+", "0", record_to_json(r))) for r in history if r.kind == "query"
+        )
+        return updates, longest
+
+    short_updates, short_longest = run(12)
+    long_updates, long_longest = run(2060)
+    assert short_updates == 10 and long_updates >= 1000
+    assert long_longest <= short_longest
+
+
+def test_metrics_csv_and_bench_summary_share_one_percentile():
+    # even lengths put the p50 rank on a half, where rounding rules differ
+    for samples in ([1, 2], [4, 3, 2, 1], [5, 1, 4, 2, 6, 3], list(range(10, 0, -1))):
+        metrics = Metrics()
+        for latency in samples:
+            metrics.note_op("query", "ok", 1, latency)
+        csv = dict(metrics.rows())
+        bench = summarize([BenchRow("query", latency, 1, "ok") for latency in samples])["query"]
+        assert (bench["p50"], bench["p95"]) == (csv["latency_query_p50"], csv["latency_query_p95"])
+    assert summarize([BenchRow("query", x, 1, "ok") for x in (1, 2)])["query"]["p50"] == 2

@@ -11,10 +11,9 @@ def make_update(op_id, inv, resp, tag, outcome="ok", client=0):
     )
 
 
-def make_query(op_id, inv, resp, learned, outcome="ok", client=0):
+def make_query(op_id, inv, resp, frontier, outcome="ok", client=0):
     return OpRecord(
         op_id=op_id, client=client, replica=1, kind="query",
         op={"kind": "counter_value"}, invoke_t=inv, response_t=resp,
-        outcome=outcome,
-        learned_tags=tuple(sorted(learned)) if learned is not None else None,
+        outcome=outcome, learned_frontier=frontier,
     )
