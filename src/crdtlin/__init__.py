@@ -29,7 +29,7 @@ from .crdt import (
     UpdateCommand,
 )
 from .history import OpRecord, TraceEvent, read_history, write_history
-from .protocol import MajorityQuorum, ProtocolConfig, Replica
+from .protocol import ProtocolConfig, Replica
 from .service import (
     ClusterConfig,
     ReplicaClient,
@@ -47,7 +47,6 @@ __all__ = [
     "GCounter",
     "GLA_CONDITIONS",
     "GSet",
-    "MajorityQuorum",
     "OpRecord",
     "PreconditionFailed",
     "ProtocolConfig",

@@ -1,13 +1,15 @@
 """Round-trip and latency benchmarking, against the simulator or a live
 cluster.
 
-Both modes drive closed-loop clients over a query/update mix and emit the
-same four-column CSV: ``kind,latency,round_trips,outcome``. Latency is in
+Both modes drive closed-loop clients over a query/update mix, record an
+operation history, and project it with ``op_rows`` into the same
+four-column CSV: ``kind,latency,round_trips,outcome``. Latency is in
 virtual ticks for simulated runs and in milliseconds for live ones. After
-the data rows come summary rows in the same four columns: a
-``summary:<kind>:p50`` / ``:p95`` row holds the percentile in the latency
-column, and a ``summary:<kind>:rt:<n>`` row holds, in the latency column,
-the number of operations that finished in ``n`` round trips.
+the data rows come summary rows in the same four columns, computed by
+``summarize``: a ``summary:<kind>:p50`` / ``:p95`` row holds the percentile
+in the latency column, and a ``summary:<kind>:rt:<n>`` row holds, in the
+latency column, the number of operations that finished in ``n`` round
+trips.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import Counter
-from dataclasses import dataclass
 
+from .history import OpRecord
 from .service import ClusterConfig, ReplicaClient, RequestFailed
-from .sim import SimConfig, percentile, sim_run
+from .sim import BenchRow, SimConfig, op_rows, sim_run, summarize
 
 __all__ = [
     "BenchRow",
@@ -29,14 +30,6 @@ __all__ = [
     "summarize",
     "write_bench_csv",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class BenchRow:
-    kind: str  # "update" | "query"
-    latency: float | None  # ticks (sim) or milliseconds (live); None = pending
-    round_trips: int | None
-    outcome: str  # "ok" | "failed" | "pending"
 
 
 def bench_sim(
@@ -73,16 +66,7 @@ def bench_sim(
         seed=seed,
         max_virtual_time=duration if duration is not None else 100_000_000,
     )
-    result = sim_run(config)
-    rows = []
-    for rec in result.history:
-        if rec.outcome is None:
-            rows.append(BenchRow(rec.kind, None, None, "pending"))
-        else:
-            rows.append(
-                BenchRow(rec.kind, rec.response_t - rec.invoke_t, rec.round_trips, rec.outcome)
-            )
-    return rows
+    return op_rows(sim_run(config).history)
 
 
 def bench_live(
@@ -100,46 +84,31 @@ def bench_live(
     and per-client scripts are seeded, so two runs issue the same ops.
     """
     deadline = None if duration is None else time.monotonic() + duration
-    per_client_rows: list[list[BenchRow]] = [[] for _ in range(clients)]
+    histories: list[list[OpRecord]] = [[] for _ in range(clients)]
     errors: list[BaseException] = []
     replicas = config.replicas
 
     def run_client(idx: int) -> None:
         rng = random.Random(f"{seed}:client:{idx}")
         endpoint = replicas[idx % len(replicas)]
-        rows = per_client_rows[idx]
         try:
-            with ReplicaClient(endpoint.host, endpoint.port, client_id=idx) as client:
+            with ReplicaClient(endpoint.host, endpoint.port, client_id=idx, record=True) as client:
+                histories[idx] = client.history
                 for n in range(ops_per_client):
                     if deadline is not None and time.monotonic() >= deadline:
                         break
                     is_update = rng.random() < mix
-                    started = time.monotonic_ns()
                     try:
-                        if is_update:
-                            if config.crdt == "gcounter":
-                                outcome = client.increment()
-                            else:
-                                outcome = client.add(f"bench-{idx}-{n}".encode())
+                        if is_update and config.crdt == "gcounter":
+                            client.increment()
+                        elif is_update:
+                            client.add(f"bench-{idx}-{n}".encode())
+                        elif config.crdt == "gcounter":
+                            client.value()
                         else:
-                            if config.crdt == "gcounter":
-                                outcome = client.value()
-                            else:
-                                outcome = client.elements()
-                        elapsed = (time.monotonic_ns() - started) / 1e6
-                        rows.append(
-                            BenchRow(
-                                "update" if is_update else "query",
-                                elapsed,
-                                outcome.round_trips,
-                                "ok",
-                            )
-                        )
+                            client.elements()
                     except RequestFailed:
-                        elapsed = (time.monotonic_ns() - started) / 1e6
-                        rows.append(
-                            BenchRow("update" if is_update else "query", elapsed, None, "failed")
-                        )
+                        pass  # the history records the op as failed
         except BaseException as exc:  # surfaced to the caller after join
             errors.append(exc)
 
@@ -150,29 +119,8 @@ def bench_live(
         t.join()
     if errors:
         raise errors[0]
-    return [row for rows in per_client_rows for row in rows]
-
-
-# ----------------------------------------------------------------- summaries
-
-
-def summarize(rows: list[BenchRow]) -> dict:
-    out: dict = {}
-    for kind in ("update", "query"):
-        ok = [r for r in rows if r.kind == kind and r.outcome == "ok"]
-        latencies = sorted(r.latency for r in ok)
-        hist = Counter(r.round_trips for r in ok)
-        entry = {
-            "ok": len(ok),
-            "failed": sum(1 for r in rows if r.kind == kind and r.outcome == "failed"),
-            "pending": sum(1 for r in rows if r.kind == kind and r.outcome == "pending"),
-            "round_trips": dict(sorted(hist.items())),
-        }
-        if latencies:
-            entry["p50"] = percentile(latencies, 0.50)
-            entry["p95"] = percentile(latencies, 0.95)
-        out[kind] = entry
-    return out
+    # recorded times are monotonic nanoseconds; bench latencies are milliseconds
+    return op_rows([rec for history in histories for rec in history], scale=1e-6)
 
 
 def write_bench_csv(rows: list[BenchRow], fp) -> None:

@@ -34,7 +34,7 @@ from .service import (
     RequestFailed,
     load_cluster_config,
 )
-from .sim import ConfigError, SimConfig, Simulation
+from .sim import ConfigError, SimConfig, Simulation, op_rows
 
 log = logging.getLogger(__name__)
 
@@ -274,6 +274,11 @@ _SWEEP_COLUMNS = (
 )
 
 
+def _op_stats(history) -> tuple[dict, dict]:
+    stats = summarize(op_rows(history))
+    return stats["update"], stats["query"]
+
+
 def _cmd_sim(args) -> int:
     if args.seeds is not None:
         if args.out:
@@ -285,16 +290,16 @@ def _cmd_sim(args) -> int:
             out.write(",".join(_SWEEP_COLUMNS) + "\n")
             for seed in args.seeds:
                 result = Simulation(_sim_config(args, seed, record_trace=False)).run()
-                m = result.metrics
+                update, query = _op_stats(result.history)
                 row = (
                     seed,
-                    m.ops[("update", "ok")],
-                    m.ops[("update", "failed")],
-                    m.ops[("query", "ok")],
-                    m.ops[("query", "failed")],
-                    m.stalled(),
-                    m.final_time,
-                    int(m.quiescent),
+                    update["ok"],
+                    update["failed"],
+                    query["ok"],
+                    query["failed"],
+                    update["pending"] + query["pending"],
+                    result.metrics.final_time,
+                    int(result.metrics.quiescent),
                 )
                 out.write(",".join(str(v) for v in row) + "\n")
         finally:
@@ -307,12 +312,12 @@ def _cmd_sim(args) -> int:
     if args.out:
         result.write_outputs(args.out)
     else:
-        metrics.write_csv(sys.stdout)
-    ok = metrics.ops[("update", "ok")] + metrics.ops[("query", "ok")]
+        metrics.write_csv(result.history, sys.stdout)
+    update, query = _op_stats(result.history)
     print(
-        f"completed {ok} ops in {metrics.final_time} ticks"
+        f"completed {update['ok'] + query['ok']} ops in {metrics.final_time} ticks"
         f" ({'quiescent' if metrics.quiescent else 'horizon hit'},"
-        f" {metrics.stalled()} stalled)",
+        f" {update['pending'] + query['pending']} stalled)",
         file=sys.stderr,
     )
     return 0

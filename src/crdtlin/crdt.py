@@ -33,7 +33,6 @@ __all__ = [
     "apply_query",
     "apply_update",
     "state_from_bytes",
-    "state_to_bytes",
 ]
 
 # (issuing replica id, per-replica update sequence number)
@@ -355,10 +354,6 @@ def apply_query(cmd: QueryCommand, state: SemilatticeValue):
             raise CommandError("set_elements targets a set state")
         return state.sorted_elements()
     raise CommandError(f"unknown query kind {cmd.kind!r}")
-
-
-def state_to_bytes(state: SemilatticeValue) -> bytes:
-    return state.canonical_bytes()
 
 
 def state_from_bytes(data: bytes) -> SemilatticeValue:

@@ -50,9 +50,6 @@ class OpRecord:
     retries: int | None = None
     incremental_retry_times: tuple[int, ...] = ()
 
-    def completed(self) -> bool:
-        return self.outcome == "ok"
-
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
@@ -114,12 +111,23 @@ def record_to_json(rec: OpRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _int_tuple(value, name: str) -> tuple[int, ...] | None:
+    if value is None:
+        return None
+    # type() rather than isinstance(): a bool is an int but no tag entry
+    if type(value) is list and all(type(x) is int for x in value):
+        return tuple(value)
+    raise HistoryFormatError(f"bad history record: {name} {value!r} is not a list of ints")
+
+
 def record_from_json(line: str) -> OpRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise HistoryFormatError(f"bad history line: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("v") != SCHEMA_VERSION:
+    if not isinstance(obj, dict):
+        raise HistoryFormatError(f"history line is not a JSON object: {line.strip()[:80]!r}")
+    if obj.get("v") != SCHEMA_VERSION:
         raise HistoryFormatError(f"unsupported history schema: {obj.get('v')!r}")
     try:
         return OpRecord(
@@ -129,15 +137,11 @@ def record_from_json(line: str) -> OpRecord:
             kind=obj["kind"],
             op=_decode_op(obj["op"]),
             invoke_t=obj["invoke_t"],
-            tag=tuple(obj["tag"]) if obj.get("tag") is not None else None,
+            tag=_int_tuple(obj.get("tag"), "tag"),
             response_t=obj.get("response_t"),
             outcome=obj.get("outcome"),
             result=_decode_result(obj.get("result")),
-            learned_frontier=(
-                tuple(obj["learned_frontier"])
-                if obj.get("learned_frontier") is not None
-                else None
-            ),
+            learned_frontier=_int_tuple(obj.get("learned_frontier"), "learned_frontier"),
             learned_value=obj.get("learned_value"),
             round_trips=obj.get("round_trips"),
             retries=obj.get("retries"),

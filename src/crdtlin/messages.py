@@ -27,16 +27,7 @@ class Round:
     nr: int
     rid: RoundId
 
-    def is_incremental(self) -> bool:
-        return self.nr == BOTTOM_NR
 
-    def describe(self) -> str:
-        nr = "_" if self.nr == BOTTOM_NR else str(self.nr)
-        rid = "_" if self.rid == BOTTOM_ID else f"{self.rid[0]}.{self.rid[1]}"
-        return f"({nr},{rid})"
-
-
-ROUND_START = Round(0, BOTTOM_ID)
 ROUND_BOTTOM = Round(BOTTOM_NR, BOTTOM_ID)
 
 

@@ -17,7 +17,6 @@ a timer's duration means.
 from __future__ import annotations
 
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable
 
@@ -64,46 +63,21 @@ class PayloadRejected(Exception):
     """
 
 
-class QuorumSystem(ABC):
-    """Decides which sets of replica ids may learn or commit.
+class MajorityQuorum:
+    """Any set of more than half the replicas; two such sets always intersect."""
 
-    Any two quorums must intersect; the stock majority system guarantees
-    that by size.
-    """
-
-    @abstractmethod
-    def is_quorum(self, ids: AbstractSet[int]) -> bool: ...
-
-    @property
-    @abstractmethod
-    def min_size(self) -> int: ...
-
-
-class MajorityQuorum(QuorumSystem):
     def __init__(self, n_replicas: int):
-        if n_replicas < 1:
-            raise ProtocolError(f"cluster needs at least one replica, got {n_replicas}")
-        self._n = n_replicas
         self._threshold = n_replicas // 2 + 1
 
     def is_quorum(self, ids: AbstractSet[int]) -> bool:
         return len(ids) >= self._threshold
 
-    @property
-    def min_size(self) -> int:
-        return self._threshold
-
-    def __repr__(self) -> str:
-        return f"MajorityQuorum({self._n})"
-
 
 @dataclass(frozen=True, slots=True)
 class ProtocolConfig:
     n_replicas: int
-    quorum: QuorumSystem
     batching: bool = False
     max_retries: int | None = 50
-    expose_learned: bool = False  # attach learned states to query replies
 
 
 # ------------------------------------------------------------------ events
@@ -257,8 +231,8 @@ class Replica:
             raise ProtocolError(f"replica id {rid} outside 1..{config.n_replicas}")
         self.rid = rid
         self.config = config
-        self.acceptor: Acceptor | None = None
-        self.init_acceptor(initial)
+        self.quorum = MajorityQuorum(config.n_replicas)
+        self.acceptor = Acceptor(rid, initial)
         self.requests: dict[bytes, ProposerRequest] = {}
         self._round_counter = 0
         self._request_counter = 0
@@ -269,11 +243,6 @@ class Replica:
         self._inflight_query: bytes | None = None
 
     # -- identity helpers
-
-    def init_acceptor(self, initial: SemilatticeValue) -> None:
-        if self.acceptor is not None:
-            raise ProtocolError("acceptor is initialized once, at process start")
-        self.acceptor = Acceptor(self.rid, initial)
 
     def new_round_id(self) -> RoundId:
         self._round_counter += 1
@@ -461,7 +430,7 @@ class Replica:
         self._check_merge_quorum(req, out)
 
     def _check_merge_quorum(self, req: ProposerRequest, out: StepOutput) -> None:
-        if not self.config.quorum.is_quorum(req.merged):
+        if not self.quorum.is_quorum(req.merged):
             return
         req.phase = "done"
         for client, token, cmd in req.ops:
@@ -485,7 +454,7 @@ class Replica:
             return  # an earlier attempt's ack: keep the payload, not the vote
         if m.sender not in req.acks:
             req.acks[m.sender] = (m.round, m.state)
-        if not self.config.quorum.is_quorum(req.acks.keys()):
+        if not self.quorum.is_quorum(req.acks.keys()):
             return
         entries = sorted(req.acks.items())  # stable across runs
         states = [s for _, (_, s) in entries]
@@ -531,7 +500,7 @@ class Replica:
         if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.voted.add(m.sender)
-        if self.config.quorum.is_quorum(req.voted):
+        if self.quorum.is_quorum(req.voted):
             self._complete_query(req, req.proposed, out)
 
     def on_nack(self, m: Nack, out: StepOutput) -> None:
@@ -598,7 +567,6 @@ class Replica:
     def _complete_query(self, req: ProposerRequest, learned: SemilatticeValue, out: StepOutput) -> None:
         req.phase = "done"
         req.proposed = None
-        exposed = learned if self.config.expose_learned else None
         for client, token, query in req.ops:
             try:
                 result = apply_query(query, learned)
@@ -614,7 +582,7 @@ class Replica:
             out.replies.append(
                 ClientReply(
                     client=client, token=token, kind="query", ok=True,
-                    request_id=req.request_id, result=result, learned=exposed,
+                    request_id=req.request_id, result=result, learned=learned,
                     round_trips=req.round_trips, retries=req.retries,
                 )
             )

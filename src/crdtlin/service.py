@@ -48,7 +48,6 @@ from .protocol import (
     ClientQuery,
     ClientReply,
     ClientUpdate,
-    MajorityQuorum,
     PayloadRejected,
     ProtocolConfig,
     Replica,
@@ -187,17 +186,10 @@ class ReplicaDaemon:
         config.validate()
         self.config = config
         self.endpoint = config.endpoint(replica_id)
-        self.replica = Replica(
-            replica_id,
-            ProtocolConfig(
-                n_replicas=len(config.replicas),
-                quorum=MajorityQuorum(len(config.replicas)),
-                batching=config.batching,
-                max_retries=config.max_retries,
-                expose_learned=config.instrument,
-            ),
-            config.initial_state(),
+        proto = ProtocolConfig(
+            len(config.replicas), batching=config.batching, max_retries=config.max_retries
         )
+        self.replica = Replica(replica_id, proto, config.initial_state())
         self._peer_queues: dict[int, asyncio.Queue] = {}
         self._client_writers: dict[bytes, asyncio.StreamWriter] = {}
         self._timers: set[asyncio.TimerHandle] = set()
@@ -307,9 +299,9 @@ class ReplicaDaemon:
         elif reply.kind == "update":
             msg = UpdateDone(rid, reply.token, reply.tag, reply.round_trips, reply.retries)
         else:
-            msg = QueryDone(
-                rid, reply.token, reply.result, reply.learned, reply.round_trips, reply.retries
-            )
+            # only a tagged state means anything to a client's history
+            learned = reply.learned if isinstance(reply.learned, CausalTaggedState) else None
+            msg = QueryDone(rid, reply.token, reply.result, learned, reply.round_trips, reply.retries)
         try:
             writer.write(encode(msg))
         except Exception:

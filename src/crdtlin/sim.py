@@ -19,6 +19,12 @@ protocol promises: acceptor payloads and round numbers only grow, each
 acceptor's acknowledged payloads are monotonic, a proposer never broadcasts
 two votes for the same request round, and every learned state is dominated
 by a quorum of current acceptor payloads at the moment it is learned.
+
+Operation metrics have one source, the recorded history: ``op_rows``
+projects it to one row per operation and ``summarize`` turns rows into
+outcome counts, round-trip histograms and latency percentiles, for
+``metrics.csv``, the ``sim`` command and bench CSVs alike. ``Metrics``
+itself keeps only network and run facts.
 """
 
 from __future__ import annotations
@@ -42,21 +48,23 @@ from .protocol import (
     ClientQuery,
     ClientReply,
     ClientUpdate,
-    MajorityQuorum,
     ProtocolConfig,
     Replica,
     TimerFire,
 )
 
 __all__ = [
+    "BenchRow",
     "ConfigError",
     "InvariantViolation",
     "Metrics",
     "SimConfig",
     "SimResult",
     "Simulation",
+    "op_rows",
     "percentile",
     "sim_run",
+    "summarize",
     "workload_generate",
 ]
 
@@ -86,7 +94,6 @@ class SimConfig:
     instrument: bool = True
     check_invariants: bool = True
     record_trace: bool = True
-    require_progress: bool = False
     seed: int = 0
     max_virtual_time: int = 1_000_000
     crash_schedule: tuple[tuple[int, int], ...] = ()
@@ -125,13 +132,6 @@ class SimConfig:
                 raise ConfigError(f"crash schedule names unknown replica {rid}")
             if not 0 <= t <= self.max_virtual_time:
                 raise ConfigError(f"crash time {t} outside the run horizon")
-        if self.require_progress:
-            quorum = MajorityQuorum(self.n_replicas)
-            budget = self.n_replicas - quorum.min_size
-            if len({rid for rid, _ in self.crash_schedule}) > budget:
-                raise ConfigError(
-                    f"progress requires at most {budget} crashed replicas"
-                )
         for groups, t0, t1 in self.partition_schedule:
             seen: set[int] = set()
             for group in groups:
@@ -169,40 +169,65 @@ def workload_generate(config: SimConfig) -> list[list[str]]:
 
 
 def percentile(sorted_values: list, q: float):
-    """The sample at index ``q * (n - 1)`` rounded half up; None for no samples.
-
-    The one percentile for ``metrics.csv`` and bench summaries alike.
-    """
+    """The sample at index ``q * (n - 1)`` rounded half up; None for no samples."""
     if not sorted_values:
         return None
     idx = max(0, min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5)))
     return sorted_values[idx]
 
 
+@dataclass(frozen=True, slots=True)
+class BenchRow:
+    kind: str  # "update" | "query"
+    latency: float | None  # ticks (sim) or milliseconds (live); None = pending
+    round_trips: int | None
+    outcome: str  # "ok" | "failed" | "pending"
+
+
+def op_rows(history: list[OpRecord], scale: float = 1) -> list[BenchRow]:
+    """One row per recorded operation; ``scale`` converts history time to latency units."""
+    return [
+        BenchRow(rec.kind, None, None, "pending")
+        if rec.outcome is None
+        else BenchRow(rec.kind, (rec.response_t - rec.invoke_t) * scale, rec.round_trips, rec.outcome)
+        for rec in history
+    ]
+
+
+def summarize(rows: list[BenchRow]) -> dict:
+    """Per kind: outcome counts, the round-trip histogram of ok ops, and
+    p50/p95 of ok latencies (omitted when no op succeeded)."""
+    out: dict = {}
+    for kind in ("update", "query"):
+        ok = [r for r in rows if r.kind == kind and r.outcome == "ok"]
+        latencies = sorted(r.latency for r in ok)
+        hist = Counter(r.round_trips for r in ok)
+        entry = {
+            "ok": len(ok),
+            "failed": sum(1 for r in rows if r.kind == kind and r.outcome == "failed"),
+            "pending": sum(1 for r in rows if r.kind == kind and r.outcome == "pending"),
+            "round_trips": dict(sorted(hist.items())),
+        }
+        if latencies:
+            entry["p50"] = percentile(latencies, 0.50)
+            entry["p95"] = percentile(latencies, 0.95)
+        out[kind] = entry
+    return out
+
+
 @dataclass(slots=True)
 class Metrics:
+    """Network and run facts; operation figures come from the history."""
+
     messages_sent: Counter = field(default_factory=Counter)
     delivered: int = 0
     dropped: Counter = field(default_factory=Counter)  # by reason
     duplicated: int = 0
     max_payload_bytes: int = 0
-    ops: Counter = field(default_factory=Counter)  # (kind, outcome) -> count
-    round_trips: Counter = field(default_factory=Counter)  # (kind, n) -> count
-    latencies: dict = field(default_factory=lambda: {"update": [], "query": []})
     final_time: int = 0
     quiescent: bool = True
 
-    def note_op(self, kind: str, outcome: str | None, round_trips: int | None, latency: int | None):
-        self.ops[(kind, outcome or "pending")] += 1
-        if outcome == "ok" and round_trips is not None:
-            self.round_trips[(kind, round_trips)] += 1
-        if outcome == "ok" and latency is not None:
-            self.latencies[kind].append(latency)
-
-    def stalled(self) -> int:
-        return self.ops[("update", "pending")] + self.ops[("query", "pending")]
-
-    def rows(self) -> list[tuple[str, object]]:
+    def rows(self, history: list[OpRecord]) -> list[tuple[str, object]]:
         rows: list[tuple[str, object]] = [("schema_version", 1)]
         rows.append(("final_time", self.final_time))
         rows.append(("quiescent", int(self.quiescent)))
@@ -213,22 +238,23 @@ class Metrics:
             rows.append((f"messages_sent_{mtype}", self.messages_sent[mtype]))
         for reason in sorted(self.dropped):
             rows.append((f"messages_dropped_{reason}", self.dropped[reason]))
-        for kind, outcome in sorted(self.ops):
-            rows.append((f"ops_{kind}_{outcome}", self.ops[(kind, outcome)]))
-        for kind, n in sorted(self.round_trips):
-            rows.append((f"round_trips_{kind}_{n}", self.round_trips[(kind, n)]))
+        stats = summarize(op_rows(history))
+        for kind in ("query", "update"):
+            for outcome in ("failed", "ok", "pending"):
+                if stats[kind][outcome]:
+                    rows.append((f"ops_{kind}_{outcome}", stats[kind][outcome]))
+        for kind in ("query", "update"):
+            for n, count in stats[kind]["round_trips"].items():
+                rows.append((f"round_trips_{kind}_{n}", count))
         for kind in ("update", "query"):
-            values = sorted(self.latencies[kind])
-            p50 = percentile(values, 0.50)
-            p95 = percentile(values, 0.95)
-            if p50 is not None:
-                rows.append((f"latency_{kind}_p50", p50))
-                rows.append((f"latency_{kind}_p95", p95))
+            if "p50" in stats[kind]:
+                rows.append((f"latency_{kind}_p50", stats[kind]["p50"]))
+                rows.append((f"latency_{kind}_p95", stats[kind]["p95"]))
         return rows
 
-    def write_csv(self, fp) -> None:
+    def write_csv(self, history: list[OpRecord], fp) -> None:
         fp.write("metric,value\n")
-        for key, value in self.rows():
+        for key, value in self.rows(history):
             fp.write(f"{key},{value}\n")
 
 
@@ -248,7 +274,7 @@ class SimResult:
         with open(outdir / "history.jsonl", "w") as fp:
             write_history(self.history, fp)
         with open(outdir / "metrics.csv", "w") as fp:
-            self.metrics.write_csv(fp)
+            self.metrics.write_csv(self.history, fp)
 
 
 @dataclass(slots=True)
@@ -259,36 +285,12 @@ class _ClientState:
 
 
 class Simulation:
-    """One configured run. Build, optionally inject extra faults, then run."""
+    """One configured run; faults come from the config's schedules."""
 
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self._crash_schedule = list(config.crash_schedule)
-        self._partitions = [
-            (tuple(tuple(g) for g in groups), t0, t1)
-            for groups, t0, t1 in config.partition_schedule
-        ]
         self._ran = False
-
-    def inject_crash(self, replica: int, t: int) -> None:
-        if self._ran:
-            raise ConfigError("cannot inject faults after the run started")
-        if not 1 <= replica <= self.config.n_replicas:
-            raise ConfigError(f"unknown replica id {replica}")
-        if not 0 <= t <= self.config.max_virtual_time:
-            raise ConfigError(f"crash time {t} outside the run horizon")
-        self._crash_schedule.append((replica, t))
-
-    def inject_partition(self, groups, t_start: int, t_end: int) -> None:
-        if self._ran:
-            raise ConfigError("cannot inject faults after the run started")
-        probe = SimConfig(
-            n_replicas=self.config.n_replicas,
-            partition_schedule=((tuple(tuple(g) for g in groups), t_start, t_end),),
-        )
-        probe.validate()
-        self._partitions.append((tuple(tuple(g) for g in groups), t_start, t_end))
 
     # -- run
 
@@ -304,11 +306,7 @@ class Simulation:
         self._target_rng = _stream(cfg.seed, "targets")
 
         proto = ProtocolConfig(
-            n_replicas=cfg.n_replicas,
-            quorum=MajorityQuorum(cfg.n_replicas),
-            batching=cfg.batching,
-            max_retries=cfg.max_retries,
-            expose_learned=True,  # the monitor and history need learned states
+            n_replicas=cfg.n_replicas, batching=cfg.batching, max_retries=cfg.max_retries
         )
         self.replicas = {
             rid: Replica(rid, proto, self._initial_state())
@@ -330,7 +328,7 @@ class Simulation:
         self._last_acked: dict[int, SemilatticeValue] = {}
         self._votes_broadcast: set[tuple[bytes, object]] = set()
 
-        for rid, t in sorted(self._crash_schedule):
+        for rid, t in sorted(cfg.crash_schedule):
             self._push(t, "crash", (rid,))
         for cid in range(len(self.clients)):
             self._push(0, "invoke", (cid,))
@@ -365,9 +363,6 @@ class Simulation:
                     if rec is not None and rec.tag is None:
                         rec.tag = cmd.tag
         history = [self.records[op_id] for op_id in sorted(self.records)]
-        for rec in history:
-            if rec.outcome is None:
-                self.metrics.note_op(rec.kind, None, None, None)
         return SimResult(self.config, self.trace, history, self.metrics)
 
     # -- internals
@@ -465,7 +460,7 @@ class Simulation:
     def _partitioned(self, src: int, dst: int, t: int) -> bool:
         if src == dst:
             return False
-        for groups, t0, t1 in self._partitions:
+        for groups, t0, t1 in self.config.partition_schedule:
             if not t0 <= t < t1:
                 continue
             membership: dict[int, int] = {}
@@ -537,7 +532,6 @@ class Simulation:
         rec.incremental_retry_times = tuple(
             rt for rt, kind in self._retry_times.get(reply.request_id, ()) if kind == "incremental"
         )
-        self.metrics.note_op(rec.kind, rec.outcome, rec.round_trips, t - rec.invoke_t)
         self._trace(
             t,
             "respond",
@@ -573,7 +567,7 @@ class Simulation:
                     for r, rep in self.replicas.items()
                     if reply.learned.compare(rep.acceptor.state)
                 }
-                if not self.replicas[rid].config.quorum.is_quorum(dominating):
+                if not replica.quorum.is_quorum(dominating):
                     raise InvariantViolation(
                         "learned state not dominated by any quorum of acceptor payloads"
                     )

@@ -138,6 +138,24 @@ def test_check_malformed_history_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(None, None), ("learned_frontier", "ab"), ("tag", [1, 1.5])],
+    ids=["not-an-object", "frontier-string", "tag-float"],
+)
+def test_check_mistyped_history_line_is_a_usage_error(tmp_path, capsys, field, value):
+    from tests_support import make_query
+
+    if field is None:
+        line = "[1, 2]"
+    else:
+        line = json.dumps({**json.loads(record_to_json(make_query(1, 0, 10, (1, 0, 0)))), field: value})
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    assert run_cli("check", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_schema_1_history_is_refused(tmp_path, capsys):
     from tests_support import make_query
 
@@ -287,6 +305,22 @@ def test_client_against_downed_replica_is_connection_error(capsys):
     s.close()
     assert run_cli("client", f"127.0.0.1:{port}", "get") == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_live_cluster_then_summary(live_cluster, tmp_path, capsys):
+    config_path, _endpoints = live_cluster
+    out = tmp_path / "live.csv"
+    assert run_cli(
+        "bench", "--config", str(config_path), "--clients", "2", "--ops", "10",
+        "--mix", "0.5", "--out", str(out),
+    ) == 0
+    data = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("summary:")]
+    assert len(data) == 20
+    assert all(outcome == "ok" and float(latency) > 0 for _kind, latency, _rt, outcome in data)
+    capsys.readouterr()
+    assert run_cli("summary", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all("0 failed, 0 pending" in line for line in lines)
 
 
 def test_replica_rejects_unknown_id(live_cluster, capsys):

@@ -28,10 +28,8 @@ from crdtlin.protocol import (
     Acceptor,
     ClientQuery,
     ClientUpdate,
-    MajorityQuorum,
     PayloadRejected,
     ProtocolConfig,
-    ProtocolError,
     Replica,
     TimerFire,
 )
@@ -43,14 +41,8 @@ Z = (3, 1)
 REQ = b"\x00" * 15 + b"\x01"
 
 
-def make_replica(rid=1, n=3, batching=False, max_retries=50, expose=False, width=None):
-    config = ProtocolConfig(
-        n_replicas=n,
-        quorum=MajorityQuorum(n),
-        batching=batching,
-        max_retries=max_retries,
-        expose_learned=expose,
-    )
+def make_replica(rid=1, n=3, batching=False, max_retries=50, width=None):
+    config = ProtocolConfig(n_replicas=n, batching=batching, max_retries=max_retries)
     return Replica(rid, config, GCounter.zero(width or n))
 
 
@@ -202,12 +194,6 @@ def test_round_ids_distinct_across_processes():
             assert rid != BOTTOM_ID
             seen.add(rid)
     assert len(seen) == 1000
-
-
-def test_acceptor_reinit_rejected():
-    r = make_replica()
-    with pytest.raises(ProtocolError):
-        r.init_acceptor(GCounter.zero(3))
 
 
 # ---------------------------------------------------------------- proposer: updates
@@ -471,14 +457,14 @@ def test_senders_outside_the_cluster_ignored():
 
 
 def test_learned_state_attached_only_when_exposed():
-    for expose in (False, True):
-        r = make_replica(rid=1, n=3, expose=expose)
-        req_id, rid, _ = start_query(r)
-        s = GCounter((2, 0, 0))
-        r.step(Ack(1, req_id, Round(1, rid), s))
-        out = r.step(Ack(2, req_id, Round(1, rid), s))
-        learned = out.replies[0].learned
-        assert (learned == s) if expose else (learned is None)
+    # every query reply carries its learned state; the daemon decides what
+    # reaches the client (a tagged state only)
+    r = make_replica(rid=1, n=3)
+    req_id, rid, _ = start_query(r)
+    s = GCounter((2, 0, 0))
+    r.step(Ack(1, req_id, Round(1, rid), s))
+    out = r.step(Ack(2, req_id, Round(1, rid), s))
+    assert out.replies[0].learned == s
 
 
 # ---------------------------------------------------------------- batching
@@ -580,7 +566,7 @@ def test_rejected_update_burns_no_tag(tagged):
     initial = GCounter.zero(3)
     if tagged:
         initial = CausalTaggedState.initial(initial, 3)
-    r = Replica(1, ProtocolConfig(n_replicas=3, quorum=MajorityQuorum(3)), initial)
+    r = Replica(1, ProtocolConfig(n_replicas=3), initial)
     failed = r.step(ClientUpdate(UpdateOp.set_add(b"x"), client=1, token=1))
     assert not failed.replies[0].ok
     out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=2))
@@ -590,7 +576,7 @@ def test_rejected_update_burns_no_tag(tagged):
 
 
 def test_payload_claiming_unissued_local_updates_is_refused():
-    config = ProtocolConfig(n_replicas=3, quorum=MajorityQuorum(3))
+    config = ProtocolConfig(n_replicas=3)
     r = Replica(2, config, CausalTaggedState.initial(GCounter.zero(3), 3))
     before = r.acceptor.state
     forged = CausalTaggedState(GCounter((0, 1, 0)), (0, 1, 0))  # (2, 1) was never issued

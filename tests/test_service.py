@@ -12,8 +12,8 @@ import threading
 import pytest
 
 from crdtlin.checker import check_all, linearize
-from crdtlin.crdt import CausalTaggedState, GCounter, GSet
-from crdtlin.messages import Merge, Merged
+from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.messages import Merge, Merged, Query, QueryDone
 from crdtlin.service import (
     ClusterConfig,
     ClusterConfigError,
@@ -218,6 +218,17 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
         outcome = alice.value()
         assert outcome.result == 1
         assert outcome.learned_frontier is None
+    # the reply frame itself carries no learned state, not just the client's view of it
+    endpoint = c.config.endpoint(1)
+    with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
+        raw.sendall(encode(Query(0, bytes(16), QueryCommand.counter_value())))
+        buf = bytearray()
+        while (decoded := try_decode(buf)) is None:
+            chunk = raw.recv(65536)
+            assert chunk, "replica closed the connection"
+            buf += chunk
+    reply = decoded[0]
+    assert isinstance(reply, QueryDone) and reply.result == 1 and reply.learned is None
 
 
 def test_concurrent_clients_agree_on_the_total(cluster):
@@ -297,10 +308,11 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
     forged = CausalTaggedState(GCounter((5, 0, 0)), (5, 0, 0))  # 5 updates replica 1 never issued
     narrow = CausalTaggedState.initial(GCounter.zero(2), 2)  # width 2 in a 3-replica cluster
     c = Cluster(3)
-    # a bare listener stands in for replica 2 and reads what replica 1 sends it
+    # a bare listener stands in for replica 2 and reads what replica 1 sends it;
+    # replica 3 starts only once that link is read, so the listener cannot
+    # accept replica 3's link instead
     with socket.create_server(("127.0.0.1", c.config.endpoint(2).port)) as peer:
         c.start(1)
-        c.start(3)
         try:
             endpoint = c.config.endpoint(1)
             with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
@@ -318,6 +330,7 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
                         assert chunk, "link to the peer closed"
                         buf += chunk
             assert decoded[0] == Merged(1, rid_c)  # neither refused merge was answered
+            c.start(3)  # with replica 1, a quorum for the increments below
             with c.client(1) as alice:
                 assert alice.increment().tag == (1, 1)
                 assert alice.increment().tag == (1, 2)

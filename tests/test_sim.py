@@ -7,9 +7,17 @@ import re
 
 import pytest
 
-from crdtlin.bench import BenchRow, summarize
-from crdtlin.history import read_history, record_to_json, write_trace
-from crdtlin.sim import ConfigError, Metrics, SimConfig, Simulation, sim_run, workload_generate
+from crdtlin.bench import summarize
+from crdtlin.history import OpRecord, read_history, record_to_json, write_trace
+from crdtlin.sim import (
+    ConfigError,
+    Metrics,
+    SimConfig,
+    Simulation,
+    op_rows,
+    sim_run,
+    workload_generate,
+)
 
 
 def _config_fields(cfg: SimConfig) -> dict:
@@ -52,35 +60,6 @@ def test_validate_rejects_unknown_crash_target():
 def test_validate_rejects_overlapping_partition_groups():
     with pytest.raises(ConfigError):
         SimConfig(partition_schedule=((((1, 2), (2, 3)), 0, 10),)).validate()
-
-
-def test_require_progress_caps_crashes():
-    cfg = SimConfig(n_replicas=3, crash_schedule=((1, 0), (2, 0)), require_progress=True)
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    SimConfig(n_replicas=3, crash_schedule=((1, 0),), require_progress=True).validate()
-
-
-def test_injection_apis_validate_and_mirror_schedule():
-    base = SimConfig(n_replicas=3, n_clients=2, ops_per_client=10, seed=4,
-                     crash_schedule=((2, 5),))
-    scheduled = sim_run(base)
-
-    injected_cfg = SimConfig(**{**_config_fields(base), "crash_schedule": ()})
-    sim = Simulation(injected_cfg)
-    sim.inject_crash(2, 5)
-    injected = sim.run()
-    assert _trace_bytes(scheduled) == _trace_bytes(injected)
-
-    late = Simulation(SimConfig())
-    late.run()
-    with pytest.raises(ConfigError):
-        late.inject_crash(1, 0)
-    fresh = Simulation(SimConfig(n_replicas=3))
-    with pytest.raises(ConfigError):
-        fresh.inject_crash(9, 0)
-    with pytest.raises(ConfigError):
-        fresh.inject_partition(((1, 2), (2, 3)), 0, 10)
 
 
 # -------------------------------------------------------------- determinism
@@ -155,8 +134,9 @@ def test_quorum_loss_stalls_without_failing():
                     max_virtual_time=4000, seed=3)
     result = sim_run(cfg)
     assert not result.metrics.quiescent
-    assert result.metrics.stalled() == 2  # one in-flight op per closed-loop client
-    assert result.metrics.ops[("update", "failed")] == 0
+    stats = summarize(op_rows(result.history))["update"]
+    assert stats["pending"] == 2  # one in-flight op per closed-loop client
+    assert stats["failed"] == 0
     pending = [r for r in result.history if r.outcome is None]
     assert len(pending) == 2
     assert all(r.response_t is None for r in pending)
@@ -357,12 +337,15 @@ def test_query_records_do_not_grow_with_the_history():
 
 
 def test_metrics_csv_and_bench_summary_share_one_percentile():
+    def query(op_id, latency):
+        return OpRecord(op_id=op_id, client=0, replica=1, kind="query", op={}, invoke_t=10,
+                        response_t=10 + latency, outcome="ok", round_trips=1)
+
     # even lengths put the p50 rank on a half, where rounding rules differ
     for samples in ([1, 2], [4, 3, 2, 1], [5, 1, 4, 2, 6, 3], list(range(10, 0, -1))):
-        metrics = Metrics()
-        for latency in samples:
-            metrics.note_op("query", "ok", 1, latency)
-        csv = dict(metrics.rows())
-        bench = summarize([BenchRow("query", latency, 1, "ok") for latency in samples])["query"]
+        history = [query(i, latency) for i, latency in enumerate(samples, 1)]
+        csv = dict(Metrics().rows(history))
+        bench = summarize(op_rows(history))["query"]
         assert (bench["p50"], bench["p95"]) == (csv["latency_query_p50"], csv["latency_query_p95"])
-    assert summarize([BenchRow("query", x, 1, "ok") for x in (1, 2)])["query"]["p50"] == 2
+        assert bench["ok"] == csv["ops_query_ok"] == csv["round_trips_query_1"] == len(samples)
+    assert summarize(op_rows([query(1, 1), query(2, 2)]))["query"]["p50"] == 2
