@@ -111,13 +111,20 @@ def record_to_json(rec: OpRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _int_tuple(value, name: str) -> tuple[int, ...] | None:
-    if value is None:
+def _int_tuple(obj: dict, name: str, default=None) -> tuple[int, ...] | None:
+    value = obj.get(name, default)
+    if value is None and default is None:  # null only where the field has no default
         return None
-    # type() rather than isinstance(): a bool is an int but no tag entry
+    # type() rather than isinstance(): a bool is an int but no id, time, count or tag entry
     if type(value) is list and all(type(x) is int for x in value):
         return tuple(value)
     raise HistoryFormatError(f"bad history record: {name} {value!r} is not a list of ints")
+
+
+def _int(value, name: str, optional: bool = False) -> int | None:
+    if type(value) is int or (optional and value is None):
+        return value
+    raise HistoryFormatError(f"bad history record: {name} {value!r} is not an int")
 
 
 def record_from_json(line: str) -> OpRecord:
@@ -131,21 +138,21 @@ def record_from_json(line: str) -> OpRecord:
         raise HistoryFormatError(f"unsupported history schema: {obj.get('v')!r}")
     try:
         return OpRecord(
-            op_id=obj["op_id"],
-            client=obj["client"],
-            replica=obj["replica"],
+            op_id=_int(obj["op_id"], "op_id"),
+            client=_int(obj["client"], "client"),
+            replica=_int(obj["replica"], "replica"),
             kind=obj["kind"],
             op=_decode_op(obj["op"]),
-            invoke_t=obj["invoke_t"],
-            tag=_int_tuple(obj.get("tag"), "tag"),
-            response_t=obj.get("response_t"),
+            invoke_t=_int(obj["invoke_t"], "invoke_t"),
+            tag=_int_tuple(obj, "tag"),
+            response_t=_int(obj.get("response_t"), "response_t", optional=True),
             outcome=obj.get("outcome"),
             result=_decode_result(obj.get("result")),
-            learned_frontier=_int_tuple(obj.get("learned_frontier"), "learned_frontier"),
+            learned_frontier=_int_tuple(obj, "learned_frontier"),
             learned_value=obj.get("learned_value"),
-            round_trips=obj.get("round_trips"),
-            retries=obj.get("retries"),
-            incremental_retry_times=tuple(obj.get("incremental_retry_times", ())),
+            round_trips=_int(obj.get("round_trips"), "round_trips", optional=True),
+            retries=_int(obj.get("retries"), "retries", optional=True),
+            incremental_retry_times=_int_tuple(obj, "incremental_retry_times", default=[]),
         )
     except (KeyError, TypeError) as exc:
         raise HistoryFormatError(f"bad history record: {exc}") from exc

@@ -1,11 +1,12 @@
 """Networked replica daemon and a blocking client for it.
 
 One daemon hosts both protocol roles for its replica id. All protocol state
-lives on a single asyncio event loop: connection handlers and timer
-callbacks feed events into the state machine synchronously, so no two
-handlers ever interleave inside it. Peer links are outbound queues with
-reconnect-and-backoff; when a peer is down or slow its queue overflows and
-frames are dropped, which the protocol is built to absorb.
+lives on a single asyncio event loop: protocol callbacks feed each complete
+frame and each request's one loss timer (cancelled once it is answered) into
+the state machine synchronously, so no two handlers ever interleave inside
+it. Peer frames are written straight to the socket, or held while the link
+reconnects; past a byte cap a dead or slow peer's frames are dropped, which
+the protocol is built to absorb.
 
 Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
@@ -25,7 +26,6 @@ import json
 import logging
 import os
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -53,7 +53,7 @@ from .protocol import (
     Replica,
     TimerFire,
 )
-from .wire import MAX_FRAME, FrameError, encode, try_decode
+from .wire import FrameError, encode, try_decode
 
 __all__ = [
     "ClusterConfig",
@@ -69,7 +69,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PEER_QUEUE_LIMIT = 1000
+_PEER_BUFFER_LIMIT = 4 << 20  # bytes a peer link may hold unsent
 _RECONNECT_DELAY = 0.2
 # bounds what a forged frontier can claim: no recordable session folds in
 # more updates than this, so a learned frontier naming more is refused
@@ -190,52 +190,45 @@ class ReplicaDaemon:
             len(config.replicas), batching=config.batching, max_retries=config.max_retries
         )
         self.replica = Replica(replica_id, proto, config.initial_state())
-        self._peer_queues: dict[int, asyncio.Queue] = {}
-        self._client_writers: dict[bytes, asyncio.StreamWriter] = {}
-        self._timers: set[asyncio.TimerHandle] = set()
-        self._tasks: set[asyncio.Task] = set()
-        # inbound connection handlers, which asyncio.start_server spawns
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._links = {p.id: _PeerLink() for p in config.replicas if p.id != replica_id}
+        self._client_transports: dict[bytes, asyncio.Transport] = {}
+        self._timers: dict[bytes, asyncio.TimerHandle] = {}  # by request id
+        self._connections: set[asyncio.Transport] = set()  # inbound, peers' and clients'
         self._stop = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.Server | None = None
         # threading.Event so a controlling thread can wait for the bind
         self.bound = threading.Event()
 
     async def serve(self) -> None:
         """Run until :meth:`request_stop`; raises if the listen bind fails."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.endpoint.host, self.endpoint.port
+        server = await self._loop.create_server(
+            lambda: _Connection(self), self.endpoint.host, self.endpoint.port
         )
         self.bound.set()
         log.info(
             "replica %d serving on %s:%d", self.endpoint.id, self.endpoint.host, self.endpoint.port
         )
-        for peer in self.config.replicas:
-            if peer.id == self.endpoint.id:
-                continue
-            queue: asyncio.Queue = asyncio.Queue(maxsize=_PEER_QUEUE_LIMIT)
-            self._peer_queues[peer.id] = queue
-            self._spawn(self._peer_sender(peer, queue))
+        tasks = [
+            asyncio.ensure_future(self._keep_linked(self.config.endpoint(peer_id), link))
+            for peer_id, link in self._links.items()
+        ]
         try:
             await self._stop.wait()
         finally:
-            self._server.close()
-            await asyncio.sleep(0)  # let just-accepted handlers register
-            # closing each inbound stream ends its handler at a clean EOF; a
-            # handler cancelled at loop exit would log an asyncio error instead.
-            # This comes before wait_closed(), which from Python 3.12.1 on
-            # waits for every open connection to end.
-            for writer in self._connections.values():
-                writer.close()
-            await asyncio.gather(*self._connections, return_exceptions=True)
-            await self._server.wait_closed()
-            for handle in self._timers:
+            server.close()
+            await asyncio.sleep(0)  # let just-accepted connections register
+            for transport in self._connections:
+                transport.close()
+            for handle in self._timers.values():
                 handle.cancel()
-            for task in self._tasks:
+            for task in tasks:
                 task.cancel()
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+            await asyncio.gather(*tasks, return_exceptions=True)
+            for link in self._links.values():
+                if link.transport is not None:
+                    link.transport.close()
+            await server.wait_closed()
             log.info("replica %d stopped", self.endpoint.id)
 
     def request_stop(self) -> None:
@@ -244,11 +237,6 @@ class ReplicaDaemon:
             self._stop.set()
         else:
             self._loop.call_soon_threadsafe(self._stop.set)
-
-    def _spawn(self, coro) -> None:
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
     # -- protocol event routing; synchronous, so handlers never interleave
 
@@ -264,33 +252,45 @@ class ReplicaDaemon:
             for timer in out.timers:
                 self._arm_timer(timer.request_id, timer.generation)
             for reply in out.replies:
+                # the first reply ends the request, also when its client has gone
+                if (handle := self._timers.pop(reply.request_id, None)) is not None:
+                    handle.cancel()
                 self._answer_client(reply)
 
     def _arm_timer(self, request_id: bytes, generation: int) -> None:
-        loop = asyncio.get_running_loop()
-        handle: asyncio.TimerHandle | None = None
+        if (old := self._timers.get(request_id)) is not None:
+            old.cancel()
+        timeout = self.config.timeout
+        self._timers[request_id] = self._loop.call_later(timeout, self._fire, request_id, generation)
 
-        def fire() -> None:
-            self._timers.discard(handle)
-            self._dispatch(TimerFire(request_id, generation))
-
-        handle = loop.call_later(self.config.timeout, fire)
-        self._timers.add(handle)
+    def _fire(self, request_id: bytes, generation: int) -> None:
+        del self._timers[request_id]
+        self._dispatch(TimerFire(request_id, generation))
 
     def _enqueue_peer(self, dst: int, msg) -> None:
-        queue = self._peer_queues.get(dst)
-        if queue is None:
+        link = self._links[dst]
+        transport = link.transport
+        buffered = len(link.held) if transport is None else transport.get_write_buffer_size()
+        if buffered >= _PEER_BUFFER_LIMIT:
+            log.debug("replica %d: link to peer %d full, dropping frame", self.endpoint.id, dst)
             return
         try:
-            queue.put_nowait(msg)
-        except asyncio.QueueFull:
-            # a dead or slow peer must not stall the loop; the protocol
-            # treats the lost frame like any other drop
-            log.debug("replica %d: queue to peer %d full, dropping frame", self.endpoint.id, dst)
+            frame = encode(msg)
+        except FrameError as exc:
+            # lost like any other dropped frame; the link itself stays up
+            log.warning(
+                "replica %d: dropping %s to peer %d: %s",
+                self.endpoint.id, type(msg).__name__, dst, exc,
+            )
+            return
+        if transport is None:
+            link.held += frame
+        else:
+            transport.write(frame)
 
     def _answer_client(self, reply: ClientReply) -> None:
-        writer = self._client_writers.pop(reply.token, None)
-        if writer is None:
+        transport = self._client_transports.pop(reply.token, None)
+        if transport is None:
             return  # the client went away; nothing to route
         rid = self.endpoint.id
         msg: Message
@@ -303,45 +303,19 @@ class ReplicaDaemon:
             learned = reply.learned if isinstance(reply.learned, CausalTaggedState) else None
             msg = QueryDone(rid, reply.token, reply.result, learned, reply.round_trips, reply.retries)
         try:
-            writer.write(encode(msg))
+            transport.write(encode(msg))
         except Exception:
             log.debug("replica %d: client reply write failed", rid, exc_info=True)
 
     # -- inbound connections (peers and clients share the listener)
 
-    async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        peer_name = writer.get_extra_info("peername")
-        task = asyncio.current_task()
-        self._connections[task] = writer
-        try:
-            while True:
-                header = await reader.readexactly(4)
-                (length,) = struct.unpack(">I", header)
-                if length + 4 > MAX_FRAME:
-                    raise FrameError(f"declared frame of {length + 4} bytes exceeds the cap")
-                payload = await reader.readexactly(length)
-                self._handle_message(try_decode(header + payload), writer, peer_name)
-        except asyncio.IncompleteReadError:
-            pass  # clean disconnect
-        except FrameError as exc:
-            log.warning("replica %d: dropping %s: %s", self.endpoint.id, peer_name, exc)
-        except ConnectionError:
-            pass
-        finally:
-            del self._connections[task]
-            stale = [rid for rid, w in self._client_writers.items() if w is writer]
-            for rid in stale:
-                del self._client_writers[rid]
-            writer.close()
-
-    def _handle_message(self, decoded, writer: asyncio.StreamWriter, peer_name) -> None:
-        msg, _consumed = decoded
+    def _handle_message(self, msg: Message, transport: asyncio.Transport) -> None:
         match msg:
             case Update():
-                self._client_writers[msg.request_id] = writer
+                self._client_transports[msg.request_id] = transport
                 self._dispatch(ClientUpdate(msg.op, client=msg.sender, token=msg.request_id))
             case Query():
-                self._client_writers[msg.request_id] = writer
+                self._client_transports[msg.request_id] = transport
                 self._dispatch(ClientQuery(msg.query, client=msg.sender, token=msg.request_id))
             case UpdateDone() | QueryDone() | Failed():
                 raise FrameError(f"{type(msg).__name__} is a reply, not a request")
@@ -352,40 +326,74 @@ class ReplicaDaemon:
                     # the replica refused the payload before changing any
                     # state; drop this frame like a lost one, keep the link
                     log.warning(
-                        "replica %d: dropping %s from %s: %s",
-                        self.endpoint.id, type(msg).__name__, peer_name, exc,
+                        "replica %d: dropping %s from %s: %s", self.endpoint.id,
+                        type(msg).__name__, transport.get_extra_info("peername"), exc,
                     )
 
     # -- outbound peer links
 
-    async def _peer_sender(self, peer: ReplicaEndpoint, queue: asyncio.Queue) -> None:
+    async def _keep_linked(self, peer: ReplicaEndpoint, link: _PeerLink) -> None:
         while True:
             try:
-                _reader, writer = await asyncio.open_connection(peer.host, peer.port)
+                await self._loop.create_connection(lambda: link, peer.host, peer.port)
             except OSError:
                 await asyncio.sleep(_RECONNECT_DELAY)
                 continue
             log.debug("replica %d: connected to peer %d", self.endpoint.id, peer.id)
-            try:
-                while True:
-                    msg = await queue.get()
-                    try:
-                        frame = encode(msg)
-                    except FrameError as exc:
-                        # a payload too big for one frame is lost like any
-                        # other dropped frame; the link itself stays up
-                        log.warning(
-                            "replica %d: dropping %s to peer %d: %s",
-                            self.endpoint.id, type(msg).__name__, peer.id, exc,
-                        )
-                        continue
-                    writer.write(frame)
-                    await writer.drain()
-            except (ConnectionError, OSError):
-                log.debug("replica %d: link to peer %d dropped", self.endpoint.id, peer.id)
-            finally:
-                writer.close()  # also when shutdown cancels this task
+            await link.lost
+            # shutdown cancels this task here: links a stopping cluster closes are no drops
             await asyncio.sleep(_RECONNECT_DELAY)
+            if not self._stop.is_set():
+                log.debug("replica %d: link to peer %d dropped", self.endpoint.id, peer.id)
+
+
+class _Connection(asyncio.Protocol):
+    """An accepted connection: each frame is dispatched as its last byte arrives."""
+
+    def __init__(self, daemon: ReplicaDaemon):
+        self.daemon = daemon
+        self.buf = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.daemon._connections.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        try:
+            while self.buf and (decoded := try_decode(self.buf)) is not None:
+                del self.buf[: decoded[1]]
+                self.daemon._handle_message(decoded[0], self.transport)
+        except FrameError as exc:
+            peer = self.transport.get_extra_info("peername")
+            log.warning("replica %d: dropping %s: %s", self.daemon.endpoint.id, peer, exc)
+            self.transport.close()
+
+    def connection_lost(self, exc) -> None:
+        clients = self.daemon._client_transports
+        for request_id in [r for r, t in clients.items() if t is self.transport]:
+            del clients[request_id]
+        self.daemon._connections.discard(self.transport)
+
+
+class _PeerLink(asyncio.Protocol):
+    """The outbound link to one peer; ``held`` keeps frames sent while it is down."""
+
+    transport: asyncio.Transport | None = None
+    lost: asyncio.Future  # resolved when the current connection ends
+
+    def __init__(self):
+        self.held = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport, self.lost = transport, asyncio.get_running_loop().create_future()
+        transport.write(self.held)
+        self.held = bytearray()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        if not self.lost.done():  # shutdown cancels it with the task awaiting it
+            self.lost.set_result(None)
 
 
 # -------------------------------------------------------------------- client

@@ -62,6 +62,10 @@ _TYPES: dict[type, int] = {
     Failed: 12,
 }
 
+_HEADER = struct.Struct(">B16sIqQQ")
+_U8, _U32, _I64 = struct.Struct(">B"), struct.Struct(">I"), struct.Struct(">q")
+_U64X2, _U32X2, _DONE = struct.Struct(">QQ"), struct.Struct(">II"), struct.Struct(">QQII")
+
 _OP_KINDS = {"increment": b"i", "set_add": b"a"}
 _OP_KINDS_BACK = {v: k for k, v in _OP_KINDS.items()}
 _QUERY_KINDS = {"counter_value": b"v", "set_contains": b"c", "set_elements": b"e"}
@@ -166,12 +170,12 @@ def encode(msg: Message) -> bytes:
         raise FrameError(f"request id must be 16 bytes, got {len(msg.request_id)}")
     rnd = getattr(msg, "round", ROUND_BOTTOM)
     payload = (
-        struct.pack(">B16sIqQQ", mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid)
+        _HEADER.pack(mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid)
         + _body(msg)
     )
     if 4 + len(payload) > MAX_FRAME:
         raise FrameError(f"frame of {4 + len(payload)} bytes exceeds the {MAX_FRAME} cap")
-    return struct.pack(">I", len(payload)) + payload
+    return _U32.pack(len(payload)) + payload
 
 
 # ------------------------------------------------------------------- decode
@@ -191,8 +195,8 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(self, fields: struct.Struct):
+        return fields.unpack(self.take(fields.size))
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -200,7 +204,7 @@ class _Reader:
 
 
 def _read_state(r: _Reader) -> SemilatticeValue | None:
-    (n,) = r.unpack(">I")
+    (n,) = r.unpack(_U32)
     if n == 0:
         return None
     blob = r.take(n)
@@ -218,12 +222,12 @@ def _require_state(r: _Reader, mtype: int) -> SemilatticeValue:
 
 
 def _read_bytes_slot(r: _Reader) -> bytes | None:
-    (present,) = r.unpack(">B")
+    (present,) = r.unpack(_U8)
     if present == 0:
         return None
     if present != 1:
         raise FrameError(f"bad presence byte {present}")
-    (n,) = r.unpack(">I")
+    (n,) = r.unpack(_U32)
     return r.take(n)
 
 
@@ -232,35 +236,35 @@ def _read_result(r: _Reader):
     if lead == b"N":
         return None
     if lead == b"B":
-        (flag,) = r.unpack(">B")
+        (flag,) = r.unpack(_U8)
         if flag > 1:
             raise FrameError(f"bad boolean byte {flag}")
         return flag == 1
     if lead == b"I":
-        (value,) = r.unpack(">q")
+        (value,) = r.unpack(_I64)
         return value
     if lead == b"L":
-        (count,) = r.unpack(">I")
+        (count,) = r.unpack(_U32)
         elements = []
         for _ in range(count):
-            (n,) = r.unpack(">I")
+            (n,) = r.unpack(_U32)
             elements.append(r.take(n))
         return tuple(elements)
     raise FrameError(f"unknown result lead byte {lead!r}")
 
 
 def _read_tag(r: _Reader):
-    (present,) = r.unpack(">B")
+    (present,) = r.unpack(_U8)
     if present == 0:
         return None
     if present != 1:
         raise FrameError(f"bad presence byte {present}")
-    return tuple(r.unpack(">QQ"))
+    return tuple(r.unpack(_U64X2))
 
 
 def decode_payload(payload: bytes) -> Message:
     r = _Reader(payload)
-    mtype, request_id, sender, nr, rid_counter, rid_process = r.unpack(">B16sIqQQ")
+    mtype, request_id, sender, nr, rid_counter, rid_process = r.unpack(_HEADER)
     if nr < BOTTOM_NR:
         raise FrameError(f"round number {nr} below bottom")
     rnd = Round(nr, (rid_counter, rid_process))
@@ -278,7 +282,7 @@ def decode_payload(payload: bytes) -> Message:
         msg = Update(sender, request_id, UpdateOp(kind, _read_bytes_slot(r)))
     elif mtype == 2:
         plain_round()
-        tag_p, tag_c, round_trips, retries = r.unpack(">QQII")
+        tag_p, tag_c, round_trips, retries = r.unpack(_DONE)
         msg = UpdateDone(sender, request_id, (tag_p, tag_c), round_trips, retries)
     elif mtype == 3:
         plain_round()
@@ -288,7 +292,7 @@ def decode_payload(payload: bytes) -> Message:
         msg = Query(sender, request_id, QueryCommand(kind, _read_bytes_slot(r)))
     elif mtype == 4:
         plain_round()
-        round_trips, retries = r.unpack(">II")
+        round_trips, retries = r.unpack(_U32X2)
         result = _read_result(r)
         msg = QueryDone(sender, request_id, result, _read_state(r), round_trips, retries)
     elif mtype == 5:
@@ -306,14 +310,14 @@ def decode_payload(payload: bytes) -> Message:
     elif mtype == 10:
         msg = Voted(sender, request_id, rnd)
     elif mtype == 11:
-        reject = tuple(r.unpack(">QQ"))
+        reject = tuple(r.unpack(_U64X2))
         msg = Nack(sender, request_id, rnd, _require_state(r, mtype), reject)
     elif mtype == 12:
         plain_round()
         kind = _FAIL_KINDS_BACK.get(r.take(1))
         if kind is None:
             raise FrameError("unknown failure kind")
-        (n,) = r.unpack(">I")
+        (n,) = r.unpack(_U32)
         try:
             reason = r.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -333,9 +337,10 @@ def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:
     """
     if len(buffer) < 4:
         return None
-    (length,) = struct.unpack(">I", bytes(buffer[:4]))
+    (length,) = _U32.unpack_from(buffer)
     if length + 4 > MAX_FRAME:
         raise FrameError(f"declared frame of {length + 4} bytes exceeds the {MAX_FRAME} cap")
     if len(buffer) < 4 + length:
         return None
-    return decode_payload(bytes(buffer[4 : 4 + length])), 4 + length
+    # one copy of the payload, whether the buffer is bytes or a bytearray
+    return decode_payload(bytes(memoryview(buffer)[4 : 4 + length])), 4 + length

@@ -8,18 +8,21 @@ import logging
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
-from crdtlin.messages import Merge, Merged, Query, QueryDone
+from crdtlin.messages import Merge, Merged, Query, QueryDone, Update, UpdateDone, UpdateOp
+from crdtlin.protocol import TimerFire
 from crdtlin.service import (
     ClusterConfig,
     ClusterConfigError,
     ReplicaClient,
     ReplicaDaemon,
     ReplicaEndpoint,
+    _PEER_BUFFER_LIMIT,
     RequestFailed,
     load_cluster_config,
 )
@@ -252,6 +255,123 @@ def test_concurrent_clients_agree_on_the_total(cluster):
     assert not errors
     with c.client(2) as reader:
         assert reader.value().result == per_client * len(threads)
+
+
+def test_idle_daemon_fires_no_timers(cluster):
+    c = cluster(3, timeout=0.2)
+    # replicas that start before their peers reach them only after a reconnect
+    # delay, so the first request may really time out; let the links settle
+    with c.client(1) as alice:
+        alice.value()
+    time.sleep(0.5)
+    fires = []
+    for daemon in c.daemons.values():
+        step = daemon.replica.step
+
+        def counting_step(event, step=step):
+            if isinstance(event, TimerFire):
+                fires.append(event)
+            return step(event)
+
+        daemon.replica.step = counting_step
+    with c.client(1) as alice:
+        for i in range(20):
+            alice.increment() if i % 4 == 0 else alice.value()
+    time.sleep(0.5)  # more than twice the timeout
+    assert fires == []  # every request's timer was cancelled once it was answered
+    assert all(not daemon._timers for daemon in c.daemons.values())
+
+
+# ---------------------------------------------------------------- framing
+
+
+def _read_replies(sock: socket.socket, count: int) -> list:
+    buf, replies = bytearray(), []
+    while len(replies) < count:
+        chunk = sock.recv(65536)
+        assert chunk, "replica closed the connection"
+        buf += chunk
+        while (decoded := try_decode(buf)) is not None:
+            replies.append(decoded[0])
+            del buf[: decoded[1]]
+    return replies
+
+
+def test_two_requests_in_one_segment_both_get_replies(cluster):
+    c = cluster(3)
+    rid_a, rid_b = bytes(15) + b"\x01", bytes(15) + b"\x02"
+    endpoint = c.config.endpoint(1)
+    with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
+        raw.sendall(
+            encode(Update(0, rid_a, UpdateOp.increment()))
+            + encode(Query(0, rid_b, QueryCommand.counter_value()))
+        )
+        replies = {r.request_id: r for r in _read_replies(raw, 2)}
+    assert isinstance(replies[rid_a], UpdateDone)
+    assert isinstance(replies[rid_b], QueryDone)
+
+
+def test_request_sent_a_byte_at_a_time_gets_its_reply(cluster):
+    c = cluster(3)
+    rid = bytes(15) + b"\x07"
+    endpoint = c.config.endpoint(2)
+    with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
+        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in encode(Query(0, rid, QueryCommand.counter_value())):
+            raw.sendall(bytes([byte]))
+            time.sleep(0.001)
+        (reply,) = _read_replies(raw, 1)
+    assert isinstance(reply, QueryDone) and reply.request_id == rid and reply.result == 0
+
+
+def test_peer_frame_queued_before_the_peer_listens_arrives_once_it_does():
+    rid = bytes(15) + b"\x09"
+    c = Cluster(2)
+    c.start(1)
+    daemon = c.daemons[1]
+    try:
+        queued = threading.Event()
+
+        def enqueue() -> None:
+            daemon._enqueue_peer(2, Merged(1, rid))
+            queued.set()
+
+        daemon._loop.call_soon_threadsafe(enqueue)
+        assert queued.wait(5)
+        time.sleep(0.3)  # replica 1 has tried, and failed, to reach replica 2
+        # a bare listener stands in for replica 2
+        with socket.create_server(("127.0.0.1", c.config.endpoint(2).port)) as peer:
+            peer.settimeout(5)
+            conn, _ = peer.accept()
+            with conn:
+                conn.settimeout(5)
+                (frame,) = _read_replies(conn, 1)
+    finally:
+        c.stop_all()
+    assert frame == Merged(1, rid)
+
+
+def test_link_to_a_down_peer_holds_no_more_than_the_byte_cap(caplog):
+    caplog.set_level(logging.DEBUG, logger="crdtlin.service")
+    element = GSet.of(b"x" * 65536)
+    c = Cluster(2, crdt="gset")
+    c.start(1)  # replica 2 never starts
+    daemon = c.daemons[1]
+    try:
+        flooded = threading.Event()
+
+        def flood() -> None:
+            for i in range(80):  # about 5 MiB of frames
+                daemon._enqueue_peer(2, Merge(1, i.to_bytes(16, "big"), element))
+            flooded.set()
+
+        daemon._loop.call_soon_threadsafe(flood)
+        assert flooded.wait(10)
+        held = len(daemon._links[2].held)
+    finally:
+        c.stop_all()
+    assert _PEER_BUFFER_LIMIT <= held < _PEER_BUFFER_LIMIT + 70_000
+    assert any("full, dropping frame" in r.getMessage() for r in caplog.records)
 
 
 # ---------------------------------------------------------------- robustness
