@@ -111,9 +111,8 @@ def record_to_json(rec: OpRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _int_tuple(obj: dict, name: str, default=None) -> tuple[int, ...] | None:
-    value = obj.get(name, default)
-    if value is None and default is None:  # null only where the field has no default
+def _int_tuple(value, name: str, optional: bool = False) -> tuple[int, ...] | None:
+    if optional and value is None:
         return None
     # type() rather than isinstance(): a bool is an int but no id, time, count or tag entry
     if type(value) is list and all(type(x) is int for x in value):
@@ -144,15 +143,17 @@ def record_from_json(line: str) -> OpRecord:
             kind=obj["kind"],
             op=_decode_op(obj["op"]),
             invoke_t=_int(obj["invoke_t"], "invoke_t"),
-            tag=_int_tuple(obj, "tag"),
+            tag=_int_tuple(obj.get("tag"), "tag", optional=True),
             response_t=_int(obj.get("response_t"), "response_t", optional=True),
             outcome=obj.get("outcome"),
             result=_decode_result(obj.get("result")),
-            learned_frontier=_int_tuple(obj, "learned_frontier"),
+            learned_frontier=_int_tuple(obj.get("learned_frontier"), "learned_frontier", optional=True),
             learned_value=obj.get("learned_value"),
             round_trips=_int(obj.get("round_trips"), "round_trips", optional=True),
             retries=_int(obj.get("retries"), "retries", optional=True),
-            incremental_retry_times=_int_tuple(obj, "incremental_retry_times", default=[]),
+            incremental_retry_times=_int_tuple(
+                obj.get("incremental_retry_times", []), "incremental_retry_times"
+            ),
         )
     except (KeyError, TypeError) as exc:
         raise HistoryFormatError(f"bad history record: {exc}") from exc

@@ -2,11 +2,11 @@
 
 One daemon hosts both protocol roles for its replica id. All protocol state
 lives on a single asyncio event loop: protocol callbacks feed each complete
-frame and each request's one loss timer (cancelled once it is answered) into
-the state machine synchronously, so no two handlers ever interleave inside
-it. Peer frames are written straight to the socket, or held while the link
-reconnects; past a byte cap a dead or slow peer's frames are dropped, which
-the protocol is built to absorb.
+frame and each request's one loss timer (cancelled once the request ends)
+into the state machine synchronously, so no two handlers ever interleave
+inside it. Peer frames are written straight to the socket, or held while the
+link reconnects; past a byte cap a dead or slow peer's frames are dropped,
+which the protocol is built to absorb.
 
 Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
@@ -69,7 +69,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PEER_BUFFER_LIMIT = 4 << 20  # bytes a peer link may hold unsent
+_PEER_BUFFER_LIMIT = 128 << 10  # bytes a link may hold unsent: ~1,000 live-counter frames of 128 B
 _RECONNECT_DELAY = 0.2
 # bounds what a forged frontier can claim: no recordable session folds in
 # more updates than this, so a learned frontier naming more is refused
@@ -252,9 +252,10 @@ class ReplicaDaemon:
             for timer in out.timers:
                 self._arm_timer(timer.request_id, timer.generation)
             for reply in out.replies:
-                # the first reply ends the request, also when its client has gone
-                if (handle := self._timers.pop(reply.request_id, None)) is not None:
-                    handle.cancel()
+                # a batch replies to a rejected op early; the timer goes when the request ends
+                if reply.request_id not in self.replica.requests:
+                    if (handle := self._timers.pop(reply.request_id, None)) is not None:
+                        handle.cancel()
                 self._answer_client(reply)
 
     def _arm_timer(self, request_id: bytes, generation: int) -> None:
@@ -270,6 +271,8 @@ class ReplicaDaemon:
     def _enqueue_peer(self, dst: int, msg) -> None:
         link = self._links[dst]
         transport = link.transport
+        if transport is not None and transport.is_closing():
+            transport = None  # its writes would be lost; hold them for the next link
         buffered = len(link.held) if transport is None else transport.get_write_buffer_size()
         if buffered >= _PEER_BUFFER_LIMIT:
             log.debug("replica %d: link to peer %d full, dropping frame", self.endpoint.id, dst)

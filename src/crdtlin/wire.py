@@ -62,10 +62,6 @@ _TYPES: dict[type, int] = {
     Failed: 12,
 }
 
-_HEADER = struct.Struct(">B16sIqQQ")
-_U8, _U32, _I64 = struct.Struct(">B"), struct.Struct(">I"), struct.Struct(">q")
-_U64X2, _U32X2, _DONE = struct.Struct(">QQ"), struct.Struct(">II"), struct.Struct(">QQII")
-
 _OP_KINDS = {"increment": b"i", "set_add": b"a"}
 _OP_KINDS_BACK = {v: k for k, v in _OP_KINDS.items()}
 _QUERY_KINDS = {"counter_value": b"v", "set_contains": b"c", "set_elements": b"e"}
@@ -170,12 +166,12 @@ def encode(msg: Message) -> bytes:
         raise FrameError(f"request id must be 16 bytes, got {len(msg.request_id)}")
     rnd = getattr(msg, "round", ROUND_BOTTOM)
     payload = (
-        _HEADER.pack(mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid)
+        struct.pack(">B16sIqQQ", mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid)
         + _body(msg)
     )
     if 4 + len(payload) > MAX_FRAME:
         raise FrameError(f"frame of {4 + len(payload)} bytes exceeds the {MAX_FRAME} cap")
-    return _U32.pack(len(payload)) + payload
+    return struct.pack(">I", len(payload)) + payload
 
 
 # ------------------------------------------------------------------- decode
@@ -195,8 +191,8 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fields: struct.Struct):
-        return fields.unpack(self.take(fields.size))
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -204,7 +200,7 @@ class _Reader:
 
 
 def _read_state(r: _Reader) -> SemilatticeValue | None:
-    (n,) = r.unpack(_U32)
+    (n,) = r.unpack(">I")
     if n == 0:
         return None
     blob = r.take(n)
@@ -222,12 +218,12 @@ def _require_state(r: _Reader, mtype: int) -> SemilatticeValue:
 
 
 def _read_bytes_slot(r: _Reader) -> bytes | None:
-    (present,) = r.unpack(_U8)
+    (present,) = r.unpack(">B")
     if present == 0:
         return None
     if present != 1:
         raise FrameError(f"bad presence byte {present}")
-    (n,) = r.unpack(_U32)
+    (n,) = r.unpack(">I")
     return r.take(n)
 
 
@@ -236,35 +232,35 @@ def _read_result(r: _Reader):
     if lead == b"N":
         return None
     if lead == b"B":
-        (flag,) = r.unpack(_U8)
+        (flag,) = r.unpack(">B")
         if flag > 1:
             raise FrameError(f"bad boolean byte {flag}")
         return flag == 1
     if lead == b"I":
-        (value,) = r.unpack(_I64)
+        (value,) = r.unpack(">q")
         return value
     if lead == b"L":
-        (count,) = r.unpack(_U32)
+        (count,) = r.unpack(">I")
         elements = []
         for _ in range(count):
-            (n,) = r.unpack(_U32)
+            (n,) = r.unpack(">I")
             elements.append(r.take(n))
         return tuple(elements)
     raise FrameError(f"unknown result lead byte {lead!r}")
 
 
 def _read_tag(r: _Reader):
-    (present,) = r.unpack(_U8)
+    (present,) = r.unpack(">B")
     if present == 0:
         return None
     if present != 1:
         raise FrameError(f"bad presence byte {present}")
-    return tuple(r.unpack(_U64X2))
+    return tuple(r.unpack(">QQ"))
 
 
 def decode_payload(payload: bytes) -> Message:
     r = _Reader(payload)
-    mtype, request_id, sender, nr, rid_counter, rid_process = r.unpack(_HEADER)
+    mtype, request_id, sender, nr, rid_counter, rid_process = r.unpack(">B16sIqQQ")
     if nr < BOTTOM_NR:
         raise FrameError(f"round number {nr} below bottom")
     rnd = Round(nr, (rid_counter, rid_process))
@@ -282,7 +278,7 @@ def decode_payload(payload: bytes) -> Message:
         msg = Update(sender, request_id, UpdateOp(kind, _read_bytes_slot(r)))
     elif mtype == 2:
         plain_round()
-        tag_p, tag_c, round_trips, retries = r.unpack(_DONE)
+        tag_p, tag_c, round_trips, retries = r.unpack(">QQII")
         msg = UpdateDone(sender, request_id, (tag_p, tag_c), round_trips, retries)
     elif mtype == 3:
         plain_round()
@@ -292,7 +288,7 @@ def decode_payload(payload: bytes) -> Message:
         msg = Query(sender, request_id, QueryCommand(kind, _read_bytes_slot(r)))
     elif mtype == 4:
         plain_round()
-        round_trips, retries = r.unpack(_U32X2)
+        round_trips, retries = r.unpack(">II")
         result = _read_result(r)
         msg = QueryDone(sender, request_id, result, _read_state(r), round_trips, retries)
     elif mtype == 5:
@@ -310,14 +306,14 @@ def decode_payload(payload: bytes) -> Message:
     elif mtype == 10:
         msg = Voted(sender, request_id, rnd)
     elif mtype == 11:
-        reject = tuple(r.unpack(_U64X2))
+        reject = tuple(r.unpack(">QQ"))
         msg = Nack(sender, request_id, rnd, _require_state(r, mtype), reject)
     elif mtype == 12:
         plain_round()
         kind = _FAIL_KINDS_BACK.get(r.take(1))
         if kind is None:
             raise FrameError("unknown failure kind")
-        (n,) = r.unpack(_U32)
+        (n,) = r.unpack(">I")
         try:
             reason = r.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -337,7 +333,7 @@ def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:
     """
     if len(buffer) < 4:
         return None
-    (length,) = _U32.unpack_from(buffer)
+    (length,) = struct.unpack_from(">I", buffer)
     if length + 4 > MAX_FRAME:
         raise FrameError(f"declared frame of {length + 4} bytes exceeds the {MAX_FRAME} cap")
     if len(buffer) < 4 + length:

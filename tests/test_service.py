@@ -14,7 +14,9 @@ import pytest
 
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
-from crdtlin.messages import Merge, Merged, Query, QueryDone, Update, UpdateDone, UpdateOp
+from crdtlin.messages import (
+    Failed, Merge, Merged, Query, QueryDone, Update, UpdateDone, UpdateOp,
+)
 from crdtlin.protocol import TimerFire
 from crdtlin.service import (
     ClusterConfig,
@@ -282,6 +284,38 @@ def test_idle_daemon_fires_no_timers(cluster):
     assert all(not daemon._timers for daemon in c.daemons.values())
 
 
+def test_batch_with_a_rejected_op_resends_its_lost_merge(cluster):
+    c = cluster(2, crdt="gset", batching=True, timeout=0.2)
+    with c.client(1) as alice:
+        alice.add(b"warm")  # the link between the two replicas is up
+    daemon = c.daemons[1]
+    first_sent: list[bytes] = []  # request ids of replica 1's merges, by first send
+    enqueue = daemon._enqueue_peer
+
+    def lossy(dst, msg) -> None:
+        if isinstance(msg, Merge) and msg.request_id not in first_sent:
+            first_sent.append(msg.request_id)
+            if len(first_sent) == 2:
+                return  # the second batch's first merge is lost
+        enqueue(dst, msg)
+
+    daemon._enqueue_peer = lossy
+    rid_a, rid_b, rid_c = (bytes(15) + bytes([i]) for i in (1, 2, 3))
+    endpoint = c.config.endpoint(1)
+    with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
+        # a starts the first batch; b, refused by a set, and c wait for the second
+        raw.sendall(
+            encode(Update(0, rid_a, UpdateOp.set_add(b"a")))
+            + encode(Update(0, rid_b, UpdateOp.increment()))
+            + encode(Update(0, rid_c, UpdateOp.set_add(b"c")))
+        )
+        replies = {r.request_id: r for r in _read_replies(raw, 3)}
+    assert isinstance(replies[rid_a], UpdateDone)
+    assert isinstance(replies[rid_b], Failed)
+    assert isinstance(replies[rid_c], UpdateDone)  # its merge was sent again
+    assert replies[rid_c].retries == 1
+
+
 # ---------------------------------------------------------------- framing
 
 
@@ -361,7 +395,7 @@ def test_link_to_a_down_peer_holds_no_more_than_the_byte_cap(caplog):
         flooded = threading.Event()
 
         def flood() -> None:
-            for i in range(80):  # about 5 MiB of frames
+            for i in range(_PEER_BUFFER_LIMIT // 65536 + 4):  # 4 frames more than fit
                 daemon._enqueue_peer(2, Merge(1, i.to_bytes(16, "big"), element))
             flooded.set()
 
