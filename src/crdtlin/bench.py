@@ -1,15 +1,10 @@
-"""Round-trip and latency benchmarking, against the simulator or a live
-cluster.
+"""Load generation against a live cluster.
 
-Both modes drive closed-loop clients over a query/update mix, record an
-operation history, and project it with ``op_rows`` into the same
-four-column CSV: ``kind,latency,round_trips,outcome``. Latency is in
-virtual ticks for simulated runs and in milliseconds for live ones. After
-the data rows come summary rows in the same four columns, computed by
-``summarize``: a ``summary:<kind>:p50`` / ``:p95`` row holds the percentile
-in the latency column, and a ``summary:<kind>:rt:<n>`` row holds, in the
-latency column, the number of operations that finished in ``n`` round
-trips.
+``bench_live`` drives closed-loop clients over a query/update mix, each
+recording its operations, and returns their merged history: the same
+schema-2 history the simulator records, with times in monotonic
+nanoseconds. ``crdtlin check`` verifies it, and ``op_metric_rows`` digests
+it into the operation rows of ``metrics.csv``.
 """
 
 from __future__ import annotations
@@ -18,55 +13,10 @@ import random
 import threading
 import time
 
-from .history import OpRecord
+from .history import OpRecord, merge_histories
 from .service import ClusterConfig, ReplicaClient, RequestFailed
-from .sim import BenchRow, SimConfig, op_rows, sim_run, summarize
 
-__all__ = [
-    "BenchRow",
-    "bench_live",
-    "bench_sim",
-    "read_bench_csv",
-    "summarize",
-    "write_bench_csv",
-]
-
-
-def bench_sim(
-    *,
-    clients: int,
-    mix: float,
-    batching: bool,
-    ops_per_client: int,
-    n_replicas: int = 3,
-    drop: float = 0.0,
-    duplicate: float = 0.0,
-    delay_min: int = 1,
-    delay_max: int = 1,
-    duration: int | None = None,
-    seed: int = 0,
-    crdt: str = "gcounter",
-    instrument: bool = False,
-    check_invariants: bool = True,
-) -> list[BenchRow]:
-    config = SimConfig(
-        n_replicas=n_replicas,
-        n_clients=clients,
-        crdt=crdt,
-        update_fraction=mix,
-        ops_per_client=ops_per_client,
-        drop_probability=drop,
-        duplicate_probability=duplicate,
-        delay_min=delay_min,
-        delay_max=delay_max,
-        batching=batching,
-        instrument=instrument,
-        check_invariants=check_invariants,
-        record_trace=False,
-        seed=seed,
-        max_virtual_time=duration if duration is not None else 100_000_000,
-    )
-    return op_rows(sim_run(config).history)
+__all__ = ["bench_live"]
 
 
 def bench_live(
@@ -77,12 +27,19 @@ def bench_live(
     ops_per_client: int,
     duration: float | None = None,
     seed: int = 0,
-) -> list[BenchRow]:
+) -> list[OpRecord]:
     """Drive a running cluster with ``clients`` closed-loop threads.
 
-    Raises ConnectionError if any client cannot reach its replica. The mix
-    and per-client scripts are seeded, so two runs issue the same ops.
+    Raises ValueError for an empty or out-of-range workload, and
+    ConnectionError if any client cannot reach its replica. The mix and
+    per-client scripts are seeded, so two runs issue the same ops.
     """
+    if clients < 1 or ops_per_client < 1:
+        raise ValueError("a bench needs at least one client and one op per client")
+    if not 0.0 <= mix <= 1.0:
+        raise ValueError("mix must lie in [0, 1]")
+    if duration is not None and duration <= 0:
+        raise ValueError("duration must be positive")
     deadline = None if duration is None else time.monotonic() + duration
     histories: list[list[OpRecord]] = [[] for _ in range(clients)]
     errors: list[BaseException] = []
@@ -119,42 +76,4 @@ def bench_live(
         t.join()
     if errors:
         raise errors[0]
-    # recorded times are monotonic nanoseconds; bench latencies are milliseconds
-    return op_rows([rec for history in histories for rec in history], scale=1e-6)
-
-
-def write_bench_csv(rows: list[BenchRow], fp) -> None:
-    fp.write("kind,latency,round_trips,outcome\n")
-    for row in rows:
-        latency = "" if row.latency is None else f"{row.latency:g}"
-        rt = "" if row.round_trips is None else str(row.round_trips)
-        fp.write(f"{row.kind},{latency},{rt},{row.outcome}\n")
-    stats = summarize(rows)
-    for kind in ("update", "query"):
-        entry = stats[kind]
-        if "p50" in entry:
-            fp.write(f"summary:{kind}:p50,{entry['p50']:g},,\n")
-            fp.write(f"summary:{kind}:p95,{entry['p95']:g},,\n")
-        for n, count in entry["round_trips"].items():
-            fp.write(f"summary:{kind}:rt:{n},{count},{n},\n")
-
-
-def read_bench_csv(fp) -> list[BenchRow]:
-    header = fp.readline().strip()
-    if header != "kind,latency,round_trips,outcome":
-        raise ValueError(f"not a bench CSV (header {header!r})")
-    rows = []
-    for line in fp:
-        line = line.strip()
-        if not line or line.startswith("summary:"):
-            continue
-        kind, latency, rt, outcome = line.split(",")
-        rows.append(
-            BenchRow(
-                kind,
-                float(latency) if latency else None,
-                int(rt) if rt else None,
-                outcome,
-            )
-        )
-    return rows
+    return merge_histories(histories)

@@ -3,8 +3,8 @@
 Subcommands: ``replica`` (run a daemon), ``client`` (one operation against
 a running replica), ``sim`` (deterministic simulation runs and seed
 sweeps), ``check`` (safety and linearizability verdicts over a recorded
-history), ``bench`` (round-trip/latency CSV, simulated or live), and
-``summary`` (digest a bench CSV).
+history), and ``bench`` (load a live cluster and record its history). ``sim``
+and ``bench`` write the same ``history.jsonl`` and ``metrics.csv``.
 
 Exit codes: 0 success, 1 a check or operation failed, 2 usage or
 configuration problem, 3 cannot reach the cluster.
@@ -19,14 +19,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .bench import bench_live, bench_sim, read_bench_csv, summarize, write_bench_csv
+from .bench import bench_live
 from .checker import (
     PreconditionFailed,
     UnsupportedInput,
     check_all,
     linearize,
 )
-from .history import HistoryFormatError, read_history
+from .history import HistoryFormatError, read_history, write_history
 from .service import (
     ClusterConfigError,
     ReplicaClient,
@@ -34,7 +34,14 @@ from .service import (
     RequestFailed,
     load_cluster_config,
 )
-from .sim import ConfigError, SimConfig, Simulation, op_rows
+from .sim import (
+    ConfigError,
+    SimConfig,
+    Simulation,
+    op_metric_rows,
+    summarize,
+    write_metrics_csv,
+)
 
 log = logging.getLogger(__name__)
 
@@ -138,27 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("history", type=Path, help="history JSONL file")
     p.add_argument("--mode", choices=["gla", "lin", "both"], default="both")
 
-    p = sub.add_parser("bench", help="measure round trips and latency")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--sim", action="store_true", help="run against the simulator")
-    source.add_argument("--config", type=Path, help="cluster config JSON of a live cluster")
+    p = sub.add_parser("bench", help="load a live cluster and record its history")
+    p.add_argument("--config", type=Path, required=True, help="cluster config JSON")
     p.add_argument("--clients", type=int, default=8)
     p.add_argument("--mix", type=float, default=0.1, help="update fraction in [0,1]")
-    p.add_argument("--batching", choices=["on", "off"], default="off",
-                   help="sim mode only; a live cluster fixes this in its config")
     p.add_argument("--ops", type=int, default=200, help="operations per client")
-    p.add_argument("--duration", type=float, default=None,
-                   help="cap: virtual ticks (sim) or seconds (live)")
-    p.add_argument("--replicas", type=int, default=3, help="sim mode only")
-    p.add_argument("--drop", type=float, default=0.0, help="sim mode only")
-    p.add_argument("--delay-max", type=int, default=1, help="sim mode only")
-    p.add_argument("--crdt", choices=["gcounter", "gset"], default="gcounter",
-                   help="sim mode only")
+    p.add_argument("--duration", type=float, default=None, help="cap in wall-clock seconds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=None, help="CSV path (default stdout)")
-
-    p = sub.add_parser("summary", help="digest a bench CSV")
-    p.add_argument("csv", type=Path)
+    p.add_argument("--out", type=Path, default=None, help="output directory")
 
     return parser
 
@@ -188,17 +182,8 @@ def _cmd_client(args) -> int:
     host, port = args.endpoint
     element = args.element.encode() if args.element is not None else None
     with ReplicaClient(host, port, timeout=args.timeout, connect_retries=3) as client:
-        if args.op == "incr":
-            outcome = client.increment()
-            payload = {
-                "tag": list(outcome.tag),
-                "round_trips": outcome.round_trips,
-                "retries": outcome.retries,
-            }
-            print(json.dumps(payload) if args.json else f"ok tag={outcome.tag}")
-            return 0
-        if args.op == "add":
-            outcome = client.add(element)
+        if args.op in ("incr", "add"):
+            outcome = client.increment() if args.op == "incr" else client.add(element)
             payload = {
                 "tag": list(outcome.tag),
                 "round_trips": outcome.round_trips,
@@ -275,7 +260,7 @@ _SWEEP_COLUMNS = (
 
 
 def _op_stats(history) -> tuple[dict, dict]:
-    stats = summarize(op_rows(history))
+    stats = summarize(history)
     return stats["update"], stats["query"]
 
 
@@ -312,7 +297,7 @@ def _cmd_sim(args) -> int:
     if args.out:
         result.write_outputs(args.out)
     else:
-        metrics.write_csv(result.history, sys.stdout)
+        write_metrics_csv(metrics.rows(result.history), sys.stdout)
     update, query = _op_stats(result.history)
     print(
         f"completed {update['ok'] + query['ok']} ops in {metrics.final_time} ticks"
@@ -364,53 +349,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.sim:
-        rows = bench_sim(
-            clients=args.clients,
-            mix=args.mix,
-            batching=args.batching == "on",
-            ops_per_client=args.ops,
-            n_replicas=args.replicas,
-            drop=args.drop,
-            delay_max=args.delay_max,
-            duration=int(args.duration) if args.duration is not None else None,
-            seed=args.seed,
-            crdt=args.crdt,
-        )
-    else:
-        config = load_cluster_config(args.config)
-        rows = bench_live(
-            config,
-            clients=args.clients,
-            mix=args.mix,
-            ops_per_client=args.ops,
-            duration=args.duration,
-            seed=args.seed,
-        )
-    if args.out:
-        with open(args.out, "w") as fp:
-            write_bench_csv(rows, fp)
-    else:
-        write_bench_csv(rows, sys.stdout)
-    return 0
-
-
-def _cmd_summary(args) -> int:
-    with open(args.csv) as fp:
-        rows = read_bench_csv(fp)
-    stats = summarize(rows)
-    for kind in ("update", "query"):
-        entry = stats[kind]
-        total = entry["ok"] + entry["failed"] + entry["pending"]
-        if total == 0:
-            continue
-        line = f"{kind}: {entry['ok']} ok, {entry['failed']} failed, {entry['pending']} pending"
-        if "p50" in entry:
-            line += f" | latency p50 {entry['p50']:g} p95 {entry['p95']:g}"
-        if entry["round_trips"]:
-            hist = " ".join(f"{n}rt×{c}" for n, c in entry["round_trips"].items())
-            line += f" | {hist}"
-        print(line)
+    history = bench_live(
+        load_cluster_config(args.config),
+        clients=args.clients,
+        mix=args.mix,
+        ops_per_client=args.ops,
+        duration=args.duration,
+        seed=args.seed,
+    )
+    rows = op_metric_rows(history)
+    if not args.out:
+        write_metrics_csv(rows, sys.stdout)
+        return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    with open(args.out / "history.jsonl", "w") as fp:
+        write_history(history, fp)
+    with open(args.out / "metrics.csv", "w") as fp:
+        write_metrics_csv(rows, fp)
     return 0
 
 
@@ -420,7 +375,6 @@ _COMMANDS = {
     "sim": _cmd_sim,
     "check": _cmd_check,
     "bench": _cmd_bench,
-    "summary": _cmd_summary,
 }
 
 
@@ -441,7 +395,7 @@ def main(argv=None) -> int:
     except RequestFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CHECK_FAILED
-    except ConnectionError as exc:
+    except (ConnectionError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONNECT_ERROR
 

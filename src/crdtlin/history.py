@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 from .crdt import CausalTag
@@ -166,7 +166,21 @@ def write_history(records: Iterable[OpRecord], fp: IO[str]) -> None:
 
 
 def read_history(fp: IO[str]) -> list[OpRecord]:
-    return [record_from_json(line) for line in fp if line.strip()]
+    records = [record_from_json(line) for line in fp if line.strip()]
+    # a witness names ops by id, so an id used twice would make it ambiguous
+    seen: set[int] = set()
+    for rec in records:
+        if rec.op_id in seen:
+            raise HistoryFormatError(f"repeated op_id {rec.op_id}")
+        seen.add(rec.op_id)
+    return records
+
+
+def merge_histories(histories: Iterable[Iterable[OpRecord]]) -> list[OpRecord]:
+    """One history from several clients' own: ordered by ``invoke_t`` and
+    renumbered 1..N, since each client numbers its ops from 1."""
+    merged = sorted((rec for history in histories for rec in history), key=lambda r: r.invoke_t)
+    return [replace(rec, op_id=i) for i, rec in enumerate(merged, 1)]
 
 
 def trace_event_to_json(ev: TraceEvent) -> str:

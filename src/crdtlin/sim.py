@@ -20,11 +20,11 @@ acceptor's acknowledged payloads are monotonic, a proposer never broadcasts
 two votes for the same request round, and every learned state is dominated
 by a quorum of current acceptor payloads at the moment it is learned.
 
-Operation metrics have one source, the recorded history: ``op_rows``
-projects it to one row per operation and ``summarize`` turns rows into
-outcome counts, round-trip histograms and latency percentiles, for
-``metrics.csv``, the ``sim`` command and bench CSVs alike. ``Metrics``
-itself keeps only network and run facts.
+Operation metrics have one source, the recorded history: ``summarize``
+turns it into outcome counts, round-trip histograms and latency
+percentiles, and ``op_metric_rows`` lays those out as the operation rows
+of ``metrics.csv``, for the ``sim`` command and the live bench alike.
+``Metrics`` itself keeps only network and run facts.
 """
 
 from __future__ import annotations
@@ -54,18 +54,18 @@ from .protocol import (
 )
 
 __all__ = [
-    "BenchRow",
     "ConfigError",
     "InvariantViolation",
     "Metrics",
     "SimConfig",
     "SimResult",
     "Simulation",
-    "op_rows",
+    "op_metric_rows",
     "percentile",
     "sim_run",
     "summarize",
     "workload_generate",
+    "write_metrics_csv",
 ]
 
 
@@ -176,36 +176,20 @@ def percentile(sorted_values: list, q: float):
     return sorted_values[idx]
 
 
-@dataclass(frozen=True, slots=True)
-class BenchRow:
-    kind: str  # "update" | "query"
-    latency: float | None  # ticks (sim) or milliseconds (live); None = pending
-    round_trips: int | None
-    outcome: str  # "ok" | "failed" | "pending"
-
-
-def op_rows(history: list[OpRecord], scale: float = 1) -> list[BenchRow]:
-    """One row per recorded operation; ``scale`` converts history time to latency units."""
-    return [
-        BenchRow(rec.kind, None, None, "pending")
-        if rec.outcome is None
-        else BenchRow(rec.kind, (rec.response_t - rec.invoke_t) * scale, rec.round_trips, rec.outcome)
-        for rec in history
-    ]
-
-
-def summarize(rows: list[BenchRow]) -> dict:
+def summarize(history: list[OpRecord]) -> dict:
     """Per kind: outcome counts, the round-trip histogram of ok ops, and
-    p50/p95 of ok latencies (omitted when no op succeeded)."""
+    p50/p95 of ok latencies (omitted when no op succeeded). Latencies are in
+    the history's clock: virtual ticks simulated, monotonic ns live."""
     out: dict = {}
     for kind in ("update", "query"):
-        ok = [r for r in rows if r.kind == kind and r.outcome == "ok"]
-        latencies = sorted(r.latency for r in ok)
+        records = [r for r in history if r.kind == kind]
+        ok = [r for r in records if r.outcome == "ok"]
+        latencies = sorted(r.response_t - r.invoke_t for r in ok)
         hist = Counter(r.round_trips for r in ok)
         entry = {
             "ok": len(ok),
-            "failed": sum(1 for r in rows if r.kind == kind and r.outcome == "failed"),
-            "pending": sum(1 for r in rows if r.kind == kind and r.outcome == "pending"),
+            "failed": sum(1 for r in records if r.outcome == "failed"),
+            "pending": sum(1 for r in records if r.outcome is None),
             "round_trips": dict(sorted(hist.items())),
         }
         if latencies:
@@ -213,6 +197,31 @@ def summarize(rows: list[BenchRow]) -> dict:
             entry["p95"] = percentile(latencies, 0.95)
         out[kind] = entry
     return out
+
+
+def op_metric_rows(history: list[OpRecord]) -> list[tuple[str, object]]:
+    """The ``ops_*``, ``round_trips_*`` and ``latency_*`` rows of ``metrics.csv``."""
+    stats = summarize(history)
+    rows: list[tuple[str, object]] = []
+    for kind in ("query", "update"):
+        for outcome in ("failed", "ok", "pending"):
+            if stats[kind][outcome]:
+                rows.append((f"ops_{kind}_{outcome}", stats[kind][outcome]))
+    for kind in ("query", "update"):
+        for n, count in stats[kind]["round_trips"].items():
+            rows.append((f"round_trips_{kind}_{n}", count))
+    for kind in ("update", "query"):
+        if "p50" in stats[kind]:
+            rows.append((f"latency_{kind}_p50", stats[kind]["p50"]))
+            rows.append((f"latency_{kind}_p95", stats[kind]["p95"]))
+    return rows
+
+
+def write_metrics_csv(rows: list[tuple[str, object]], fp) -> None:
+    """``metrics.csv``: a ``metric,value`` header, the schema version, then ``rows``."""
+    fp.write("metric,value\nschema_version,1\n")
+    for key, value in rows:
+        fp.write(f"{key},{value}\n")
 
 
 @dataclass(slots=True)
@@ -228,34 +237,18 @@ class Metrics:
     quiescent: bool = True
 
     def rows(self, history: list[OpRecord]) -> list[tuple[str, object]]:
-        rows: list[tuple[str, object]] = [("schema_version", 1)]
-        rows.append(("final_time", self.final_time))
-        rows.append(("quiescent", int(self.quiescent)))
-        rows.append(("messages_delivered", self.delivered))
-        rows.append(("messages_duplicated", self.duplicated))
-        rows.append(("max_payload_bytes", self.max_payload_bytes))
+        rows: list[tuple[str, object]] = [
+            ("final_time", self.final_time),
+            ("quiescent", int(self.quiescent)),
+            ("messages_delivered", self.delivered),
+            ("messages_duplicated", self.duplicated),
+            ("max_payload_bytes", self.max_payload_bytes),
+        ]
         for mtype in sorted(self.messages_sent):
             rows.append((f"messages_sent_{mtype}", self.messages_sent[mtype]))
         for reason in sorted(self.dropped):
             rows.append((f"messages_dropped_{reason}", self.dropped[reason]))
-        stats = summarize(op_rows(history))
-        for kind in ("query", "update"):
-            for outcome in ("failed", "ok", "pending"):
-                if stats[kind][outcome]:
-                    rows.append((f"ops_{kind}_{outcome}", stats[kind][outcome]))
-        for kind in ("query", "update"):
-            for n, count in stats[kind]["round_trips"].items():
-                rows.append((f"round_trips_{kind}_{n}", count))
-        for kind in ("update", "query"):
-            if "p50" in stats[kind]:
-                rows.append((f"latency_{kind}_p50", stats[kind]["p50"]))
-                rows.append((f"latency_{kind}_p95", stats[kind]["p95"]))
-        return rows
-
-    def write_csv(self, history: list[OpRecord], fp) -> None:
-        fp.write("metric,value\n")
-        for key, value in self.rows(history):
-            fp.write(f"{key},{value}\n")
+        return rows + op_metric_rows(history)
 
 
 @dataclass(slots=True)
@@ -274,7 +267,7 @@ class SimResult:
         with open(outdir / "history.jsonl", "w") as fp:
             write_history(self.history, fp)
         with open(outdir / "metrics.csv", "w") as fp:
-            self.metrics.write_csv(self.history, fp)
+            write_metrics_csv(self.metrics.rows(self.history), fp)
 
 
 @dataclass(slots=True)

@@ -26,6 +26,7 @@ from crdtlin.checker import (
     linearize,
 )
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, UpdateCommand, apply_update
+from crdtlin.history import merge_histories
 from crdtlin.service import ReplicaClient
 from crdtlin.sim import SimConfig, sim_run
 
@@ -468,15 +469,7 @@ def test_criterion_10_networked_counter(tmp_path):
         second = clients[1].value()
         assert second.result == 10
 
-        combined = [
-            dataclasses.replace(rec, op_id=i)
-            for i, rec in enumerate(
-                sorted(
-                    (r for c in clients for r in c.history),
-                    key=lambda r: r.invoke_t,
-                )
-            )
-        ]
+        combined = merge_histories(c.history for c in clients)
         verdicts = check_all(combined)
         bad = [name for name, v in verdicts.items() if not v.passed]
         linearize(combined)

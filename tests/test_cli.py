@@ -48,6 +48,21 @@ def test_sim_partition_flag(tmp_path):
     ) == 0
 
 
+def test_sim_batching_flag(tmp_path, capsys):
+    def prepares(*flags):
+        out = tmp_path / ("batched" if flags else "plain")
+        assert run_cli(
+            "sim", "--clients", "8", "--mix", "0.1", "--ops", "40", *flags, "--out", str(out),
+        ) == 0
+        metrics = dict(line.split(",") for line in (out / "metrics.csv").read_text().splitlines())
+        assert int(metrics["ops_query_ok"]) + int(metrics["ops_update_ok"]) == 320
+        return int(metrics["messages_sent_Prepare"])
+
+    # 8 clients on 3 replicas: batched queries share prepare rounds
+    assert prepares("--batching") < prepares()
+    assert "completed 320 ops" in capsys.readouterr().err
+
+
 def test_sim_seed_sweep(tmp_path):
     out = tmp_path / "sweep"
     assert run_cli(
@@ -161,6 +176,17 @@ def test_check_mistyped_history_line_is_a_usage_error(tmp_path, capsys, field, v
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_repeated_op_id_is_a_usage_error(tmp_path, capsys):
+    history = sim_run(SimConfig(n_clients=2, ops_per_client=5, seed=1)).history
+    for rec in history:
+        rec.op_id = 1
+    path = _write_history(tmp_path, history)
+    with open(path) as fp, pytest.raises(HistoryFormatError, match="repeated op_id 1"):
+        read_history(fp)
+    assert run_cli("check", str(path)) == 2
+    assert "error: repeated op_id 1" in capsys.readouterr().err
+
+
 def test_schema_1_history_is_refused(tmp_path, capsys):
     from tests_support import make_query
 
@@ -180,38 +206,6 @@ def test_schema_1_history_is_refused(tmp_path, capsys):
 # --------------------------------------------------------------------- bench
 
 
-def test_bench_sim_writes_csv_with_summary(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run_cli(
-        "bench", "--sim", "--clients", "4", "--mix", "0.2", "--ops", "30",
-        "--seed", "2", "--out", str(out),
-    ) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "kind,latency,round_trips,outcome"
-    data = [l for l in lines[1:] if not l.startswith("summary:")]
-    assert len(data) == 120
-    assert any(l.startswith("summary:query:p50,") for l in lines)
-    assert any(l.startswith("summary:query:rt:1,") for l in lines)
-
-
-def test_bench_then_summary_round_trip(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    run_cli("bench", "--sim", "--clients", "2", "--mix", "1.0", "--ops", "20",
-            "--out", str(out))
-    assert run_cli("summary", str(out)) == 0
-    text = capsys.readouterr().out
-    assert "update: 40 ok" in text
-    assert "1rt×40" in text  # drop-free update-only: everything in one round trip
-
-
-def test_bench_batching_flag(tmp_path):
-    out = tmp_path / "b.csv"
-    assert run_cli(
-        "bench", "--sim", "--batching", "on", "--clients", "8", "--mix", "0.1",
-        "--ops", "40", "--out", str(out),
-    ) == 0
-
-
 def test_bench_unreachable_cluster_is_a_connection_error(tmp_path, capsys):
     # grab a port nothing listens on
     s = socket.socket()
@@ -228,10 +222,13 @@ def test_bench_unreachable_cluster_is_a_connection_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_summary_rejects_non_bench_file(tmp_path, capsys):
-    path = tmp_path / "x.csv"
-    path.write_text("a,b\n1,2\n")
-    assert run_cli("summary", str(path)) == 2
+@pytest.mark.parametrize(
+    "flag, value", [("--mix", "2"), ("--clients", "0"), ("--ops", "0"), ("--duration", "-1")]
+)
+def test_bench_rejects_an_empty_or_out_of_range_workload(tmp_path, capsys, flag, value):
+    config = tmp_path / "cluster.json"
+    config.write_text(json.dumps({"replicas": [{"id": 1, "host": "127.0.0.1", "port": 1}]}))
+    assert run_cli("bench", "--config", str(config), flag, value) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -312,20 +309,45 @@ def test_client_against_downed_replica_is_connection_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bench_live_cluster_then_summary(live_cluster, tmp_path, capsys):
+def test_bench_live_cluster_then_check(live_cluster, tmp_path, capsys):
     config_path, _endpoints = live_cluster
-    out = tmp_path / "live.csv"
+    out = tmp_path / "live"
     assert run_cli(
         "bench", "--config", str(config_path), "--clients", "2", "--ops", "10",
         "--mix", "0.5", "--out", str(out),
     ) == 0
-    data = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("summary:")]
-    assert len(data) == 20
-    assert all(outcome == "ok" and float(latency) > 0 for _kind, latency, _rt, outcome in data)
-    capsys.readouterr()
-    assert run_cli("summary", str(out)) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines and all("0 failed, 0 pending" in line for line in lines)
+    metrics = dict(line.split(",") for line in (out / "metrics.csv").read_text().splitlines())
+    assert int(metrics["ops_query_ok"]) + int(metrics["ops_update_ok"]) == 20
+    assert not [key for key in metrics if key.startswith("messages_")]
+    assert run_cli("check", str(out / "history.jsonl")) == 0
+    text = capsys.readouterr().out
+    for condition in ("validity", "stability", "consistency",
+                      "update-stability", "update-visibility"):
+        assert f"{condition}: pass" in text
+    assert "linearizable: pass (20 operations ordered)" in text
+
+
+def test_client_timeout_without_a_quorum_is_a_connection_error(capsys):
+    ports = []
+    for _ in range(3):
+        s = socket.socket()
+        s.bind(("127.0.0.1", 0))
+        ports.append(s.getsockname()[1])
+        s.close()
+    config = ClusterConfig(
+        replicas=tuple(ReplicaEndpoint(i + 1, "127.0.0.1", port) for i, port in enumerate(ports))
+    )
+    daemon = ReplicaDaemon(config, 1)  # replicas 2 and 3 never start
+    thread = threading.Thread(target=asyncio.run, args=(daemon.serve(),), daemon=True)
+    thread.start()
+    try:
+        assert daemon.bound.wait(5)
+        assert run_cli("client", f"127.0.0.1:{ports[0]}", "get", "--timeout", "0.5") == 3
+        assert "error:" in capsys.readouterr().err
+    finally:
+        daemon.request_stop()
+        thread.join(5)
+    assert not thread.is_alive()
 
 
 def test_replica_rejects_unknown_id(live_cluster, capsys):

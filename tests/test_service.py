@@ -14,6 +14,7 @@ import pytest
 
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.history import merge_histories
 from crdtlin.messages import (
     Failed, Merge, Merged, Query, QueryDone, Update, UpdateDone, UpdateOp,
 )
@@ -525,8 +526,6 @@ def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
 
 
 def test_recorded_history_passes_the_checker(cluster):
-    import dataclasses
-
     c = cluster(3)
     with c.client(1, record=True, client_id=0) as alice:
         for _ in range(4):
@@ -535,11 +534,7 @@ def test_recorded_history_passes_the_checker(cluster):
         with c.client(2, record=True, client_id=1) as bob:
             bob.increment()
             bob.value()
-    # op ids must be unique across clients before the histories merge
-    merged = [
-        dataclasses.replace(rec, op_id=i + 1)
-        for i, rec in enumerate(alice.history + bob.history)
-    ]
+    merged = merge_histories([alice.history, bob.history])
     verdicts = check_all(merged)
     assert all(v.passed for v in verdicts.values()), verdicts
     witness = linearize(merged)

@@ -7,15 +7,14 @@ import re
 
 import pytest
 
-from crdtlin.bench import summarize
 from crdtlin.history import OpRecord, read_history, record_to_json, write_trace
 from crdtlin.sim import (
     ConfigError,
     Metrics,
     SimConfig,
     Simulation,
-    op_rows,
     sim_run,
+    summarize,
     workload_generate,
 )
 
@@ -134,7 +133,7 @@ def test_quorum_loss_stalls_without_failing():
                     max_virtual_time=4000, seed=3)
     result = sim_run(cfg)
     assert not result.metrics.quiescent
-    stats = summarize(op_rows(result.history))["update"]
+    stats = summarize(result.history)["update"]
     assert stats["pending"] == 2  # one in-flight op per closed-loop client
     assert stats["failed"] == 0
     pending = [r for r in result.history if r.outcome is None]
@@ -345,7 +344,7 @@ def test_metrics_csv_and_bench_summary_share_one_percentile():
     for samples in ([1, 2], [4, 3, 2, 1], [5, 1, 4, 2, 6, 3], list(range(10, 0, -1))):
         history = [query(i, latency) for i, latency in enumerate(samples, 1)]
         csv = dict(Metrics().rows(history))
-        bench = summarize(op_rows(history))["query"]
+        bench = summarize(history)["query"]
         assert (bench["p50"], bench["p95"]) == (csv["latency_query_p50"], csv["latency_query_p95"])
         assert bench["ok"] == csv["ops_query_ok"] == csv["round_trips_query_1"] == len(samples)
-    assert summarize(op_rows([query(1, 1), query(2, 2)]))["query"]["p50"] == 2
+    assert summarize([query(1, 1), query(2, 2)])["query"]["p50"] == 2
