@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import le
 
 __all__ = [
     "CausalTag",
@@ -64,8 +65,9 @@ class SemilatticeValue(ABC):
     """A value in a join semilattice.
 
     ``compare`` is the partial order (self below-or-equal other) and
-    ``merge`` the least upper bound. Implementations are immutable; merge
-    and updates return fresh values.
+    ``merge`` the least upper bound. Implementations are immutable: updates
+    return fresh values, and merge returns an operand itself when that
+    operand already is the join.
     """
 
     __slots__ = ()
@@ -120,12 +122,18 @@ class GCounter(SemilatticeValue):
         return other
 
     def compare(self, other: "SemilatticeValue") -> bool:
-        other = self._check(other)
-        return all(a <= b for a, b in zip(self.counts, other.counts))
+        return other is self or all(map(le, self.counts, self._check(other).counts))
 
     def merge(self, other: "SemilatticeValue") -> "GCounter":
+        if other is self:
+            return self
         other = self._check(other)
-        return GCounter(tuple(max(a, b) for a, b in zip(self.counts, other.counts)))
+        counts = tuple(map(max, self.counts, other.counts))
+        if counts == self.counts:
+            return self
+        if counts == other.counts:
+            return other
+        return GCounter(counts)
 
     def increment(self, slot: int) -> "GCounter":
         if not 0 <= slot < len(self.counts):
@@ -169,10 +177,17 @@ class GSet(SemilatticeValue):
         return other
 
     def compare(self, other: "SemilatticeValue") -> bool:
-        return self.elements <= self._check(other).elements
+        return other is self or self.elements <= self._check(other).elements
 
     def merge(self, other: "SemilatticeValue") -> "GSet":
-        return GSet(self.elements | self._check(other).elements)
+        if other is self:
+            return self
+        other = self._check(other)
+        if other.elements <= self.elements:
+            return self
+        if self.elements <= other.elements:
+            return other
+        return GSet(self.elements | other.elements)
 
     def add(self, element: bytes) -> "GSet":
         if not isinstance(element, bytes):
@@ -242,13 +257,19 @@ class CausalTaggedState(SemilatticeValue):
         return other
 
     def compare(self, other: "SemilatticeValue") -> bool:
-        return self.value.compare(self._check(other).value)
+        return other is self or self.value.compare(self._check(other).value)
 
     def merge(self, other: "SemilatticeValue") -> "CausalTaggedState":
+        if other is self:
+            return self
         other = self._check(other)
-        return CausalTaggedState(
-            self.value.merge(other.value), tuple(map(max, self.frontier, other.frontier))
-        )
+        value = self.value.merge(other.value)
+        frontier = tuple(map(max, self.frontier, other.frontier))
+        if frontier == self.frontier and value == self.value:
+            return self
+        if frontier == other.frontier and value == other.value:
+            return other
+        return CausalTaggedState(value, frontier)
 
     def canonical_bytes(self) -> bytes:
         width = len(self.frontier)
@@ -356,54 +377,64 @@ def apply_query(cmd: QueryCommand, state: SemilatticeValue):
     raise CommandError(f"unknown query kind {cmd.kind!r}")
 
 
-def state_from_bytes(data: bytes) -> SemilatticeValue:
-    state, used = _parse_state(data, 0)
-    if used != len(data):
-        raise SerializationError(f"{len(data) - used} trailing bytes after state")
+def state_from_bytes(data: bytes, pos: int = 0, end: int | None = None) -> SemilatticeValue:
+    """The state whose canonical form is exactly ``data[pos:end]``, parsed in place.
+
+    Every declared count is checked against the bytes left before a format
+    string is built or a list grows, so a forged width costs nothing.
+    """
+    if end is None:
+        end = len(data)
+    tagged = data[pos : pos + 1] == b"T"
+    state, pos = _parse_value(data, pos + 1 if tagged else pos, end)
+    if tagged:
+        frontier, pos = _read_u64s(data, pos, end)
+        if not frontier:
+            raise SerializationError("tagged state with an empty frontier")
+        state = CausalTaggedState(state, frontier)
+    if pos != end:
+        raise SerializationError(f"{end - pos} trailing bytes after state")
     return state
 
 
-def _need(data: bytes, offset: int, n: int) -> int:
-    end = offset + n
-    if end > len(data):
+def _read_u64s(data: bytes, pos: int, end: int) -> tuple[tuple[int, ...], int]:
+    """A u32 count and that many u64s, and the offset just past them."""
+    if pos + 4 > end:
         raise SerializationError("truncated state encoding")
-    return end
+    (count,) = _U32.unpack_from(data, pos)
+    stop = pos + 4 + 8 * count
+    if stop > end:
+        raise SerializationError("truncated state encoding")
+    return struct.unpack_from(f">{count}Q", data, pos + 4), stop
 
 
-def _parse_state(data: bytes, offset: int) -> tuple[SemilatticeValue, int]:
-    end = _need(data, offset, 1)
-    lead = data[offset:end]
-    offset = end
+def _parse_value(data: bytes, pos: int, end: int) -> tuple[SemilatticeValue, int]:
+    """An untagged value from ``data[pos:end]`` and the offset just past it."""
+    if pos >= end:
+        raise SerializationError("truncated state encoding")
+    lead = data[pos : pos + 1]
     if lead == b"C":
-        end = _need(data, offset, 4)
-        (width,) = _U32.unpack(data[offset:end])
-        offset = end
-        end = _need(data, offset, 8 * width)
-        counts = struct.unpack(f">{width}Q", data[offset:end])
-        return GCounter(counts), end
-    if lead == b"S":
-        end = _need(data, offset, 4)
-        (count,) = _U32.unpack(data[offset:end])
-        offset = end
-        elements = []
-        for _ in range(count):
-            end = _need(data, offset, 4)
-            (length,) = _U32.unpack(data[offset:end])
-            offset = end
-            end = _need(data, offset, length)
-            elements.append(data[offset:end])
-            offset = end
-        return GSet(frozenset(elements)), offset
+        counts, pos = _read_u64s(data, pos + 1, end)
+        return GCounter(counts), pos
     if lead == b"T":
-        inner, offset = _parse_state(data, offset)
-        if isinstance(inner, CausalTaggedState):
-            raise SerializationError("nested tagged state")
-        end = _need(data, offset, 4)
-        (width,) = _U32.unpack(data[offset:end])
-        if width < 1:
-            raise SerializationError("tagged state with an empty frontier")
-        offset = end
-        end = _need(data, offset, 8 * width)
-        frontier = struct.unpack(f">{width}Q", data[offset:end])
-        return CausalTaggedState(inner, frontier), end
-    raise SerializationError(f"unknown state lead byte {lead!r}")
+        raise SerializationError("nested tagged state")
+    if lead != b"S":
+        raise SerializationError(f"unknown state lead byte {lead!r}")
+    if pos + 5 > end:
+        raise SerializationError("truncated state encoding")
+    (count,) = _U32.unpack_from(data, pos + 1)
+    pos += 5
+    if pos + 4 * count > end:
+        raise SerializationError("truncated state encoding")
+    elements = []
+    for _ in range(count):
+        if pos + 4 > end:
+            raise SerializationError("truncated state encoding")
+        (length,) = _U32.unpack_from(data, pos)
+        pos += 4
+        stop = pos + length
+        if stop > end:
+            raise SerializationError("truncated state encoding")
+        elements.append(data[pos:stop])
+        pos = stop
+    return GSet(frozenset(elements)), pos

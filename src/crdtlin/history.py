@@ -17,6 +17,9 @@ from .crdt import CausalTag
 
 SCHEMA_VERSION = 2
 
+# json.dumps would build a new encoder for every line
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class HistoryFormatError(Exception):
     """A history or trace file does not parse under this schema."""
@@ -74,17 +77,18 @@ def _decode_result(obj) -> object:
 
 
 def _encode_op(op: dict) -> dict:
-    out = dict(op)
-    if isinstance(out.get("element"), bytes):
-        out["element"] = base64.b64encode(out["element"]).decode("ascii")
-    return out
+    element = op.get("element")
+    if not isinstance(element, bytes):
+        return op
+    return {**op, "element": base64.b64encode(element).decode("ascii")}
 
 
-def _decode_op(obj: dict) -> dict:
-    out = dict(obj)
-    if "element" in out and out["element"] is not None:
-        out["element"] = base64.b64decode(out["element"])
-    return out
+def _decode_op(obj) -> dict:
+    if type(obj) is not dict:
+        raise HistoryFormatError(f"bad history record: op {obj!r} is not an object")
+    if obj.get("element") is None:
+        return obj
+    return {**obj, "element": base64.b64decode(obj["element"])}
 
 
 def record_to_json(rec: OpRecord) -> str:
@@ -108,7 +112,7 @@ def record_to_json(rec: OpRecord) -> str:
         "retries": rec.retries,
         "incremental_retry_times": list(rec.incremental_retry_times),
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _int_tuple(value, name: str, optional: bool = False) -> tuple[int, ...] | None:
@@ -187,7 +191,7 @@ def trace_event_to_json(ev: TraceEvent) -> str:
     obj = {"v": SCHEMA_VERSION, "t": ev.t, "seq": ev.seq, "kind": ev.kind}
     for key, value in ev.detail:
         obj[key] = value
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def write_trace(events: Iterable[TraceEvent], fp: IO[str]) -> None:

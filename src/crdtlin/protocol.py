@@ -241,6 +241,19 @@ class Replica:
         self._pending_queries: list[tuple[object, object, QueryCommand]] = []
         self._inflight_update: bytes | None = None
         self._inflight_query: bytes | None = None
+        # one handler per event type; peer payloads pass _admit before any state changes
+        self._handlers = {
+            ClientUpdate: self.on_client_update,
+            ClientQuery: self.on_client_query,
+            TimerFire: self.on_timeout,
+            Merge: self._on_acceptor_message,
+            Prepare: self._on_acceptor_message,
+            Vote: self._on_acceptor_message,
+            Merged: self.on_merged,
+            Ack: self.on_ack,
+            Voted: self.on_voted,
+            Nack: self.on_nack,
+        }
 
     # -- identity helpers
 
@@ -260,34 +273,18 @@ class Replica:
     def _peers(self) -> Iterable[int]:
         return (r for r in range(1, self.config.n_replicas + 1) if r != self.rid)
 
-    def _everyone(self) -> Iterable[int]:
-        return range(1, self.config.n_replicas + 1)
+    def _broadcast(self, msg: ReplicaMessage, out: StepOutput) -> None:
+        # one message object for every destination, so a runtime can encode it once
+        out.sends.extend((dst, msg) for dst in range(1, self.config.n_replicas + 1))
 
     # -- event entry point
 
     def step(self, event) -> StepOutput:
+        handler = self._handlers.get(type(event))
+        if handler is None:
+            raise ProtocolError(f"unknown event {event!r}")
         out = StepOutput()
-        if isinstance(event, (Merge, Prepare, Vote, Ack, Nack)):
-            self._admit(event)
-        match event:
-            case ClientUpdate():
-                self.on_client_update(event.op, event.client, event.token, out)
-            case ClientQuery():
-                self.on_client_query(event.query, event.client, event.token, out)
-            case TimerFire():
-                self.on_timeout(event.request_id, event.generation, out)
-            case Merge() | Prepare() | Vote():
-                self._acceptor_dispatch(event, out)
-            case Merged():
-                self.on_merged(event, out)
-            case Ack():
-                self.on_ack(event, out)
-            case Voted():
-                self.on_voted(event, out)
-            case Nack():
-                self.on_nack(event, out)
-            case _:
-                raise ProtocolError(f"unknown event {event!r}")
+        handler(event, out)
         return out
 
     def _admit(self, m) -> None:
@@ -308,7 +305,8 @@ class Replica:
                 f"of replica {self.rid}, which has issued {self._update_seq}"
             )
 
-    def _acceptor_dispatch(self, m, out: StepOutput) -> None:
+    def _on_acceptor_message(self, m, out: StepOutput) -> None:
+        self._admit(m)
         if not 1 <= m.sender <= self.config.n_replicas:
             return
         if isinstance(m, Merge):
@@ -321,19 +319,21 @@ class Replica:
 
     # -- client operations and batching
 
-    def on_client_update(self, op: UpdateOp, client, token, out: StepOutput) -> None:
+    def on_client_update(self, event: ClientUpdate, out: StepOutput) -> None:
+        item = (event.client, event.token, event.op)
         if not self.config.batching:
-            self._start_update([(client, token, op)], out)
+            self._start_update([item], out)
             return
-        self._pending_updates.append((client, token, op))
+        self._pending_updates.append(item)
         if self._inflight_update is None:
             self._flush_updates(out)
 
-    def on_client_query(self, query: QueryCommand, client, token, out: StepOutput) -> None:
+    def on_client_query(self, event: ClientQuery, out: StepOutput) -> None:
+        item = (event.client, event.token, event.query)
         if not self.config.batching:
-            self._start_query([(client, token, query)], out)
+            self._start_query([item], out)
             return
-        self._pending_queries.append((client, token, query))
+        self._pending_queries.append(item)
         if self._inflight_query is None:
             self._flush_queries(out)
 
@@ -383,8 +383,8 @@ class Replica:
             round_trips=1,
         )
         self.requests[request_id] = req
-        for peer in self._peers():
-            out.sends.append((peer, Merge(self.rid, request_id, req.merge_state)))
+        merge = Merge(self.rid, request_id, req.merge_state)
+        out.sends.extend((peer, merge) for peer in self._peers())
         self._arm_timer(req, out)
         self._check_merge_quorum(req, out)
         return req
@@ -413,8 +413,7 @@ class Replica:
             round_trips=1,
         )
         self.requests[request_id] = req
-        for dst in self._everyone():
-            out.sends.append((dst, Prepare(self.rid, request_id, req.round, payload)))
+        self._broadcast(Prepare(self.rid, request_id, req.round, payload), out)
         self._arm_timer(req, out)
         return req
 
@@ -444,6 +443,7 @@ class Replica:
         self._finish(req, out)
 
     def on_ack(self, m: Ack, out: StepOutput) -> None:
+        self._admit(m)
         req = self.requests.get(m.request_id)
         if req is None or req.kind != "query" or req.phase != "preparing":
             return
@@ -472,8 +472,7 @@ class Replica:
             req.round = rounds[0]
             req.voted = set()
             req.round_trips += 1
-            for dst in self._everyone():
-                out.sends.append((dst, Vote(self.rid, req.request_id, req.round, lub)))
+            self._broadcast(Vote(self.rid, req.request_id, req.round, lub), out)
             self._arm_timer(req, out)
         else:
             # mixed rounds: outbid them all with a fixed prepare
@@ -487,8 +486,7 @@ class Replica:
             out.retries.append(RequestRetry(req.request_id, "fixed"))
             if self._retries_exhausted(req, out):
                 return
-            for dst in self._everyone():
-                out.sends.append((dst, Prepare(self.rid, req.request_id, req.round, lub)))
+            self._broadcast(Prepare(self.rid, req.request_id, req.round, lub), out)
             self._arm_timer(req, out)
 
     def on_voted(self, m: Voted, out: StepOutput) -> None:
@@ -504,6 +502,7 @@ class Replica:
             self._complete_query(req, req.proposed, out)
 
     def on_nack(self, m: Nack, out: StepOutput) -> None:
+        self._admit(m)
         req = self.requests.get(m.request_id)
         if req is None or req.kind != "query" or req.phase == "done":
             return
@@ -512,9 +511,10 @@ class Replica:
             return  # refusal of an attempt already superseded
         self._retry_incremental(req, out)
 
-    def on_timeout(self, request_id: bytes, generation: int, out: StepOutput) -> None:
+    def on_timeout(self, event: TimerFire, out: StepOutput) -> None:
+        request_id = event.request_id
         req = self.requests.get(request_id)
-        if req is None or generation != req.timer_generation:
+        if req is None or event.generation != req.timer_generation:
             return
         if req.kind == "update":
             req.retries += 1
@@ -522,9 +522,8 @@ class Replica:
                 return
             req.round_trips += 1
             out.retries.append(RequestRetry(req.request_id, "merge-resend"))
-            for peer in self._peers():
-                if peer not in req.merged:
-                    out.sends.append((peer, Merge(self.rid, request_id, req.merge_state)))
+            merge = Merge(self.rid, request_id, req.merge_state)
+            out.sends.extend((peer, merge) for peer in self._peers() if peer not in req.merged)
             self._arm_timer(req, out)
         else:
             self._retry_incremental(req, out)
@@ -541,8 +540,7 @@ class Replica:
         req.proposed = None
         req.round_trips += 1
         out.retries.append(RequestRetry(req.request_id, "incremental"))
-        for dst in self._everyone():
-            out.sends.append((dst, Prepare(self.rid, req.request_id, req.round, req.gathered)))
+        self._broadcast(Prepare(self.rid, req.request_id, req.round, req.gathered), out)
         self._arm_timer(req, out)
 
     def _retries_exhausted(self, req: ProposerRequest, out: StepOutput) -> bool:

@@ -193,6 +193,7 @@ class ReplicaDaemon:
         self._links = {p.id: _PeerLink() for p in config.replicas if p.id != replica_id}
         self._client_transports: dict[bytes, asyncio.Transport] = {}
         self._timers: dict[bytes, asyncio.TimerHandle] = {}  # by request id
+        self._framed: tuple[Message, bytes] | None = None  # last peer message and its frame
         self._connections: set[asyncio.Transport] = set()  # inbound, peers' and clients'
         self._stop = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -277,15 +278,18 @@ class ReplicaDaemon:
         if buffered >= _PEER_BUFFER_LIMIT:
             log.debug("replica %d: link to peer %d full, dropping frame", self.endpoint.id, dst)
             return
-        try:
-            frame = encode(msg)
-        except FrameError as exc:
-            # lost like any other dropped frame; the link itself stays up
-            log.warning(
-                "replica %d: dropping %s to peer %d: %s",
-                self.endpoint.id, type(msg).__name__, dst, exc,
-            )
-            return
+        # a broadcast hands every peer one message object: encode it once
+        if self._framed is None or self._framed[0] is not msg:
+            try:
+                self._framed = (msg, encode(msg))
+            except FrameError as exc:
+                # lost like any other dropped frame; the link itself stays up
+                log.warning(
+                    "replica %d: dropping %s to peer %d: %s",
+                    self.endpoint.id, type(msg).__name__, dst, exc,
+                )
+                return
+        frame = self._framed[1]
         if transport is None:
             link.held += frame
         else:

@@ -476,11 +476,18 @@ class Simulation:
         out = replica.step(event)
         if self.config.check_invariants:
             self._check_step_invariants(rid, replica, before_state, before_nr, out)
-        for request_id, generation in ((tr.request_id, tr.generation) for tr in out.timers):
-            self._push(t + self.config.effective_timeout(), "timer", (rid, request_id, generation))
+        for timer in out.timers:
+            self._push(t + self.config.effective_timeout(), "timer", (rid, timer.request_id, timer.generation))
         for retry in out.retries:
             self._retry_times[retry.request_id].append((t, retry.kind))
+        sized = None  # a broadcast shares one state: size it once
         for dst, msg in out.sends:
+            state = getattr(msg, "state", None)
+            if state is not None and state is not sized:
+                sized = state
+                size = state.canonical_size()
+                if size > self.metrics.max_payload_bytes:
+                    self.metrics.max_payload_bytes = size
             self._send(t, rid, dst, msg)
         for reply in out.replies:
             self._deliver_reply(t, reply)
@@ -488,11 +495,6 @@ class Simulation:
     def _send(self, t: int, src: int, dst: int, msg) -> None:
         mtype = type(msg).__name__
         self.metrics.messages_sent[mtype] += 1
-        state = getattr(msg, "state", None)
-        if state is not None:
-            size = state.canonical_size()
-            if size > self.metrics.max_payload_bytes:
-                self.metrics.max_payload_bytes = size
         if dst == src:
             # local hop: reliable, never duplicated, one tick
             self._push(t + 1, "deliver", (src, dst, msg))
@@ -553,12 +555,13 @@ class Simulation:
             if key in self._votes_broadcast:
                 raise InvariantViolation("second vote broadcast for one request round")
             self._votes_broadcast.add(key)
+        checked = None  # a batch's replies share one learned state: check it once
         for reply in out.replies:
-            if reply.ok and reply.kind == "query" and reply.learned is not None:
+            learned = reply.learned
+            if reply.ok and reply.kind == "query" and learned is not None and learned is not checked:
+                checked = learned
                 dominating = {
-                    r
-                    for r, rep in self.replicas.items()
-                    if reply.learned.compare(rep.acceptor.state)
+                    r for r, rep in self.replicas.items() if learned.compare(rep.acceptor.state)
                 }
                 if not replica.quorum.is_quorum(dominating):
                     raise InvariantViolation(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 
-from .crdt import QueryCommand, SemilatticeValue, state_from_bytes
+from .crdt import QueryCommand, SemilatticeValue, SerializationError, state_from_bytes
 from .messages import (
     BOTTOM_ID,
     BOTTOM_NR,
@@ -47,27 +47,25 @@ __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
 
 MAX_FRAME = 16 * 1024 * 1024  # total frame size cap, length prefix included
 
-_TYPES: dict[type, int] = {
-    Update: 1,
-    UpdateDone: 2,
-    Query: 3,
-    QueryDone: 4,
-    Merge: 5,
-    Merged: 6,
-    Prepare: 7,
-    Ack: 8,
-    Vote: 9,
-    Voted: 10,
-    Nack: 11,
-    Failed: 12,
-}
+# wire type numbers: 1 to 12 in this order
+_BY_NUMBER = (Update, UpdateDone, Query, QueryDone, Merge, Merged, Prepare, Ack, Vote, Voted, Nack, Failed)
+_TYPES: dict[type, int] = {cls: number for number, cls in enumerate(_BY_NUMBER, 1)}
 
+# decoding looks kinds up by byte value
 _OP_KINDS = {"increment": b"i", "set_add": b"a"}
-_OP_KINDS_BACK = {v: k for k, v in _OP_KINDS.items()}
+_OP_KINDS_BACK = {v[0]: k for k, v in _OP_KINDS.items()}
 _QUERY_KINDS = {"counter_value": b"v", "set_contains": b"c", "set_elements": b"e"}
-_QUERY_KINDS_BACK = {v: k for k, v in _QUERY_KINDS.items()}
+_QUERY_KINDS_BACK = {v[0]: k for k, v in _QUERY_KINDS.items()}
 _FAIL_KINDS = {"update": b"u", "query": b"q"}
-_FAIL_KINDS_BACK = {v: k for k, v in _FAIL_KINDS.items()}
+_FAIL_KINDS_BACK = {v[0]: k for k, v in _FAIL_KINDS.items()}
+
+_HEADER = struct.Struct(">B16sIqQQ")
+_PREFIXED_HEADER = struct.Struct(">IB16sIqQQ")
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_II = struct.Struct(">II")
+_QQ = struct.Struct(">QQ")
+_QQII = struct.Struct(">QQII")
 
 
 class FrameError(Exception):
@@ -79,26 +77,26 @@ class FrameError(Exception):
 
 def _state_slot(state: SemilatticeValue | None) -> bytes:
     if state is None:
-        return struct.pack(">I", 0)
+        return b"\x00\x00\x00\x00"
     blob = state.canonical_bytes()
-    return struct.pack(">I", len(blob)) + blob
+    return _U32.pack(len(blob)) + blob
 
 
 def _bytes_slot(data: bytes | None) -> bytes:
     if data is None:
         return b"\x00"
-    return b"\x01" + struct.pack(">I", len(data)) + data
+    return b"\x01" + _U32.pack(len(data)) + data
 
 
 def _str_slot(text: str) -> bytes:
     blob = text.encode("utf-8")
-    return struct.pack(">I", len(blob)) + blob
+    return _U32.pack(len(blob)) + blob
 
 
 def _tag_slot(tag) -> bytes:
     if tag is None:
         return b"\x00"
-    return b"\x01" + struct.pack(">QQ", tag[0], tag[1])
+    return b"\x01" + _QQ.pack(tag[0], tag[1])
 
 
 def _result_slot(result) -> bytes:
@@ -107,11 +105,11 @@ def _result_slot(result) -> bytes:
     if isinstance(result, bool):  # before int: bool is an int subclass
         return b"B" + (b"\x01" if result else b"\x00")
     if isinstance(result, int):
-        return b"I" + struct.pack(">q", result)
+        return b"I" + _I64.pack(result)
     if isinstance(result, (tuple, list)):
-        parts = [b"L", struct.pack(">I", len(result))]
+        parts = [b"L", _U32.pack(len(result))]
         for element in result:
-            parts.append(struct.pack(">I", len(element)) + element)
+            parts.append(_U32.pack(len(element)) + element)
         return b"".join(parts)
     raise FrameError(f"result {result!r} has no wire form")
 
@@ -131,25 +129,25 @@ def _query_slot(query: QueryCommand) -> bytes:
 
 
 def _body(msg: Message) -> bytes:
-    match msg:
-        case Update():
-            return _op_slot(msg.op)
-        case UpdateDone():
-            return struct.pack(">QQII", msg.tag[0], msg.tag[1], msg.round_trips, msg.retries)
-        case Query():
-            return _query_slot(msg.query)
-        case QueryDone():
-            return (
-                struct.pack(">II", msg.round_trips, msg.retries)
-                + _result_slot(msg.result)
-                + _state_slot(msg.learned)
-            )
+    match msg:  # peer messages first: they are most of the traffic
         case Merge() | Prepare() | Ack() | Vote():
             return _state_slot(msg.state)
         case Merged() | Voted():
             return b""
         case Nack():
-            return struct.pack(">QQ", msg.reject_id[0], msg.reject_id[1]) + _state_slot(msg.state)
+            return _QQ.pack(msg.reject_id[0], msg.reject_id[1]) + _state_slot(msg.state)
+        case Update():
+            return _op_slot(msg.op)
+        case UpdateDone():
+            return _QQII.pack(msg.tag[0], msg.tag[1], msg.round_trips, msg.retries)
+        case Query():
+            return _query_slot(msg.query)
+        case QueryDone():
+            return (
+                _II.pack(msg.round_trips, msg.retries)
+                + _result_slot(msg.result)
+                + _state_slot(msg.learned)
+            )
         case Failed():
             kind = _FAIL_KINDS.get(msg.kind)
             if kind is None:
@@ -165,164 +163,158 @@ def encode(msg: Message) -> bytes:
     if len(msg.request_id) != 16:
         raise FrameError(f"request id must be 16 bytes, got {len(msg.request_id)}")
     rnd = getattr(msg, "round", ROUND_BOTTOM)
-    payload = (
-        struct.pack(">B16sIqQQ", mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid)
-        + _body(msg)
-    )
-    if 4 + len(payload) > MAX_FRAME:
-        raise FrameError(f"frame of {4 + len(payload)} bytes exceeds the {MAX_FRAME} cap")
-    return struct.pack(">I", len(payload)) + payload
+    body = _body(msg)
+    length = _HEADER.size + len(body)
+    if 4 + length > MAX_FRAME:
+        raise FrameError(f"frame of {4 + length} bytes exceeds the {MAX_FRAME} cap")
+    return _PREFIXED_HEADER.pack(length, mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid) + body
 
 
 # ------------------------------------------------------------------- decode
+#
+# Each reader takes the payload and an offset and returns what it read with
+# the offset past it. Fixed-width fields rely on ``unpack_from`` refusing a
+# short buffer; every declared length is checked against the payload first.
 
 
-class _Reader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FrameError("frame ends mid-field")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise FrameError(f"{len(self.buf) - self.pos} trailing bytes after the body")
-
-
-def _read_state(r: _Reader) -> SemilatticeValue | None:
-    (n,) = r.unpack(">I")
+def _read_state(p: bytes, pos: int) -> tuple[SemilatticeValue | None, int]:
+    (n,) = _U32.unpack_from(p, pos)
+    pos += 4
     if n == 0:
-        return None
-    blob = r.take(n)
+        return None, pos
+    end = pos + n
+    if end > len(p):
+        raise FrameError("frame ends mid-field")
     try:
-        return state_from_bytes(blob)
-    except Exception as exc:
+        return state_from_bytes(p, pos, end), end
+    except SerializationError as exc:
         raise FrameError(f"state slot does not decode: {exc}") from exc
 
 
-def _require_state(r: _Reader, mtype: int) -> SemilatticeValue:
-    state = _read_state(r)
+def _require_state(p: bytes, pos: int, mtype: int) -> tuple[SemilatticeValue, int]:
+    state, pos = _read_state(p, pos)
     if state is None:
         raise FrameError(f"message type {mtype} requires a state payload")
-    return state
+    return state, pos
 
 
-def _read_bytes_slot(r: _Reader) -> bytes | None:
-    (present,) = r.unpack(">B")
+def _read_bytes(p: bytes, pos: int) -> tuple[bytes, int]:
+    (n,) = _U32.unpack_from(p, pos)
+    end = pos + 4 + n
+    if end > len(p):
+        raise FrameError("frame ends mid-field")
+    return p[pos + 4 : end], end
+
+
+def _read_bytes_slot(p: bytes, pos: int) -> tuple[bytes | None, int]:
+    present = p[pos]
     if present == 0:
-        return None
+        return None, pos + 1
     if present != 1:
         raise FrameError(f"bad presence byte {present}")
-    (n,) = r.unpack(">I")
-    return r.take(n)
+    return _read_bytes(p, pos + 1)
 
 
-def _read_result(r: _Reader):
-    lead = r.take(1)
+def _read_result(p: bytes, pos: int):
+    if pos >= len(p):
+        raise FrameError("frame ends mid-field")
+    lead = p[pos : pos + 1]
+    pos += 1
     if lead == b"N":
-        return None
+        return None, pos
     if lead == b"B":
-        (flag,) = r.unpack(">B")
+        flag = p[pos]
         if flag > 1:
             raise FrameError(f"bad boolean byte {flag}")
-        return flag == 1
+        return flag == 1, pos + 1
     if lead == b"I":
-        (value,) = r.unpack(">q")
-        return value
+        return _I64.unpack_from(p, pos)[0], pos + 8
     if lead == b"L":
-        (count,) = r.unpack(">I")
+        (count,) = _U32.unpack_from(p, pos)
+        pos += 4
+        if pos + 4 * count > len(p):
+            raise FrameError("frame ends mid-field")
         elements = []
         for _ in range(count):
-            (n,) = r.unpack(">I")
-            elements.append(r.take(n))
-        return tuple(elements)
+            element, pos = _read_bytes(p, pos)
+            elements.append(element)
+        return tuple(elements), pos
     raise FrameError(f"unknown result lead byte {lead!r}")
 
 
-def _read_tag(r: _Reader):
-    (present,) = r.unpack(">B")
+def _read_tag(p: bytes, pos: int):
+    present = p[pos]
     if present == 0:
-        return None
+        return None, pos + 1
     if present != 1:
         raise FrameError(f"bad presence byte {present}")
-    return tuple(r.unpack(">QQ"))
+    return _QQ.unpack_from(p, pos + 1), pos + 17
 
 
 def decode_payload(payload: bytes) -> Message:
-    r = _Reader(payload)
-    mtype, request_id, sender, nr, rid_counter, rid_process = r.unpack(">B16sIqQQ")
+    try:
+        msg, pos = _decode(payload)
+    except (struct.error, IndexError) as exc:
+        raise FrameError("frame ends mid-field") from exc
+    if pos != len(payload):
+        raise FrameError(f"{len(payload) - pos} trailing bytes after the body")
+    return msg
+
+
+def _decode(p: bytes) -> tuple[Message, int]:
+    mtype, request_id, sender, nr, rid_counter, rid_process = _HEADER.unpack_from(p)
     if nr < BOTTOM_NR:
         raise FrameError(f"round number {nr} below bottom")
-    rnd = Round(nr, (rid_counter, rid_process))
-
-    def plain_round() -> None:
-        if rnd != ROUND_BOTTOM:
-            raise FrameError(f"message type {mtype} must carry the bottom round")
-
-    msg: Message
+    if not 1 <= mtype <= 12:
+        raise FrameError(f"unknown message type {mtype}")
+    pos = _HEADER.size
+    if 7 <= mtype <= 11:
+        rnd = Round(nr, (rid_counter, rid_process))
+        if mtype == 10:
+            return Voted(sender, request_id, rnd), pos
+        if mtype == 11:
+            reject = _QQ.unpack_from(p, pos)
+            state, pos = _require_state(p, pos + 16, mtype)
+            return Nack(sender, request_id, rnd, state, reject), pos
+        state, pos = _require_state(p, pos, mtype)
+        return _BY_NUMBER[mtype - 1](sender, request_id, rnd, state), pos  # Prepare, Ack, Vote
+    if nr != BOTTOM_NR or rid_counter or rid_process:
+        raise FrameError(f"message type {mtype} must carry the bottom round")
+    if mtype == 5:
+        state, pos = _require_state(p, pos, mtype)
+        return Merge(sender, request_id, state), pos
+    if mtype == 6:
+        return Merged(sender, request_id), pos
     if mtype == 1:
-        plain_round()
-        kind = _OP_KINDS_BACK.get(r.take(1))
+        kind = _OP_KINDS_BACK.get(p[pos])
         if kind is None:
             raise FrameError("unknown update op kind")
-        msg = Update(sender, request_id, UpdateOp(kind, _read_bytes_slot(r)))
-    elif mtype == 2:
-        plain_round()
-        tag_p, tag_c, round_trips, retries = r.unpack(">QQII")
-        msg = UpdateDone(sender, request_id, (tag_p, tag_c), round_trips, retries)
-    elif mtype == 3:
-        plain_round()
-        kind = _QUERY_KINDS_BACK.get(r.take(1))
+        element, pos = _read_bytes_slot(p, pos + 1)
+        return Update(sender, request_id, UpdateOp(kind, element)), pos
+    if mtype == 2:
+        tag_p, tag_c, round_trips, retries = _QQII.unpack_from(p, pos)
+        return UpdateDone(sender, request_id, (tag_p, tag_c), round_trips, retries), pos + 24
+    if mtype == 3:
+        kind = _QUERY_KINDS_BACK.get(p[pos])
         if kind is None:
             raise FrameError("unknown query kind")
-        msg = Query(sender, request_id, QueryCommand(kind, _read_bytes_slot(r)))
-    elif mtype == 4:
-        plain_round()
-        round_trips, retries = r.unpack(">II")
-        result = _read_result(r)
-        msg = QueryDone(sender, request_id, result, _read_state(r), round_trips, retries)
-    elif mtype == 5:
-        plain_round()
-        msg = Merge(sender, request_id, _require_state(r, mtype))
-    elif mtype == 6:
-        plain_round()
-        msg = Merged(sender, request_id)
-    elif mtype == 7:
-        msg = Prepare(sender, request_id, rnd, _require_state(r, mtype))
-    elif mtype == 8:
-        msg = Ack(sender, request_id, rnd, _require_state(r, mtype))
-    elif mtype == 9:
-        msg = Vote(sender, request_id, rnd, _require_state(r, mtype))
-    elif mtype == 10:
-        msg = Voted(sender, request_id, rnd)
-    elif mtype == 11:
-        reject = tuple(r.unpack(">QQ"))
-        msg = Nack(sender, request_id, rnd, _require_state(r, mtype), reject)
-    elif mtype == 12:
-        plain_round()
-        kind = _FAIL_KINDS_BACK.get(r.take(1))
-        if kind is None:
-            raise FrameError("unknown failure kind")
-        (n,) = r.unpack(">I")
-        try:
-            reason = r.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError("failure reason is not valid UTF-8") from exc
-        msg = Failed(sender, request_id, kind, reason, _read_tag(r))
-    else:
-        raise FrameError(f"unknown message type {mtype}")
-    r.done()
-    return msg
+        element, pos = _read_bytes_slot(p, pos + 1)
+        return Query(sender, request_id, QueryCommand(kind, element)), pos
+    if mtype == 4:
+        round_trips, retries = _II.unpack_from(p, pos)
+        result, pos = _read_result(p, pos + 8)
+        learned, pos = _read_state(p, pos)
+        return QueryDone(sender, request_id, result, learned, round_trips, retries), pos
+    kind = _FAIL_KINDS_BACK.get(p[pos])
+    if kind is None:
+        raise FrameError("unknown failure kind")
+    reason, pos = _read_bytes(p, pos + 1)
+    try:
+        text = reason.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError("failure reason is not valid UTF-8") from exc
+    tag, pos = _read_tag(p, pos)
+    return Failed(sender, request_id, kind, text, tag), pos
 
 
 def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:
@@ -333,7 +325,7 @@ def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:
     """
     if len(buffer) < 4:
         return None
-    (length,) = struct.unpack_from(">I", buffer)
+    (length,) = _U32.unpack_from(buffer)
     if length + 4 > MAX_FRAME:
         raise FrameError(f"declared frame of {length + 4} bytes exceeds the {MAX_FRAME} cap")
     if len(buffer) < 4 + length:

@@ -166,6 +166,72 @@ def test_set_merge_laws(a, b, c):
     assert a.compare(a.merge(b))
 
 
+def _join(a, b):
+    """The least upper bound by the pointwise and set definitions, built afresh."""
+    if isinstance(a, CausalTaggedState):
+        frontier = tuple(x if x > y else y for x, y in zip(a.frontier, b.frontier))
+        return CausalTaggedState(_join(a.value, b.value), frontier)
+    if isinstance(a, GCounter):
+        return GCounter(tuple(oracle_counter_merge(list(a.counts), list(b.counts))))
+    return GSet(frozenset([*a.elements, *b.elements]))
+
+
+def _leq(a, b) -> bool:
+    if isinstance(a, CausalTaggedState):
+        return _leq(a.value, b.value)  # the frontier rides along
+    if isinstance(a, GCounter):
+        return oracle_counter_leq(list(a.counts), list(b.counts))
+    return all(e in b.elements for e in a.elements)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two operands of one shape: random, equal, one dominated, or the same object."""
+    counter = draw(st.booleans())
+    tagged = draw(st.booleans())
+    width = draw(st.integers(min_value=1, max_value=4))
+
+    def operand():
+        if counter:
+            value = GCounter(tuple(draw(st.integers(0, 3)) for _ in range(width)))
+        else:
+            value = GSet(draw(st.frozensets(st.binary(max_size=2), max_size=4)))
+        if tagged:
+            return CausalTaggedState(value, tuple(draw(st.integers(0, 3)) for _ in range(width)))
+        return value
+
+    a = operand()
+    relation = draw(st.sampled_from(["random", "equal", "dominated", "identical"]))
+    if relation == "random":
+        b = operand()
+    elif relation == "equal":
+        b = _join(a, a)  # a fresh object at every level
+    elif relation == "dominated":
+        b = _join(a, operand())
+    else:
+        b = a
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattice_pairs())
+def test_merge_and_compare_follow_the_definitions_and_reuse_the_join(pair):
+    a, b = pair
+    join = _join(a, b)
+    assert a.compare(b) == _leq(a, b)
+    assert b.compare(a) == _leq(b, a)
+    for x, y in ((a, b), (b, a)):
+        merged = x.merge(y)
+        assert merged == join
+        # an operand that already is the join comes back itself; else a new value
+        if x == join:
+            assert merged is x
+        elif y == join:
+            assert merged is y
+        else:
+            assert merged is not x and merged is not y
+
+
 def test_counter_compare_antisymmetry_exhaustive():
     # every width-2 vector with entries in 0..3
     vecs = [GCounter((i, j)) for i in range(4) for j in range(4)]

@@ -30,6 +30,7 @@ from crdtlin.protocol import (
     ClientUpdate,
     PayloadRejected,
     ProtocolConfig,
+    ProtocolError,
     Replica,
     TimerFire,
 )
@@ -584,6 +585,8 @@ def test_payload_claiming_unissued_local_updates_is_refused():
         Merge(1, REQ, forged),
         Prepare(1, REQ, incremental_round(X), forged),
         Vote(1, REQ, Round(1, X), forged),
+        Ack(1, REQ, Round(1, X), forged),  # refused even for a request it never made
+        Nack(1, REQ, Round(1, X), forged, X),
     ):
         with pytest.raises(PayloadRejected):
             r.step(msg)
@@ -594,3 +597,10 @@ def test_payload_claiming_unissued_local_updates_is_refused():
     out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
     assert sends_by_type(out, Merge)
     assert r.step(Merge(1, REQ, forged)).sends == [(1, Merged(2, REQ))]
+
+
+def test_unknown_event_is_a_protocol_error():
+    r = make_replica()
+    for event in (UpdateOp.increment(), "merge", None):
+        with pytest.raises(ProtocolError):
+            r.step(event)

@@ -4,12 +4,17 @@ the execution invariants it enforces while running."""
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
+from crdtlin.crdt import CausalTaggedState, GCounter
 from crdtlin.history import OpRecord, read_history, record_to_json, write_trace
+from crdtlin.messages import BOTTOM_ID, Merged, Round
+from crdtlin.protocol import Acceptor, Replica
 from crdtlin.sim import (
     ConfigError,
+    InvariantViolation,
     Metrics,
     SimConfig,
     Simulation,
@@ -348,3 +353,46 @@ def test_metrics_csv_and_bench_summary_share_one_percentile():
         assert (bench["p50"], bench["p95"]) == (csv["latency_query_p50"], csv["latency_query_p95"])
         assert bench["ok"] == csv["ops_query_ok"] == csv["round_trips_query_1"] == len(samples)
     assert summarize([query(1, 1), query(2, 2)])["query"]["p50"] == 2
+
+
+# ------------------------------------------------------------- invariant monitor
+#
+# Each test plants a protocol fault, checks that the monitor stops the run,
+# and that the same run with the monitor off raises nothing: the monitor
+# alone catches the fault.
+
+
+def test_monitor_catches_an_acceptor_that_overwrites_instead_of_merging(monkeypatch):
+    def overwrite(self, m):
+        self.state = m.state
+        self.round = Round(self.round.nr, BOTTOM_ID)
+        return Merged(sender=self.rid, request_id=m.request_id)
+
+    monkeypatch.setattr(Acceptor, "on_merge", overwrite)
+    config = SimConfig(n_replicas=3, n_clients=4, update_fraction=0.8, ops_per_client=20,
+                       delay_max=3, seed=1)
+    with pytest.raises(InvariantViolation, match="payload shrank"):
+        sim_run(config)
+    sim_run(replace(config, check_invariants=False))
+
+
+def test_monitor_catches_a_batch_learning_an_inflated_state(monkeypatch):
+    complete = Replica._complete_query
+    batch_sizes = []
+
+    def inflate(self, req, learned, out):
+        # only batches of two or more, so the violation surfaces in a step
+        # whose replies all share one learned state
+        if len(req.ops) >= 2:
+            batch_sizes.append(len(req.ops))
+            counts = tuple(c + 1000 for c in learned.value.counts)
+            learned = CausalTaggedState(GCounter(counts), learned.frontier)
+        complete(self, req, learned, out)
+
+    monkeypatch.setattr(Replica, "_complete_query", inflate)
+    config = SimConfig(n_replicas=3, n_clients=16, update_fraction=0.1, ops_per_client=10,
+                       batching=True, seed=1)
+    with pytest.raises(InvariantViolation, match="not dominated by any quorum"):
+        sim_run(config)
+    assert batch_sizes
+    sim_run(replace(config, check_invariants=False))

@@ -3,6 +3,7 @@ against truncated, oversized, and random-garbage input."""
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -231,6 +232,86 @@ def test_hundred_thousand_random_valid_messages_round_trip():
             tag = (rng.randrange(1, 9), rng.randrange(1, 1 << 20)) if rng.random() < 0.5 else None
             msg = Failed(sender, rid, rng.choice(["update", "query"]), "timeout", tag)
         assert decode_payload(encode(msg)[4:]) == msg
+
+
+_TAGGED_SET = CausalTaggedState(GSet.of(b"e1", b"e22"), (2, 0, 1))
+_HEAD = "000102030405060708090a0b0c0d0e0f"  # RID
+_BOTTOM = "ffffffffffffffff" + "00" * 16
+_TAGGED_HEX = (
+    "0000003a5443000000030000000000000003000000000000000000000000000000070000000300"
+    "0000000000000100000000000000000000000000000002"
+)
+_TAGGED_SET_HEX = (
+    "0000002f545300000002000000026531000000036532320000000300000000000000020000000000"
+    "0000000000000000000001"
+)
+
+# one frame per message type, written by the codec before its one-pass rewrite:
+# the wire format must not move by a byte
+GOLDEN = [
+    (Update(0, RID, UpdateOp.set_add(b"e7")),
+     "0000003501" + _HEAD + "00000000" + _BOTTOM + "6101000000026537"),
+    (UpdateDone(2, RID, (2, 41), 1, 0),
+     "0000004502" + _HEAD + "00000002" + _BOTTOM
+     + "000000000000000200000000000000290000000100000000"),
+    (Query(0, RID, QueryCommand.set_contains(b"x")),
+     "0000003403" + _HEAD + "00000000" + _BOTTOM + "63010000000178"),
+    (QueryDone(1, RID, 42, STATE, 3, 1),
+     "0000007c04" + _HEAD + "00000001" + _BOTTOM
+     + "000000030000000149000000000000002a" + _TAGGED_HEX),
+    (Merge(3, RID, _TAGGED_SET),
+     "0000006005" + _HEAD + "00000003" + _BOTTOM + _TAGGED_SET_HEX),
+    (Merged(2, RID), "0000002d06" + _HEAD + "00000002" + _BOTTOM),
+    (Prepare(1, RID, incremental_round((4, 1)), STATE),
+     "0000006b07" + _HEAD + "00000001" + "ffffffffffffffff"
+     + "00000000000000040000000000000001" + _TAGGED_HEX),
+    (Ack(2, RID, Round(12, (3, 5)), SET_STATE),
+     "0000004908" + _HEAD + "00000002" + "000000000000000c"
+     + "00000000000000030000000000000005"
+     + "000000185300000003000000000000000200ff00000005616c706861"),
+    (Vote(1, RID, Round(5, (8, 1)), STATE),
+     "0000006b09" + _HEAD + "00000001" + "0000000000000005"
+     + "00000000000000080000000000000001" + _TAGGED_HEX),
+    (Voted(3, RID, Round(5, (8, 1))),
+     "0000002d0a" + _HEAD + "00000003" + "0000000000000005"
+     + "00000000000000080000000000000001"),
+    (Nack(2, RID, Round(9, (0, 0)), _TAGGED_SET, (17, 4)),
+     "000000700b" + _HEAD + "00000002" + "0000000000000009" + "00" * 16
+     + "00000000000000110000000000000004" + _TAGGED_SET_HEX),
+    (Failed(1, RID, "update", "max-retries", (2, 9)),
+     "0000004e0c" + _HEAD + "00000001" + _BOTTOM
+     + "750000000b6d61782d726574726965730100000000000000020000000000000009"),
+]
+
+
+@pytest.mark.parametrize("msg,frame_hex", GOLDEN, ids=[type(m).__name__ for m, _ in GOLDEN])
+def test_golden_frames(msg, frame_hex):
+    frame = bytes.fromhex(frame_hex)
+    assert encode(msg) == frame
+    assert try_decode(frame) == (msg, len(frame))
+
+
+def test_golden_frames_cover_every_message_type():
+    assert len({type(msg) for msg, _ in GOLDEN}) == 12
+
+
+def test_huge_declared_frontier_width_is_rejected_before_allocating():
+    # a 120-byte frame whose tagged state claims 2**32 - 1 frontier entries:
+    # the width is checked against the bytes present, so no 32 GiB unpack
+    blob = b"T" + GCounter((1,)).canonical_bytes() + struct.pack(">I", 0xFFFFFFFF)
+    blob += b"\x00" * (120 - 4 - 45 - 4 - len(blob))
+    header = encode(Merged(2, RID))[5:]  # request id, sender, bottom round
+    payload = b"\x05" + header + struct.pack(">I", len(blob)) + blob  # a Merge
+    frame = struct.pack(">I", len(payload)) + payload
+    assert len(frame) == 120
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameError):
+            try_decode(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_back_to_back_frames_decode_in_sequence():
