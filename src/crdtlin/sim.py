@@ -477,7 +477,8 @@ class Simulation:
         if self.config.check_invariants:
             self._check_step_invariants(rid, replica, before_state, before_nr, out)
         for timer in out.timers:
-            self._push(t + self.config.effective_timeout(), "timer", (rid, timer.request_id, timer.generation))
+            due = t + self.config.effective_timeout()
+            self._push(due, "timer", (rid, timer.request_id, timer.generation))
         for retry in out.retries:
             self._retry_times[retry.request_id].append((t, retry.kind))
         sized = None  # a broadcast shares one state: size it once
@@ -558,15 +559,16 @@ class Simulation:
         checked = None  # a batch's replies share one learned state: check it once
         for reply in out.replies:
             learned = reply.learned
-            if reply.ok and reply.kind == "query" and learned is not None and learned is not checked:
-                checked = learned
-                dominating = {
-                    r for r, rep in self.replicas.items() if learned.compare(rep.acceptor.state)
-                }
-                if not replica.quorum.is_quorum(dominating):
-                    raise InvariantViolation(
-                        "learned state not dominated by any quorum of acceptor payloads"
-                    )
+            if not reply.ok or reply.kind != "query" or learned is None or learned is checked:
+                continue
+            checked = learned
+            dominating = {
+                r for r, rep in self.replicas.items() if learned.compare(rep.acceptor.state)
+            }
+            if not replica.quorum.is_quorum(dominating):
+                raise InvariantViolation(
+                    "learned state not dominated by any quorum of acceptor payloads"
+                )
 
 
 def sim_run(config: SimConfig) -> SimResult:

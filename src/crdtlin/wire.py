@@ -48,7 +48,9 @@ __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
 MAX_FRAME = 16 * 1024 * 1024  # total frame size cap, length prefix included
 
 # wire type numbers: 1 to 12 in this order
-_BY_NUMBER = (Update, UpdateDone, Query, QueryDone, Merge, Merged, Prepare, Ack, Vote, Voted, Nack, Failed)
+_BY_NUMBER = (
+    Update, UpdateDone, Query, QueryDone, Merge, Merged, Prepare, Ack, Vote, Voted, Nack, Failed
+)
 _TYPES: dict[type, int] = {cls: number for number, cls in enumerate(_BY_NUMBER, 1)}
 
 # decoding looks kinds up by byte value
