@@ -26,6 +26,7 @@ from .checker import (
     check_all,
     linearize,
 )
+from .crdt import CRDT_KINDS
 from .history import HistoryFormatError, read_history, write_history
 from .service import (
     ClusterConfigError,
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clients", type=int, default=4)
     p.add_argument("--ops", type=int, default=25, help="operations per client")
     p.add_argument("--mix", type=float, default=0.5, help="update fraction in [0,1]")
-    p.add_argument("--crdt", choices=["gcounter", "gset"], default="gcounter")
+    p.add_argument("--crdt", choices=CRDT_KINDS, default="gcounter")
     p.add_argument("--drop", type=float, default=0.0)
     p.add_argument("--duplicate", type=float, default=0.0)
     p.add_argument("--delay-min", type=int, default=1)

@@ -14,11 +14,11 @@ query, however long the history.
 from __future__ import annotations
 
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import le
 
 __all__ = [
+    "CRDT_KINDS",
     "CausalTag",
     "CausalTaggedState",
     "CommandError",
@@ -26,20 +26,21 @@ __all__ = [
     "GCounter",
     "GSet",
     "QueryCommand",
-    "QueryResult",
     "SemilatticeValue",
     "SerializationError",
     "ShapeError",
     "UpdateCommand",
     "apply_query",
     "apply_update",
+    "initial_state",
     "state_from_bytes",
 ]
 
 # (issuing replica id, per-replica update sequence number)
 CausalTag = tuple[int, int]
 
-QueryResult = "int | bool | tuple[bytes, ...]"
+# the value types a cluster can replicate, by the name configs and the CLI use
+CRDT_KINDS = ("gcounter", "gset")
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -61,36 +62,24 @@ class SerializationError(CrdtError):
     """Canonical byte form is malformed."""
 
 
-class SemilatticeValue(ABC):
+class SemilatticeValue:
     """A value in a join semilattice.
 
-    ``compare`` is the partial order (self below-or-equal other) and
-    ``merge`` the least upper bound. Implementations are immutable: updates
-    return fresh values, and merge returns an operand itself when that
-    operand already is the join.
+    Implementations are immutable: updates return fresh values, and merge
+    returns an operand itself when that operand already is the join. Each
+    one provides:
+
+    - ``compare(other) -> bool``: the partial order, true when self is
+      dominated by ``other``;
+    - ``merge(other)``: the least upper bound of self and ``other``;
+    - ``canonical_bytes() -> bytes``: a self-describing canonical encoding,
+      equal for equal values;
+    - ``canonical_size() -> int``: the length of ``canonical_bytes()``
+      without building it;
+    - ``render() -> str``: a short human-readable form for logs.
     """
 
     __slots__ = ()
-
-    @abstractmethod
-    def compare(self, other: "SemilatticeValue") -> bool:
-        """True when self is dominated by ``other`` in the lattice order."""
-
-    @abstractmethod
-    def merge(self, other: "SemilatticeValue") -> "SemilatticeValue":
-        """Least upper bound of self and ``other``."""
-
-    @abstractmethod
-    def canonical_bytes(self) -> bytes:
-        """Self-describing canonical encoding; equal values encode equally."""
-
-    @abstractmethod
-    def canonical_size(self) -> int:
-        """Length of ``canonical_bytes()`` without building it."""
-
-    @abstractmethod
-    def render(self) -> str:
-        """Short human-readable form for logs and debug output."""
 
     def equivalent(self, other: "SemilatticeValue") -> bool:
         return self.compare(other) and other.compare(self)
@@ -284,6 +273,18 @@ class CausalTaggedState(SemilatticeValue):
 
     def render(self) -> str:
         return f"{self.value.render()}+{sum(self.frontier)}t"
+
+
+def initial_state(crdt: str, n_replicas: int, tagged: bool) -> SemilatticeValue:
+    """The empty state of a ``crdt`` cluster of ``n_replicas``; with ``tagged``,
+    wrapped in a ``CausalTaggedState`` whose frontier records no update yet."""
+    if crdt == "gcounter":
+        base: SemilatticeValue = GCounter.zero(n_replicas)
+    elif crdt == "gset":
+        base = GSet.empty()
+    else:
+        raise ValueError(f"unknown crdt {crdt!r}, expected one of {', '.join(CRDT_KINDS)}")
+    return CausalTaggedState.initial(base, n_replicas) if tagged else base
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
-from .crdt import CausalTag
+from .crdt import CausalTag, QueryCommand
+from .messages import UpdateOp
 
 SCHEMA_VERSION = 2
 
@@ -60,6 +61,13 @@ class TraceEvent:
     seq: int
     kind: str  # deliver | drop | duplicate | timer | crash | invoke | respond
     detail: tuple[tuple[str, object], ...] = field(default_factory=tuple)
+
+
+def op_dict(cmd: UpdateOp | QueryCommand) -> dict:
+    """A record's ``op`` field: the command's kind, and its element if it has one."""
+    if cmd.element is None:
+        return {"kind": cmd.kind}
+    return {"kind": cmd.kind, "element": cmd.element}
 
 
 def _encode_result(result) -> object:

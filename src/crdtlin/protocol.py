@@ -63,16 +63,6 @@ class PayloadRejected(Exception):
     """
 
 
-class MajorityQuorum:
-    """Any set of more than half the replicas; two such sets always intersect."""
-
-    def __init__(self, n_replicas: int):
-        self._threshold = n_replicas // 2 + 1
-
-    def is_quorum(self, ids: AbstractSet[int]) -> bool:
-        return len(ids) >= self._threshold
-
-
 @dataclass(frozen=True, slots=True)
 class ProtocolConfig:
     n_replicas: int
@@ -101,9 +91,6 @@ class ClientQuery:
 class TimerFire:
     request_id: bytes
     generation: int
-
-
-Event = "ClientUpdate | ClientQuery | TimerFire | ReplicaMessage"
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,9 +190,8 @@ class ProposerRequest:
     request_id: bytes
     kind: str  # "update" | "query"
     ops: list[tuple[object, object, object]]  # (client, token, command)
-    phase: str  # "merging" | "preparing" | "voting" | "done"
-    round: Round = Round(BOTTOM_NR, BOTTOM_ID)
-    attempt_id: RoundId = BOTTOM_ID  # round id of the live prepare/vote attempt
+    phase: str  # "merging" | "preparing" | "voting"
+    round: Round = Round(BOTTOM_NR, BOTTOM_ID)  # its id names the live prepare/vote attempt
     acks: dict[int, tuple[Round, SemilatticeValue]] = field(default_factory=dict)
     merged: set[int] = field(default_factory=set)
     voted: set[int] = field(default_factory=set)
@@ -231,20 +217,18 @@ class Replica:
             raise ProtocolError(f"replica id {rid} outside 1..{config.n_replicas}")
         self.rid = rid
         self.config = config
-        self.quorum = MajorityQuorum(config.n_replicas)
         self.acceptor = Acceptor(rid, initial)
         self.requests: dict[bytes, ProposerRequest] = {}
         self._round_counter = 0
         self._request_counter = 0
         self._update_seq = 0
-        self._pending_updates: list[tuple[object, object, UpdateOp]] = []
-        self._pending_queries: list[tuple[object, object, QueryCommand]] = []
-        self._inflight_update: bytes | None = None
-        self._inflight_query: bytes | None = None
+        # by request kind: ops waiting for the next batch, and the batch in flight
+        self._pending: dict[str, list[tuple[object, object, object]]] = {"update": [], "query": []}
+        self._inflight: dict[str, bytes | None] = {"update": None, "query": None}
         # one handler per event type; peer payloads pass _admit before any state changes
         self._handlers = {
-            ClientUpdate: self.on_client_update,
-            ClientQuery: self.on_client_query,
+            ClientUpdate: self._submit,
+            ClientQuery: self._submit,
             TimerFire: self.on_timeout,
             Merge: self._on_acceptor_message,
             Prepare: self._on_acceptor_message,
@@ -256,6 +240,10 @@ class Replica:
         }
 
     # -- identity helpers
+
+    def is_quorum(self, ids: AbstractSet[int]) -> bool:
+        """True for more than half the replicas; two such sets always intersect."""
+        return len(ids) > self.config.n_replicas // 2
 
     def new_round_id(self) -> RoundId:
         self._round_counter += 1
@@ -319,40 +307,25 @@ class Replica:
 
     # -- client operations and batching
 
-    def on_client_update(self, event: ClientUpdate, out: StepOutput) -> None:
-        item = (event.client, event.token, event.op)
-        if not self.config.batching:
-            self._start_update([item], out)
-            return
-        self._pending_updates.append(item)
-        if self._inflight_update is None:
-            self._flush_updates(out)
+    def _submit(self, event: ClientUpdate | ClientQuery, out: StepOutput) -> None:
+        if type(event) is ClientUpdate:
+            kind, item = "update", (event.client, event.token, event.op)
+        else:
+            kind, item = "query", (event.client, event.token, event.query)
+        self._pending[kind].append(item)
+        if self._inflight[kind] is None:
+            self._flush(kind, out)
 
-    def on_client_query(self, event: ClientQuery, out: StepOutput) -> None:
-        item = (event.client, event.token, event.query)
-        if not self.config.batching:
-            self._start_query([item], out)
+    def _flush(self, kind: str, out: StepOutput) -> None:
+        items = self._pending[kind]
+        if not items:
             return
-        self._pending_queries.append(item)
-        if self._inflight_query is None:
-            self._flush_queries(out)
-
-    def _flush_updates(self, out: StepOutput) -> None:
-        if not self._pending_updates:
-            return
-        items, self._pending_updates = self._pending_updates, []
-        req = self._start_update(items, out)
-        # a single-replica cluster completes the merge synchronously
-        live = req is not None and req.request_id in self.requests
-        self._inflight_update = req.request_id if live else None
-
-    def _flush_queries(self, out: StepOutput) -> None:
-        if not self._pending_queries:
-            return
-        items, self._pending_queries = self._pending_queries, []
-        req = self._start_query(items, out)
-        live = req.request_id in self.requests
-        self._inflight_query = req.request_id if live else None
+        self._pending[kind] = []
+        req = (self._start_update if kind == "update" else self._start_query)(items, out)
+        # without batching each op runs alone; a single-replica cluster
+        # completes its update before the request could be in flight
+        if self.config.batching and req is not None and req.request_id in self.requests:
+            self._inflight[kind] = req.request_id
 
     def _start_update(self, items, out: StepOutput) -> ProposerRequest | None:
         request_id = self._new_request_id()
@@ -400,15 +373,13 @@ class Replica:
 
     def _start_query(self, items, out: StepOutput) -> ProposerRequest:
         request_id = self._new_request_id()
-        rid = self.new_round_id()
         payload = self.acceptor.state  # start from the local payload, not bottom
         req = ProposerRequest(
             request_id=request_id,
             kind="query",
-            ops=list(items),
+            ops=items,
             phase="preparing",
-            round=incremental_round(rid),
-            attempt_id=rid,
+            round=incremental_round(self.new_round_id()),
             gathered=payload,
             round_trips=1,
         )
@@ -429,17 +400,10 @@ class Replica:
         self._check_merge_quorum(req, out)
 
     def _check_merge_quorum(self, req: ProposerRequest, out: StepOutput) -> None:
-        if not self.quorum.is_quorum(req.merged):
+        if not self.is_quorum(req.merged):
             return
-        req.phase = "done"
         for client, token, cmd in req.ops:
-            out.replies.append(
-                ClientReply(
-                    client=client, token=token, kind="update", ok=True,
-                    request_id=req.request_id, tag=cmd.tag,
-                    round_trips=req.round_trips, retries=req.retries,
-                )
-            )
+            out.replies.append(_reply(req, client, token, True, tag=cmd.tag))
         self._finish(req, out)
 
     def on_ack(self, m: Ack, out: StepOutput) -> None:
@@ -450,11 +414,11 @@ class Replica:
         if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.gathered = req.gathered.merge(m.state)
-        if m.round.rid != req.attempt_id:
+        if m.round.rid != req.round.rid:
             return  # an earlier attempt's ack: keep the payload, not the vote
         if m.sender not in req.acks:
             req.acks[m.sender] = (m.round, m.state)
-        if not self.quorum.is_quorum(req.acks.keys()):
+        if not self.is_quorum(req.acks.keys()):
             return
         entries = sorted(req.acks.items())  # stable across runs
         states = [s for _, (_, s) in entries]
@@ -477,9 +441,7 @@ class Replica:
         else:
             # mixed rounds: outbid them all with a fixed prepare
             nr = max(r.nr for r in rounds) + 1
-            rid = self.new_round_id()
-            req.round = Round(nr, rid)
-            req.attempt_id = rid
+            req.round = Round(nr, self.new_round_id())
             req.acks = {}
             req.retries += 1
             req.round_trips += 1
@@ -498,16 +460,18 @@ class Replica:
         if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.voted.add(m.sender)
-        if self.quorum.is_quorum(req.voted):
+        if self.is_quorum(req.voted):
             self._complete_query(req, req.proposed, out)
 
     def on_nack(self, m: Nack, out: StepOutput) -> None:
         self._admit(m)
         req = self.requests.get(m.request_id)
-        if req is None or req.kind != "query" or req.phase == "done":
+        if req is None or req.kind != "query":
+            return
+        if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.gathered = req.gathered.merge(m.state)
-        if m.reject_id != req.attempt_id:
+        if m.reject_id != req.round.rid:
             return  # refusal of an attempt already superseded
         self._retry_incremental(req, out)
 
@@ -532,10 +496,8 @@ class Replica:
         req.retries += 1
         if self._retries_exhausted(req, out):
             return
-        rid = self.new_round_id()
         req.phase = "preparing"
-        req.round = incremental_round(rid)
-        req.attempt_id = rid
+        req.round = incremental_round(self.new_round_id())
         req.acks = {}
         req.proposed = None
         req.round_trips += 1
@@ -547,58 +509,38 @@ class Replica:
         limit = self.config.max_retries
         if limit is None or req.retries <= limit:
             return False
-        req.phase = "done"
         for client, token, cmd in req.ops:
             # a failed update may still take effect: its payload already merged
             # into the local acceptor, so surface the tentative tag
             tag = cmd.tag if req.kind == "update" else None
-            out.replies.append(
-                ClientReply(
-                    client=client, token=token, kind=req.kind, ok=False,
-                    request_id=req.request_id, reason="max-retries", tag=tag,
-                    round_trips=req.round_trips, retries=req.retries,
-                )
-            )
+            out.replies.append(_reply(req, client, token, False, reason="max-retries", tag=tag))
         self._finish(req, out)
         return True
 
     def _complete_query(self, req: ProposerRequest, learned: SemilatticeValue, out: StepOutput) -> None:
-        req.phase = "done"
-        req.proposed = None
         for client, token, query in req.ops:
             try:
                 result = apply_query(query, learned)
             except CommandError as exc:
-                out.replies.append(
-                    ClientReply(
-                        client=client, token=token, kind="query", ok=False,
-                        request_id=req.request_id, reason=str(exc),
-                        round_trips=req.round_trips, retries=req.retries,
-                    )
-                )
+                out.replies.append(_reply(req, client, token, False, reason=str(exc)))
                 continue
-            out.replies.append(
-                ClientReply(
-                    client=client, token=token, kind="query", ok=True,
-                    request_id=req.request_id, result=result, learned=learned,
-                    round_trips=req.round_trips, retries=req.retries,
-                )
-            )
+            out.replies.append(_reply(req, client, token, True, result=result, learned=learned))
         self._finish(req, out)
 
     def _finish(self, req: ProposerRequest, out: StepOutput) -> None:
-        self.requests.pop(req.request_id, None)
-        if not self.config.batching:
-            return
-        if self._inflight_update == req.request_id:
-            self._inflight_update = None
-            self._flush_updates(out)
-        elif self._inflight_query == req.request_id:
-            self._inflight_query = None
-            self._flush_queries(out)
+        del self.requests[req.request_id]
+        if self._inflight[req.kind] == req.request_id:
+            self._inflight[req.kind] = None
+            self._flush(req.kind, out)
 
     def _arm_timer(self, req: ProposerRequest, out: StepOutput) -> None:
-        if req.phase == "done":
-            return
         req.timer_generation += 1
         out.timers.append(TimerRequest(req.request_id, req.timer_generation))
+
+
+def _reply(req: ProposerRequest, client, token, ok: bool, **fields) -> ClientReply:
+    """A reply to one of ``req``'s ops, carrying the request's cost so far."""
+    return ClientReply(
+        client=client, token=token, kind=req.kind, ok=ok, request_id=req.request_id,
+        round_trips=req.round_trips, retries=req.retries, **fields,
+    )

@@ -21,7 +21,6 @@ can record an operation history suitable for the offline checker.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import logging
 import os
@@ -31,8 +30,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crdt import CausalTaggedState, CrdtError, GCounter, GSet, QueryCommand, SemilatticeValue
-from .history import OpRecord
+from .crdt import (
+    CRDT_KINDS,
+    CausalTaggedState,
+    CrdtError,
+    QueryCommand,
+    SemilatticeValue,
+    initial_state,
+)
+from .history import OpRecord, op_dict
 from .messages import (
     Failed,
     Merge,
@@ -116,7 +122,7 @@ class ClusterConfig:
         endpoints = {(r.host, r.port) for r in self.replicas}
         if len(endpoints) != n:
             raise ClusterConfigError("two replicas share a host:port endpoint")
-        if self.crdt not in ("gcounter", "gset"):
+        if self.crdt not in CRDT_KINDS:
             raise ClusterConfigError(f"unknown crdt {self.crdt!r}")
         if self.timeout <= 0:
             raise ClusterConfigError("timeout must be positive")
@@ -130,14 +136,18 @@ class ClusterConfig:
         raise ClusterConfigError(f"no replica with id {replica_id} in the cluster")
 
     def initial_state(self) -> SemilatticeValue:
-        base: SemilatticeValue
-        if self.crdt == "gcounter":
-            base = GCounter.zero(len(self.replicas))
-        else:
-            base = GSet.empty()
-        if self.instrument:
-            return CausalTaggedState.initial(base, len(self.replicas))
-        return base
+        return initial_state(self.crdt, len(self.replicas), self.instrument)
+
+
+# the JSON types each optional config key takes; type() rather than isinstance(),
+# since a bool is an int to Python but no count, and "false" is no bool
+_KEY_TYPES = {
+    "crdt": (str,),
+    "batching": (bool,),
+    "timeout": (int, float),
+    "max_retries": (int, type(None)),
+    "instrument": (bool,),
+}
 
 
 def load_cluster_config(path: str | Path) -> ClusterConfig:
@@ -150,30 +160,28 @@ def load_cluster_config(path: str | Path) -> ClusterConfig:
         raise ClusterConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("replicas"), list):
         raise ClusterConfigError(f"{path} must be an object with a 'replicas' list")
-    replicas = []
-    for entry in raw["replicas"]:
-        try:
-            replicas.append(
-                ReplicaEndpoint(int(entry["id"]), str(entry["host"]), int(entry["port"]))
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ClusterConfigError(f"bad replica entry {entry!r}: {exc}") from exc
-    known = {f.name for f in dataclasses.fields(ClusterConfig)}
-    extras = {k: v for k, v in raw.items() if k != "replicas"}
-    unknown = set(extras) - known
+    options = {k: v for k, v in raw.items() if k != "replicas"}  # absent ones keep their defaults
+    unknown = set(options) - set(_KEY_TYPES)
     if unknown:
         raise ClusterConfigError(f"unknown config keys: {sorted(unknown)}")
-    max_retries = extras.pop("max_retries", 50)
-    config = ClusterConfig(
-        replicas=tuple(replicas),
-        crdt=str(extras.pop("crdt", "gcounter")),
-        batching=bool(extras.pop("batching", False)),
-        timeout=float(extras.pop("timeout", 0.5)),
-        max_retries=None if max_retries is None else int(max_retries),
-        instrument=bool(extras.pop("instrument", True)),
-    )
+    for key, value in options.items():
+        if type(value) not in _KEY_TYPES[key]:
+            raise ClusterConfigError(f"config key {key!r} has a bad value {value!r}")
+    config = ClusterConfig(tuple(_endpoint(entry) for entry in raw["replicas"]), **options)
     config.validate()
     return config
+
+
+def _endpoint(entry) -> ReplicaEndpoint:
+    try:
+        rid, host, port = entry["id"], entry["host"], entry["port"]
+    except (TypeError, KeyError) as exc:
+        raise ClusterConfigError(f"bad replica entry {entry!r}: {exc}") from exc
+    if type(rid) is not int or type(host) is not str or type(port) is not int:
+        raise ClusterConfigError(
+            f"bad replica entry {entry!r}: id and port must be ints, host a string"
+        )
+    return ReplicaEndpoint(rid, host, port)
 
 
 # -------------------------------------------------------------------- daemon
@@ -469,38 +477,33 @@ class ReplicaClient:
     # -- operations
 
     def increment(self) -> UpdateOutcome:
-        reply, rec = self._roundtrip(
-            lambda rid: Update(self.client_id, rid, UpdateOp.increment()),
-            {"kind": "increment"},
-            "update",
-        )
-        return self._update_outcome(reply, rec)
+        return self._update(UpdateOp.increment())
 
     def add(self, element: bytes) -> UpdateOutcome:
-        reply, rec = self._roundtrip(
-            lambda rid: Update(self.client_id, rid, UpdateOp.set_add(element)),
-            {"kind": "set_add", "element": element},
-            "update",
-        )
-        return self._update_outcome(reply, rec)
+        return self._update(UpdateOp.set_add(element))
 
     def value(self) -> QueryOutcome:
-        return self._query(QueryCommand.counter_value(), {"kind": "counter_value"})
+        return self._query(QueryCommand.counter_value())
 
     def contains(self, element: bytes) -> QueryOutcome:
-        return self._query(
-            QueryCommand.set_contains(element), {"kind": "set_contains", "element": element}
-        )
+        return self._query(QueryCommand.set_contains(element))
 
     def elements(self) -> QueryOutcome:
-        return self._query(QueryCommand.set_elements(), {"kind": "set_elements"})
+        return self._query(QueryCommand.set_elements())
 
     # -- plumbing
 
-    def _query(self, command: QueryCommand, op_desc: dict) -> QueryOutcome:
-        reply, rec = self._roundtrip(
-            lambda rid: Query(self.client_id, rid, command), op_desc, "query"
-        )
+    def _update(self, op: UpdateOp) -> UpdateOutcome:
+        reply, rec = self._roundtrip("update", op)
+        if rec is not None:
+            rec.outcome = "ok"
+            rec.tag = reply.tag
+            rec.round_trips = reply.round_trips
+            rec.retries = reply.retries
+        return UpdateOutcome(reply.tag, reply.round_trips, reply.retries)
+
+    def _query(self, command: QueryCommand) -> QueryOutcome:
+        reply, rec = self._roundtrip("query", command)
         learned_frontier = None
         learned_value = None
         if isinstance(reply.learned, CausalTaggedState):
@@ -520,15 +523,7 @@ class ReplicaClient:
             rec.retries = reply.retries
         return QueryOutcome(reply.result, learned_frontier, reply.round_trips, reply.retries)
 
-    def _update_outcome(self, reply, rec) -> UpdateOutcome:
-        if rec is not None:
-            rec.outcome = "ok"
-            rec.tag = reply.tag
-            rec.round_trips = reply.round_trips
-            rec.retries = reply.retries
-        return UpdateOutcome(reply.tag, reply.round_trips, reply.retries)
-
-    def _roundtrip(self, build, op_desc: dict, kind: str):
+    def _roundtrip(self, kind: str, command: UpdateOp | QueryCommand):
         request_id = os.urandom(16)
         rec = None
         if self.record:
@@ -538,11 +533,12 @@ class ReplicaClient:
                 client=self.client_id,
                 replica=self._replica_hint,
                 kind=kind,
-                op=op_desc,
+                op=op_dict(command),
                 invoke_t=time.monotonic_ns(),
             )
             self.history.append(rec)
-        self._sock.sendall(encode(build(request_id)))
+        request = Update if kind == "update" else Query
+        self._sock.sendall(encode(request(self.client_id, request_id, command)))
         while True:
             reply = self._next_frame()
             if reply.request_id != request_id:

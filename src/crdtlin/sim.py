@@ -35,14 +35,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .crdt import (
-    CausalTaggedState,
-    GCounter,
-    GSet,
-    QueryCommand,
-    SemilatticeValue,
-)
-from .history import OpRecord, TraceEvent, write_history, write_trace
+from .crdt import CRDT_KINDS, CausalTaggedState, QueryCommand, SemilatticeValue, initial_state
+from .history import OpRecord, TraceEvent, op_dict, write_history, write_trace
 from .messages import Ack, UpdateOp, Vote
 from .protocol import (
     ClientQuery,
@@ -109,7 +103,7 @@ class SimConfig:
             raise ConfigError("n_replicas must be at least 1")
         if self.n_clients < 0 or self.ops_per_client < 0:
             raise ConfigError("client counts cannot be negative")
-        if self.crdt not in ("gcounter", "gset"):
+        if self.crdt not in CRDT_KINDS:
             raise ConfigError(f"unknown crdt {self.crdt!r}")
         if not 0.0 <= self.update_fraction <= 1.0:
             raise ConfigError("update_fraction must lie in [0, 1]")
@@ -302,7 +296,7 @@ class Simulation:
             n_replicas=cfg.n_replicas, batching=cfg.batching, max_retries=cfg.max_retries
         )
         self.replicas = {
-            rid: Replica(rid, proto, self._initial_state())
+            rid: Replica(rid, proto, initial_state(cfg.crdt, cfg.n_replicas, cfg.instrument))
             for rid in range(1, cfg.n_replicas + 1)
         }
         self.crashed: set[int] = set()
@@ -360,16 +354,6 @@ class Simulation:
 
     # -- internals
 
-    def _initial_state(self) -> SemilatticeValue:
-        base: SemilatticeValue
-        if self.config.crdt == "gcounter":
-            base = GCounter.zero(self.config.n_replicas)
-        else:
-            base = GSet.empty()
-        if self.config.instrument:
-            return CausalTaggedState.initial(base, self.config.n_replicas)
-        return base
-
     def _push(self, t: int, kind: str, data: tuple) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, kind, data))
@@ -405,25 +389,16 @@ class Simulation:
         client.next_op += 1
         self._next_op_id += 1
         op_id = self._next_op_id
+        counter = self.config.crdt == "gcounter"
         if kind == "update":
-            if self.config.crdt == "gcounter":
-                op = UpdateOp.increment()
-                op_desc = {"kind": "increment"}
-            else:
-                element = f"e{op_id}".encode()  # unique per op by construction
-                op = UpdateOp.set_add(element)
-                op_desc = {"kind": "set_add", "element": element}
-            event = ClientUpdate(op, client=cid, token=op_id)
+            # a set element is unique per op by construction
+            cmd = UpdateOp.increment() if counter else UpdateOp.set_add(f"e{op_id}".encode())
+            event = ClientUpdate(cmd, client=cid, token=op_id)
         else:
-            if self.config.crdt == "gcounter":
-                query = QueryCommand.counter_value()
-                op_desc = {"kind": "counter_value"}
-            else:
-                query = QueryCommand.set_elements()
-                op_desc = {"kind": "set_elements"}
-            event = ClientQuery(query, client=cid, token=op_id)
+            cmd = QueryCommand.counter_value() if counter else QueryCommand.set_elements()
+            event = ClientQuery(cmd, client=cid, token=op_id)
         self.records[op_id] = OpRecord(
-            op_id=op_id, client=cid, replica=target, kind=kind, op=op_desc, invoke_t=t
+            op_id=op_id, client=cid, replica=target, kind=kind, op=op_dict(cmd), invoke_t=t
         )
         self._trace(
             t,
@@ -565,7 +540,7 @@ class Simulation:
             dominating = {
                 r for r, rep in self.replicas.items() if learned.compare(rep.acceptor.state)
             }
-            if not replica.quorum.is_quorum(dominating):
+            if not replica.is_quorum(dominating):
                 raise InvariantViolation(
                     "learned state not dominated by any quorum of acceptor payloads"
                 )

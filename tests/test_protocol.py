@@ -379,7 +379,7 @@ def test_stale_ack_only_feeds_the_gathered_lub():
     r = make_replica(rid=1, n=3)
     req_id, rid, _ = start_query(r)
     r.step(Nack(3, req_id, Round(9, Z), GCounter((0, 0, 1)), reject_id=rid))
-    new_rid = r.requests[req_id].attempt_id
+    new_rid = r.requests[req_id].round.rid
     assert new_rid != rid
     # ack for the abandoned attempt: remembered as payload, not as a vote
     r.step(Ack(1, req_id, Round(3, rid), GCounter((5, 0, 0))))
@@ -395,7 +395,7 @@ def test_stale_voted_ignored():
     r.step(Voted(1, req_id, Round(3, rid)))
     # the vote aborts; a new attempt begins
     r.step(Nack(3, req_id, Round(4, Z), GCounter.zero(3), reject_id=rid))
-    new_rid = r.requests[req_id].attempt_id
+    new_rid = r.requests[req_id].round.rid
     r.step(Ack(1, req_id, Round(5, new_rid), GCounter((1, 1, 0))))
     r.step(Ack(2, req_id, Round(5, new_rid), GCounter((1, 1, 1))))
     assert r.requests[req_id].phase == "voting"
@@ -455,6 +455,12 @@ def test_senders_outside_the_cluster_ignored():
     req_id, rid, _ = start_query(r)
     r.step(Ack(17, req_id, Round(3, rid), GCounter.zero(3)))
     assert r.requests[req_id].acks == {}
+    # a refusal from outside the cluster neither feeds the LUB nor starts a retry
+    out = r.step(Nack(17, req_id, Round(4, Z), GCounter((0, 0, 5)), reject_id=rid))
+    assert out.sends == [] and out.retries == []
+    assert r.requests[req_id].retries == 0
+    assert r.requests[req_id].round.rid == rid
+    assert r.requests[req_id].gathered == GCounter.zero(3)
 
 
 def test_learned_state_attached_only_when_exposed():
@@ -555,11 +561,16 @@ def test_proposed_state_set_exactly_in_voting_phase():
     assert r.requests[req_id].proposed is not None
 
 
-def test_bad_command_against_cluster_type_fails_cleanly():
-    r = make_replica(rid=1, n=3)
+@pytest.mark.parametrize("batching", [False, True])
+def test_bad_command_against_cluster_type_fails_cleanly(batching):
+    r = make_replica(rid=1, n=3, batching=batching)
     out = r.step(ClientUpdate(UpdateOp.set_add(b"x"), client=1, token=1))
     assert len(out.replies) == 1 and not out.replies[0].ok
     assert out.sends == []
+    assert r.requests == {}
+    # a batch with no valid op leaves nothing in flight: the next update ships at once
+    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=2))
+    assert [dst for dst, _ in sends_by_type(out, Merge)] == [2, 3]
 
 
 @pytest.mark.parametrize("tagged", [False, True])

@@ -163,6 +163,25 @@ def test_load_cluster_config_rejects_bad_input(tmp_path):
     with pytest.raises(ClusterConfigError):
         load_cluster_config(unknown)
 
+    # values are type-checked, not coerced: a bool is no count and a string no bool
+    endpoint = {"id": 1, "host": "h", "port": 1}
+    for key, value in (
+        ("crdt", 1),
+        ("batching", "false"),
+        ("instrument", "no"),
+        ("timeout", True),
+        ("max_retries", 2.9),
+    ):
+        typed = tmp_path / f"typed-{key}.json"
+        typed.write_text(json.dumps({"replicas": [endpoint], key: value}))
+        with pytest.raises(ClusterConfigError):
+            load_cluster_config(typed)
+    for key, value in (("id", True), ("host", 7), ("port", "7001")):
+        typed = tmp_path / f"typed-replica-{key}.json"
+        typed.write_text(json.dumps({"replicas": [{**endpoint, key: value}]}))
+        with pytest.raises(ClusterConfigError):
+            load_cluster_config(typed)
+
 
 def test_cluster_config_validates_crdt_and_timeout():
     endpoint = (ReplicaEndpoint(1, "127.0.0.1", 7000),)

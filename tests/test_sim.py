@@ -1,6 +1,7 @@
 """Simulator behavior: determinism, fault injection, workload shape, and
 the execution invariants it enforces while running."""
 
+import hashlib
 import io
 import json
 import re
@@ -86,6 +87,45 @@ def test_same_config_and_seed_give_identical_trace_bytes():
     second = sim_run(SimConfig(**_config_fields(cfg)))
     assert _trace_bytes(first) == _trace_bytes(second)
     assert len(first.trace) > 500
+
+
+# sha256 of each output file of two runs, recorded from a known-good tree: a
+# refactor that keeps these keeps every simulated event, reply and metric
+_GOLDEN = {
+    "quick-start": (
+        SimConfig(
+            n_replicas=5, n_clients=8, ops_per_client=50, update_fraction=0.5,
+            drop_probability=0.1, duplicate_probability=0.05, delay_min=1, delay_max=4,
+            crash_schedule=((3, 120),), seed=7,
+        ),
+        {
+            "history.jsonl": "8d39cafca7bb43d9143eb4e0963f35b9dcc66889e7834b77947a10bf65d92912",
+            "trace.jsonl": "e90b08fc01a5a85ea0d4fbeacd3c1da80343357cb985de1b5824363f1a6dd6cc",
+            "metrics.csv": "d7fd43121148ef6a9fa593d7d0005227bf4f393947689f3f93763a5595b0fb4b",
+        },
+    ),
+    "gset-faults-batching": (
+        SimConfig(
+            n_replicas=5, n_clients=6, ops_per_client=60, update_fraction=0.4, crdt="gset",
+            drop_probability=0.2, delay_max=3, crash_schedule=((2, 40),),
+            partition_schedule=((((1, 2), (3, 4)), 20, 90),), max_retries=2, batching=True,
+            seed=11,
+        ),
+        {
+            "history.jsonl": "b0828ec4e162c2ddb12b606d06b88288da3b39869a8d96fc173093377a55ddfb",
+            "trace.jsonl": "a000764cc10f993d10e7dc9e9be745bf1ab861752bddffb5416af2e11f36f667",
+            "metrics.csv": "abc07fb2c020965bc761c9007630cb6b6e044dc70c3ccb926da7c31d357971c2",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_outputs_match_golden_digests(name, tmp_path):
+    cfg, digests = _GOLDEN[name]
+    sim_run(cfg).write_outputs(tmp_path)
+    for filename, digest in digests.items():
+        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
 
 
 def test_different_seeds_diverge():
