@@ -13,6 +13,7 @@ import random
 import threading
 import time
 
+from .crdt import workload_op
 from .history import OpRecord, merge_histories
 from .service import ClusterConfig, ReplicaClient, RequestFailed
 
@@ -54,16 +55,9 @@ def bench_live(
                 for n in range(ops_per_client):
                     if deadline is not None and time.monotonic() >= deadline:
                         break
-                    is_update = rng.random() < mix
+                    kind = "update" if rng.random() < mix else "query"
                     try:
-                        if is_update and config.crdt == "gcounter":
-                            client.increment()
-                        elif is_update:
-                            client.add(f"bench-{idx}-{n}".encode())
-                        elif config.crdt == "gcounter":
-                            client.value()
-                        else:
-                            client.elements()
+                        client.call(workload_op(config.crdt, kind, f"bench-{idx}-{n}".encode()))
                     except RequestFailed:
                         pass  # the history records the op as failed
         except BaseException as exc:  # surfaced to the caller after join

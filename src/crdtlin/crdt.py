@@ -30,10 +30,12 @@ __all__ = [
     "SerializationError",
     "ShapeError",
     "UpdateCommand",
+    "UpdateOp",
     "apply_query",
     "apply_update",
     "initial_state",
     "state_from_bytes",
+    "workload_op",
 ]
 
 # (issuing replica id, per-replica update sequence number)
@@ -288,6 +290,22 @@ def initial_state(crdt: str, n_replicas: int, tagged: bool) -> SemilatticeValue:
 
 
 @dataclass(frozen=True, slots=True)
+class UpdateOp:
+    """Client-side write request; the proposer binds slot and causal tag."""
+
+    kind: str
+    element: bytes | None = None
+
+    @classmethod
+    def increment(cls) -> "UpdateOp":
+        return cls(kind="increment")
+
+    @classmethod
+    def set_add(cls, element: bytes) -> "UpdateOp":
+        return cls(kind="set_add", element=element)
+
+
+@dataclass(frozen=True, slots=True)
 class UpdateCommand:
     """An inflationary write: incrementing a counter slot or adding a set element.
 
@@ -327,6 +345,15 @@ class QueryCommand:
     @classmethod
     def set_elements(cls) -> "QueryCommand":
         return cls(kind="set_elements")
+
+
+def workload_op(crdt: str, kind: str, element: bytes) -> UpdateOp | QueryCommand:
+    """The op a generated workload issues on a CRDT of kind ``crdt``: for an
+    ``"update"`` an increment or an add of ``element``, for a ``"query"`` a
+    read of the whole value."""
+    if crdt == "gcounter":
+        return UpdateOp.increment() if kind == "update" else QueryCommand.counter_value()
+    return UpdateOp.set_add(element) if kind == "update" else QueryCommand.set_elements()
 
 
 def apply_update(cmd: UpdateCommand, state: SemilatticeValue) -> SemilatticeValue:

@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
-from .crdt import CausalTag, QueryCommand
-from .messages import UpdateOp
+from .crdt import CausalTag, CausalTaggedState, QueryCommand, UpdateOp
 
 SCHEMA_VERSION = 2
 
@@ -68,6 +67,21 @@ def op_dict(cmd: UpdateOp | QueryCommand) -> dict:
     if cmd.element is None:
         return {"kind": cmd.kind}
     return {"kind": cmd.kind, "element": cmd.element}
+
+
+def record_reply(rec: OpRecord, reply, response_t: int) -> None:
+    """Write a replica's answer into ``rec``: a ``protocol.ClientReply`` in the
+    simulator, the ``messages.Reply`` frame it became in a live client."""
+    rec.response_t = response_t
+    rec.outcome = "ok" if reply.ok else "failed"
+    rec.result = reply.result
+    rec.round_trips = reply.round_trips
+    rec.retries = reply.retries
+    if reply.kind == "update":
+        rec.tag = reply.tag
+    if reply.ok and reply.kind == "query" and isinstance(reply.learned, CausalTaggedState):
+        rec.learned_frontier = reply.learned.frontier
+        rec.learned_value = reply.learned.value.render()
 
 
 def _encode_result(result) -> object:
@@ -138,6 +152,16 @@ def _int(value, name: str, optional: bool = False) -> int | None:
     raise HistoryFormatError(f"bad history record: {name} {value!r} is not an int")
 
 
+_KINDS = ("update", "query")
+_OUTCOMES = ("ok", "failed", None)
+
+
+def _choice(value, name: str, allowed: tuple):
+    if value in allowed:
+        return value
+    raise HistoryFormatError(f"bad history record: {name} {value!r} is not one of {allowed}")
+
+
 def record_from_json(line: str) -> OpRecord:
     try:
         obj = json.loads(line)
@@ -148,16 +172,16 @@ def record_from_json(line: str) -> OpRecord:
     if obj.get("v") != SCHEMA_VERSION:
         raise HistoryFormatError(f"unsupported history schema: {obj.get('v')!r}")
     try:
-        return OpRecord(
+        rec = OpRecord(
             op_id=_int(obj["op_id"], "op_id"),
             client=_int(obj["client"], "client"),
             replica=_int(obj["replica"], "replica"),
-            kind=obj["kind"],
+            kind=_choice(obj["kind"], "kind", _KINDS),
             op=_decode_op(obj["op"]),
             invoke_t=_int(obj["invoke_t"], "invoke_t"),
             tag=_int_tuple(obj.get("tag"), "tag", optional=True),
             response_t=_int(obj.get("response_t"), "response_t", optional=True),
-            outcome=obj.get("outcome"),
+            outcome=_choice(obj.get("outcome"), "outcome", _OUTCOMES),
             result=_decode_result(obj.get("result")),
             learned_frontier=_int_tuple(obj.get("learned_frontier"), "learned_frontier", optional=True),
             learned_value=obj.get("learned_value"),
@@ -169,6 +193,16 @@ def record_from_json(line: str) -> OpRecord:
         )
     except (KeyError, TypeError) as exc:
         raise HistoryFormatError(f"bad history record: {exc}") from exc
+    # the checker reads a response time wherever there is an outcome, and no other
+    if (rec.outcome is None) != (rec.response_t is None):
+        raise HistoryFormatError(
+            f"bad history record: outcome {rec.outcome!r} with response_t {rec.response_t!r}"
+        )
+    if rec.response_t is not None and rec.response_t < rec.invoke_t:
+        raise HistoryFormatError(
+            f"bad history record: response_t {rec.response_t} before invoke_t {rec.invoke_t}"
+        )
+    return rec
 
 
 def write_history(records: Iterable[OpRecord], fp: IO[str]) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crdt import CausalTag, QueryCommand, SemilatticeValue
+from .crdt import CausalTag, QueryCommand, SemilatticeValue, UpdateOp
 
 # Round ids are (per-process counter, process id). Counters start at 1 and
 # process ids at 1, so (0, 0) stays reserved for bottom.
@@ -33,22 +33,6 @@ ROUND_BOTTOM = Round(BOTTOM_NR, BOTTOM_ID)
 
 def incremental_round(rid: RoundId) -> Round:
     return Round(BOTTOM_NR, rid)
-
-
-@dataclass(frozen=True, slots=True)
-class UpdateOp:
-    """Client-side write request; the proposer binds slot and causal tag."""
-
-    kind: str
-    element: bytes | None = None
-
-    @classmethod
-    def increment(cls) -> "UpdateOp":
-        return cls(kind="increment")
-
-    @classmethod
-    def set_add(cls, element: bytes) -> "UpdateOp":
-        return cls(kind="set_add", element=element)
 
 
 # ----------------------------------------------------------- replica to replica
@@ -127,35 +111,25 @@ class Query:
 
 
 @dataclass(frozen=True, slots=True)
-class UpdateDone:
-    sender: int
-    request_id: bytes
-    tag: CausalTag
-    round_trips: int
-    retries: int
+class Reply:
+    """A replica's answer to one client request: the outcome fields of
+    ``protocol.ClientReply`` under the same names. ``tag`` is an update's
+    causal tag, kept on a failure whose payload already merged locally (the
+    tag may still surface); ``result`` and ``learned`` answer an ok query;
+    ``reason`` says why an op failed."""
 
-
-@dataclass(frozen=True, slots=True)
-class QueryDone:
-    sender: int
-    request_id: bytes
-    result: object
-    learned: SemilatticeValue | None
-    round_trips: int
-    retries: int
-
-
-@dataclass(frozen=True, slots=True)
-class Failed:
     sender: int
     request_id: bytes
     kind: str  # "update" | "query"
-    reason: str
-    # a failed update's payload already merged locally, so its tentative tag
-    # travels with the failure; None for queries
+    ok: bool
     tag: CausalTag | None = None
+    result: object = None
+    learned: SemilatticeValue | None = None
+    round_trips: int = 0
+    retries: int = 0
+    reason: str | None = None
 
 
 ReplicaMessage = Merge | Merged | Prepare | Ack | Vote | Voted | Nack
-ClientMessage = Update | Query | UpdateDone | QueryDone | Failed
+ClientMessage = Update | Query | Reply
 Message = ReplicaMessage | ClientMessage

@@ -28,6 +28,7 @@ from .crdt import (
     SemilatticeValue,
     ShapeError,
     UpdateCommand,
+    UpdateOp,
     apply_query,
     apply_update,
 )
@@ -42,7 +43,6 @@ from .messages import (
     ReplicaMessage,
     Round,
     RoundId,
-    UpdateOp,
     Vote,
     Voted,
     incremental_round,

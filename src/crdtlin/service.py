@@ -13,9 +13,11 @@ of the cluster carries on while a quorum survives, and bringing the same
 id back requires restarting the cluster.
 
 Clients speak the same framed protocol over a plain TCP connection:
-requests carry a client-chosen 16-byte request id, responses echo it.
-:class:`ReplicaClient` wraps that in a blocking call-per-operation API and
-can record an operation history suitable for the offline checker.
+requests carry a client-chosen 16-byte request id, and the one ``Reply``
+frame that answers each echoes it. :class:`ReplicaClient` wraps that in a
+blocking call-per-operation API: each call returns the operation's
+:class:`OpRecord`, and with ``record=True`` the client also keeps them all
+as a history for the offline checker.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .crdt import (
@@ -36,20 +38,11 @@ from .crdt import (
     CrdtError,
     QueryCommand,
     SemilatticeValue,
+    UpdateOp,
     initial_state,
 )
-from .history import OpRecord, op_dict
-from .messages import (
-    Failed,
-    Merge,
-    Merged,
-    Message,
-    Query,
-    QueryDone,
-    Update,
-    UpdateDone,
-    UpdateOp,
-)
+from .history import OpRecord, op_dict, record_reply
+from .messages import Message, Query, Reply, Update
 from .protocol import (
     ClientQuery,
     ClientReply,
@@ -64,12 +57,10 @@ from .wire import FrameError, encode, try_decode
 __all__ = [
     "ClusterConfig",
     "ClusterConfigError",
-    "QueryOutcome",
     "ReplicaClient",
     "ReplicaDaemon",
     "ReplicaEndpoint",
     "RequestFailed",
-    "UpdateOutcome",
     "load_cluster_config",
 ]
 
@@ -307,20 +298,16 @@ class ReplicaDaemon:
         transport = self._client_transports.pop(reply.token, None)
         if transport is None:
             return  # the client went away; nothing to route
-        rid = self.endpoint.id
-        msg: Message
-        if not reply.ok:
-            msg = Failed(rid, reply.token, reply.kind, reply.reason or "failed", reply.tag)
-        elif reply.kind == "update":
-            msg = UpdateDone(rid, reply.token, reply.tag, reply.round_trips, reply.retries)
-        else:
-            # only a tagged state means anything to a client's history
-            learned = reply.learned if isinstance(reply.learned, CausalTaggedState) else None
-            msg = QueryDone(rid, reply.token, reply.result, learned, reply.round_trips, reply.retries)
+        # only a tagged state means anything to a client's history
+        learned = reply.learned if isinstance(reply.learned, CausalTaggedState) else None
+        msg = Reply(
+            self.endpoint.id, reply.token, reply.kind, reply.ok, reply.tag, reply.result,
+            learned, reply.round_trips, reply.retries, reply.reason,
+        )
         try:
             transport.write(encode(msg))
         except Exception:
-            log.debug("replica %d: client reply write failed", rid, exc_info=True)
+            log.debug("replica %d: client reply write failed", self.endpoint.id, exc_info=True)
 
     # -- inbound connections (peers and clients share the listener)
 
@@ -332,8 +319,8 @@ class ReplicaDaemon:
             case Query():
                 self._client_transports[msg.request_id] = transport
                 self._dispatch(ClientQuery(msg.query, client=msg.sender, token=msg.request_id))
-            case UpdateDone() | QueryDone() | Failed():
-                raise FrameError(f"{type(msg).__name__} is a reply, not a request")
+            case Reply():
+                raise FrameError("a Reply answers a request; a daemon takes none")
             case _:
                 try:
                     self._dispatch(msg)
@@ -414,27 +401,14 @@ class _PeerLink(asyncio.Protocol):
 # -------------------------------------------------------------------- client
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateOutcome:
-    tag: tuple[int, int]
-    round_trips: int
-    retries: int
-
-
-@dataclass(frozen=True, slots=True)
-class QueryOutcome:
-    result: object
-    learned_frontier: tuple[int, ...] | None
-    round_trips: int
-    retries: int
-
-
 class ReplicaClient:
     """Blocking single-connection client; one outstanding request at a time.
 
-    With ``record=True`` every call is appended to :attr:`history` as an
-    :class:`OpRecord` timestamped with a monotonic nanosecond clock, ready
-    for the offline checker.
+    Every call returns its operation's :class:`OpRecord`, timestamped with a
+    monotonic nanosecond clock; a failed one raises :class:`RequestFailed`
+    after its record says so. With ``record=True`` each record is also
+    appended to :attr:`history` as the call starts, ready for the offline
+    checker; a call that never gets its answer stays there as pending.
     """
 
     def __init__(
@@ -476,82 +450,54 @@ class ReplicaClient:
 
     # -- operations
 
-    def increment(self) -> UpdateOutcome:
-        return self._update(UpdateOp.increment())
+    def increment(self) -> OpRecord:
+        return self.call(UpdateOp.increment())
 
-    def add(self, element: bytes) -> UpdateOutcome:
-        return self._update(UpdateOp.set_add(element))
+    def add(self, element: bytes) -> OpRecord:
+        return self.call(UpdateOp.set_add(element))
 
-    def value(self) -> QueryOutcome:
-        return self._query(QueryCommand.counter_value())
+    def value(self) -> OpRecord:
+        return self.call(QueryCommand.counter_value())
 
-    def contains(self, element: bytes) -> QueryOutcome:
-        return self._query(QueryCommand.set_contains(element))
+    def contains(self, element: bytes) -> OpRecord:
+        return self.call(QueryCommand.set_contains(element))
 
-    def elements(self) -> QueryOutcome:
-        return self._query(QueryCommand.set_elements())
+    def elements(self) -> OpRecord:
+        return self.call(QueryCommand.set_elements())
 
-    # -- plumbing
-
-    def _update(self, op: UpdateOp) -> UpdateOutcome:
-        reply, rec = self._roundtrip("update", op)
-        if rec is not None:
-            rec.outcome = "ok"
-            rec.tag = reply.tag
-            rec.round_trips = reply.round_trips
-            rec.retries = reply.retries
-        return UpdateOutcome(reply.tag, reply.round_trips, reply.retries)
-
-    def _query(self, command: QueryCommand) -> QueryOutcome:
-        reply, rec = self._roundtrip("query", command)
-        learned_frontier = None
-        learned_value = None
+    def call(self, command: UpdateOp | QueryCommand) -> OpRecord:
+        """Run one update or query and return its record."""
+        kind = "update" if isinstance(command, UpdateOp) else "query"
+        self._op_counter += 1
+        rec = OpRecord(
+            op_id=self._op_counter,
+            client=self.client_id,
+            replica=self._replica_hint,
+            kind=kind,
+            op=op_dict(command),
+            invoke_t=time.monotonic_ns(),
+        )
+        if self.record:
+            self.history.append(rec)
+        request_id = os.urandom(16)
+        request = Update if kind == "update" else Query
+        self._sock.sendall(encode(request(self.client_id, request_id, command)))
+        reply = self._next_frame()
+        while type(reply) is not Reply or reply.request_id != request_id:
+            reply = self._next_frame()  # a stray frame for someone else's request
+        response_t = time.monotonic_ns()
+        rec.replica = self._replica_hint = reply.sender
         if isinstance(reply.learned, CausalTaggedState):
             n_tags = sum(reply.learned.frontier)
             if n_tags > _MAX_LEARNED_TAGS:
-                if rec is not None:
-                    rec.outcome = "failed"
-                raise RequestFailed("query", f"learned state names {n_tags} tags")
-            learned_frontier = reply.learned.frontier
-            learned_value = reply.learned.value.render()
-        if rec is not None:
-            rec.outcome = "ok"
-            rec.result = reply.result
-            rec.learned_frontier = learned_frontier
-            rec.learned_value = learned_value
-            rec.round_trips = reply.round_trips
-            rec.retries = reply.retries
-        return QueryOutcome(reply.result, learned_frontier, reply.round_trips, reply.retries)
-
-    def _roundtrip(self, kind: str, command: UpdateOp | QueryCommand):
-        request_id = os.urandom(16)
-        rec = None
-        if self.record:
-            self._op_counter += 1
-            rec = OpRecord(
-                op_id=self._op_counter,
-                client=self.client_id,
-                replica=self._replica_hint,
-                kind=kind,
-                op=op_dict(command),
-                invoke_t=time.monotonic_ns(),
-            )
-            self.history.append(rec)
-        request = Update if kind == "update" else Query
-        self._sock.sendall(encode(request(self.client_id, request_id, command)))
-        while True:
-            reply = self._next_frame()
-            if reply.request_id != request_id:
-                continue  # a stray frame for someone else's request
-            if rec is not None:
-                rec.response_t = time.monotonic_ns()
-                rec.replica = self._replica_hint = reply.sender
-            if isinstance(reply, Failed):
-                if rec is not None:
-                    rec.outcome = "failed"
-                    rec.tag = reply.tag
-                raise RequestFailed(reply.kind, reply.reason)
-            return reply, rec
+                reply = replace(
+                    reply, ok=False, result=None, learned=None,
+                    reason=f"learned state names {n_tags} tags",
+                )
+        record_reply(rec, reply, response_t)
+        if not reply.ok:
+            raise RequestFailed(reply.kind, reply.reason)
+        return rec
 
     def _next_frame(self) -> Message:
         while True:

@@ -35,9 +35,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .crdt import CRDT_KINDS, CausalTaggedState, QueryCommand, SemilatticeValue, initial_state
-from .history import OpRecord, TraceEvent, op_dict, write_history, write_trace
-from .messages import Ack, UpdateOp, Vote
+from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
+from .history import OpRecord, TraceEvent, op_dict, record_reply, write_history, write_trace
+from .messages import Ack, Vote
 from .protocol import (
     ClientQuery,
     ClientReply,
@@ -389,14 +389,10 @@ class Simulation:
         client.next_op += 1
         self._next_op_id += 1
         op_id = self._next_op_id
-        counter = self.config.crdt == "gcounter"
-        if kind == "update":
-            # a set element is unique per op by construction
-            cmd = UpdateOp.increment() if counter else UpdateOp.set_add(f"e{op_id}".encode())
-            event = ClientUpdate(cmd, client=cid, token=op_id)
-        else:
-            cmd = QueryCommand.counter_value() if counter else QueryCommand.set_elements()
-            event = ClientQuery(cmd, client=cid, token=op_id)
+        # a set element is unique per op by construction
+        cmd = workload_op(self.config.crdt, kind, f"e{op_id}".encode())
+        request = ClientUpdate if kind == "update" else ClientQuery
+        event = request(cmd, client=cid, token=op_id)
         self.records[op_id] = OpRecord(
             op_id=op_id, client=cid, replica=target, kind=kind, op=op_dict(cmd), invoke_t=t
         )
@@ -490,16 +486,7 @@ class Simulation:
 
     def _deliver_reply(self, t: int, reply: ClientReply) -> None:
         rec = self.records[reply.token]
-        rec.response_t = t
-        rec.outcome = "ok" if reply.ok else "failed"
-        rec.result = reply.result
-        rec.round_trips = reply.round_trips
-        rec.retries = reply.retries
-        if reply.kind == "update":
-            rec.tag = reply.tag
-        if reply.ok and reply.kind == "query" and isinstance(reply.learned, CausalTaggedState):
-            rec.learned_frontier = reply.learned.frontier
-            rec.learned_value = reply.learned.value.render()
+        record_reply(rec, reply, t)
         rec.incremental_retry_times = tuple(
             rt for rt, kind in self._retry_times.get(reply.request_id, ()) if kind == "incremental"
         )

@@ -15,30 +15,40 @@ on it: any other filler means a corrupt or foreign frame. Replicated states
 travel in their canonical byte form inside a length-prefixed slot (length
 zero means absent). Decoding is strict end to end; anything malformed
 raises FrameError, never an arbitrary struct or index error.
+
+Clients send Update (type 1) and Query (type 3); every answer, ok or
+failed, update or query, is one Reply (type 2):
+
+    u8   kind ("u" update, "q" query)
+    u8   ok (0 or 1)
+    u32  round trips, u32 retries
+    ...  tag (presence byte, then u64 replica, u64 counter)
+    ...  result (lead byte N, B, I or L, then its value)
+    ...  learned state slot
+    ...  reason (presence byte, then u32 length and UTF-8 text)
+
+Types 4 and 12 are retired and decode as unknown, like any other number.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .crdt import QueryCommand, SemilatticeValue, SerializationError, state_from_bytes
+from .crdt import QueryCommand, SemilatticeValue, SerializationError, UpdateOp, state_from_bytes
 from .messages import (
     BOTTOM_ID,
     BOTTOM_NR,
     ROUND_BOTTOM,
     Ack,
-    Failed,
     Merge,
     Merged,
     Message,
     Nack,
     Prepare,
     Query,
-    QueryDone,
+    Reply,
     Round,
     Update,
-    UpdateDone,
-    UpdateOp,
     Vote,
     Voted,
 )
@@ -47,19 +57,20 @@ __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
 
 MAX_FRAME = 16 * 1024 * 1024  # total frame size cap, length prefix included
 
-# wire type numbers: 1 to 12 in this order
-_BY_NUMBER = (
-    Update, UpdateDone, Query, QueryDone, Merge, Merged, Prepare, Ack, Vote, Voted, Nack, Failed
-)
-_TYPES: dict[type, int] = {cls: number for number, cls in enumerate(_BY_NUMBER, 1)}
+# wire type numbers; the gaps are retired numbers
+_TYPES: dict[type, int] = {
+    Update: 1, Reply: 2, Query: 3, Merge: 5, Merged: 6, Prepare: 7, Ack: 8, Vote: 9, Voted: 10,
+    Nack: 11,
+}
+_BY_NUMBER = {number: cls for cls, number in _TYPES.items()}
 
 # decoding looks kinds up by byte value
 _OP_KINDS = {"increment": b"i", "set_add": b"a"}
 _OP_KINDS_BACK = {v[0]: k for k, v in _OP_KINDS.items()}
 _QUERY_KINDS = {"counter_value": b"v", "set_contains": b"c", "set_elements": b"e"}
 _QUERY_KINDS_BACK = {v[0]: k for k, v in _QUERY_KINDS.items()}
-_FAIL_KINDS = {"update": b"u", "query": b"q"}
-_FAIL_KINDS_BACK = {v[0]: k for k, v in _FAIL_KINDS.items()}
+_REPLY_KINDS = {"update": b"u", "query": b"q"}
+_REPLY_KINDS_BACK = {v[0]: k for k, v in _REPLY_KINDS.items()}
 
 _HEADER = struct.Struct(">B16sIqQQ")
 _PREFIXED_HEADER = struct.Struct(">IB16sIqQQ")
@@ -67,7 +78,6 @@ _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _II = struct.Struct(">II")
 _QQ = struct.Struct(">QQ")
-_QQII = struct.Struct(">QQII")
 
 
 class FrameError(Exception):
@@ -88,11 +98,6 @@ def _bytes_slot(data: bytes | None) -> bytes:
     if data is None:
         return b"\x00"
     return b"\x01" + _U32.pack(len(data)) + data
-
-
-def _str_slot(text: str) -> bytes:
-    blob = text.encode("utf-8")
-    return _U32.pack(len(blob)) + blob
 
 
 def _tag_slot(tag) -> bytes:
@@ -140,21 +145,22 @@ def _body(msg: Message) -> bytes:
             return _QQ.pack(msg.reject_id[0], msg.reject_id[1]) + _state_slot(msg.state)
         case Update():
             return _op_slot(msg.op)
-        case UpdateDone():
-            return _QQII.pack(msg.tag[0], msg.tag[1], msg.round_trips, msg.retries)
         case Query():
             return _query_slot(msg.query)
-        case QueryDone():
+        case Reply():
+            kind = _REPLY_KINDS.get(msg.kind)
+            if kind is None:
+                raise FrameError(f"reply kind {msg.kind!r} has no wire form")
+            reason = None if msg.reason is None else msg.reason.encode("utf-8")
             return (
-                _II.pack(msg.round_trips, msg.retries)
+                kind
+                + (b"\x01" if msg.ok else b"\x00")
+                + _II.pack(msg.round_trips, msg.retries)
+                + _tag_slot(msg.tag)
                 + _result_slot(msg.result)
                 + _state_slot(msg.learned)
+                + _bytes_slot(reason)
             )
-        case Failed():
-            kind = _FAIL_KINDS.get(msg.kind)
-            if kind is None:
-                raise FrameError(f"failure kind {msg.kind!r} has no wire form")
-            return kind + _str_slot(msg.reason) + _tag_slot(msg.tag)
     raise FrameError(f"{type(msg).__name__} has no wire form")
 
 
@@ -208,12 +214,16 @@ def _read_bytes(p: bytes, pos: int) -> tuple[bytes, int]:
     return p[pos + 4 : end], end
 
 
+def _read_flag(p: bytes, pos: int, what: str) -> bool:
+    flag = p[pos]
+    if flag > 1:
+        raise FrameError(f"bad {what} byte {flag}")
+    return flag == 1
+
+
 def _read_bytes_slot(p: bytes, pos: int) -> tuple[bytes | None, int]:
-    present = p[pos]
-    if present == 0:
+    if not _read_flag(p, pos, "presence"):
         return None, pos + 1
-    if present != 1:
-        raise FrameError(f"bad presence byte {present}")
     return _read_bytes(p, pos + 1)
 
 
@@ -225,10 +235,7 @@ def _read_result(p: bytes, pos: int):
     if lead == b"N":
         return None, pos
     if lead == b"B":
-        flag = p[pos]
-        if flag > 1:
-            raise FrameError(f"bad boolean byte {flag}")
-        return flag == 1, pos + 1
+        return _read_flag(p, pos, "boolean"), pos + 1
     if lead == b"I":
         return _I64.unpack_from(p, pos)[0], pos + 8
     if lead == b"L":
@@ -245,11 +252,8 @@ def _read_result(p: bytes, pos: int):
 
 
 def _read_tag(p: bytes, pos: int):
-    present = p[pos]
-    if present == 0:
+    if not _read_flag(p, pos, "presence"):
         return None, pos + 1
-    if present != 1:
-        raise FrameError(f"bad presence byte {present}")
     return _QQ.unpack_from(p, pos + 1), pos + 17
 
 
@@ -267,7 +271,7 @@ def _decode(p: bytes) -> tuple[Message, int]:
     mtype, request_id, sender, nr, rid_counter, rid_process = _HEADER.unpack_from(p)
     if nr < BOTTOM_NR:
         raise FrameError(f"round number {nr} below bottom")
-    if not 1 <= mtype <= 12:
+    if mtype not in _BY_NUMBER:
         raise FrameError(f"unknown message type {mtype}")
     pos = _HEADER.size
     if 7 <= mtype <= 11:
@@ -279,7 +283,7 @@ def _decode(p: bytes) -> tuple[Message, int]:
             state, pos = _require_state(p, pos + 16, mtype)
             return Nack(sender, request_id, rnd, state, reject), pos
         state, pos = _require_state(p, pos, mtype)
-        return _BY_NUMBER[mtype - 1](sender, request_id, rnd, state), pos  # Prepare, Ack, Vote
+        return _BY_NUMBER[mtype](sender, request_id, rnd, state), pos  # Prepare, Ack, Vote
     if nr != BOTTOM_NR or rid_counter or rid_process:
         raise FrameError(f"message type {mtype} must carry the bottom round")
     if mtype == 5:
@@ -293,30 +297,28 @@ def _decode(p: bytes) -> tuple[Message, int]:
             raise FrameError("unknown update op kind")
         element, pos = _read_bytes_slot(p, pos + 1)
         return Update(sender, request_id, UpdateOp(kind, element)), pos
-    if mtype == 2:
-        tag_p, tag_c, round_trips, retries = _QQII.unpack_from(p, pos)
-        return UpdateDone(sender, request_id, (tag_p, tag_c), round_trips, retries), pos + 24
     if mtype == 3:
         kind = _QUERY_KINDS_BACK.get(p[pos])
         if kind is None:
             raise FrameError("unknown query kind")
         element, pos = _read_bytes_slot(p, pos + 1)
         return Query(sender, request_id, QueryCommand(kind, element)), pos
-    if mtype == 4:
-        round_trips, retries = _II.unpack_from(p, pos)
-        result, pos = _read_result(p, pos + 8)
-        learned, pos = _read_state(p, pos)
-        return QueryDone(sender, request_id, result, learned, round_trips, retries), pos
-    kind = _FAIL_KINDS_BACK.get(p[pos])
+    kind = _REPLY_KINDS_BACK.get(p[pos])
     if kind is None:
-        raise FrameError("unknown failure kind")
-    reason, pos = _read_bytes(p, pos + 1)
-    try:
-        text = reason.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FrameError("failure reason is not valid UTF-8") from exc
-    tag, pos = _read_tag(p, pos)
-    return Failed(sender, request_id, kind, text, tag), pos
+        raise FrameError("unknown reply kind")
+    ok = _read_flag(p, pos + 1, "ok")
+    round_trips, retries = _II.unpack_from(p, pos + 2)
+    tag, pos = _read_tag(p, pos + 10)
+    result, pos = _read_result(p, pos)
+    learned, pos = _read_state(p, pos)
+    reason, pos = _read_bytes_slot(p, pos)
+    if reason is not None:
+        try:
+            reason = reason.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameError("reply reason is not valid UTF-8") from exc
+    reply = Reply(sender, request_id, kind, ok, tag, result, learned, round_trips, retries, reason)
+    return reply, pos
 
 
 def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:

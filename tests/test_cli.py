@@ -158,11 +158,13 @@ def test_check_malformed_history_is_a_usage_error(tmp_path, capsys):
     [(None, None), ("learned_frontier", "ab"), ("tag", [1, 1.5]),
      ("op_id", [1]), ("client", "0"), ("replica", 1.0), ("invoke_t", "a"),
      ("response_t", "x"), ("round_trips", True), ("retries", 2.5),
-     ("incremental_retry_times", None), ("op", "ab")],
+     ("incremental_retry_times", None), ("op", "ab"), ("kind", "Query"),
+     ("outcome", "OK"), ("response_t", None), ("outcome", None), ("invoke_t", 11)],
     ids=["not-an-object", "frontier-string", "tag-float",
          "op_id-list", "client-string", "replica-float", "invoke_t-string",
          "response_t-string", "round_trips-bool", "retries-float", "retry-times-null",
-         "op-string"],
+         "op-string", "kind-unknown", "outcome-unknown", "outcome-without-response_t",
+         "response_t-without-outcome", "response_t-before-invoke_t"],
 )
 def test_check_mistyped_history_line_is_a_usage_error(tmp_path, capsys, field, value):
     from tests_support import make_query

@@ -15,9 +15,7 @@ import pytest
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.history import merge_histories
-from crdtlin.messages import (
-    Failed, Merge, Merged, Query, QueryDone, Update, UpdateDone, UpdateOp,
-)
+from crdtlin.messages import Merge, Merged, Query, Reply, Update, UpdateOp
 from crdtlin.protocol import TimerFire
 from crdtlin.service import (
     ClusterConfig,
@@ -206,6 +204,18 @@ def test_counter_end_to_end(cluster):
         assert bob.value().result == 5
 
 
+def test_client_returns_its_record_and_keeps_history_only_when_recording(cluster):
+    c = cluster(3)
+    with c.client(1) as quiet, c.client(2, record=True, client_id=4) as kept:
+        rec = quiet.increment()
+        assert rec.kind == "update" and rec.outcome == "ok" and rec.tag is not None
+        assert quiet.history == []
+        rec = kept.value()
+        assert rec.kind == "query" and rec.outcome == "ok" and rec.result == 1
+        assert rec.replica == 2 and rec.learned_frontier is not None
+        assert kept.history == [rec] and kept.history[0] is rec
+
+
 def test_set_end_to_end(cluster):
     c = cluster(3, crdt="gset")
     with c.client(1) as writer, c.client(3) as reader:
@@ -253,7 +263,8 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
             assert chunk, "replica closed the connection"
             buf += chunk
     reply = decoded[0]
-    assert isinstance(reply, QueryDone) and reply.result == 1 and reply.learned is None
+    assert isinstance(reply, Reply) and reply.kind == "query" and reply.ok
+    assert reply.result == 1 and reply.learned is None
 
 
 def test_concurrent_clients_agree_on_the_total(cluster):
@@ -330,9 +341,9 @@ def test_batch_with_a_rejected_op_resends_its_lost_merge(cluster):
             + encode(Update(0, rid_c, UpdateOp.set_add(b"c")))
         )
         replies = {r.request_id: r for r in _read_replies(raw, 3)}
-    assert isinstance(replies[rid_a], UpdateDone)
-    assert isinstance(replies[rid_b], Failed)
-    assert isinstance(replies[rid_c], UpdateDone)  # its merge was sent again
+    assert replies[rid_a].kind == "update" and replies[rid_a].ok
+    assert replies[rid_b].kind == "update" and not replies[rid_b].ok
+    assert replies[rid_c].kind == "update" and replies[rid_c].ok  # its merge was sent again
     assert replies[rid_c].retries == 1
 
 
@@ -361,8 +372,8 @@ def test_two_requests_in_one_segment_both_get_replies(cluster):
             + encode(Query(0, rid_b, QueryCommand.counter_value()))
         )
         replies = {r.request_id: r for r in _read_replies(raw, 2)}
-    assert isinstance(replies[rid_a], UpdateDone)
-    assert isinstance(replies[rid_b], QueryDone)
+    assert replies[rid_a].kind == "update" and replies[rid_a].ok
+    assert replies[rid_b].kind == "query" and replies[rid_b].ok
 
 
 def test_request_sent_a_byte_at_a_time_gets_its_reply(cluster):
@@ -375,7 +386,7 @@ def test_request_sent_a_byte_at_a_time_gets_its_reply(cluster):
             raw.sendall(bytes([byte]))
             time.sleep(0.001)
         (reply,) = _read_replies(raw, 1)
-    assert isinstance(reply, QueryDone) and reply.request_id == rid and reply.result == 0
+    assert reply.kind == "query" and reply.ok and reply.request_id == rid and reply.result == 0
 
 
 def test_peer_frame_queued_before_the_peer_listens_arrives_once_it_does():
@@ -528,12 +539,10 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
 
 
 def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
-    from crdtlin.messages import UpdateDone
-
     c = cluster(3)
     endpoint = c.config.endpoint(2)
     raw = socket.create_connection((endpoint.host, endpoint.port), timeout=5)
-    raw.sendall(encode(UpdateDone(9, bytes(16), (1, 1), 1, 0)))
+    raw.sendall(encode(Reply(9, bytes(16), "update", True, (1, 1), round_trips=1)))
     assert raw.recv(1024) == b""
     raw.close()
     with c.client(2) as cl:
@@ -564,7 +573,10 @@ def test_client_reports_request_failure(cluster):
     # a 1-replica cluster with max_retries=0 still succeeds locally, so use
     # a counter query against a set cluster to force a clean failure
     c = cluster(1, crdt="gset")
-    with c.client(1) as alice:
+    with c.client(1, record=True) as alice:
         with pytest.raises(RequestFailed) as exc:
             alice.value()
         assert exc.value.kind == "query"
+    (rec,) = alice.history
+    assert rec.kind == "query" and rec.outcome == "failed" and rec.response_t >= rec.invoke_t
+    assert type(rec.round_trips) is int and type(rec.retries) is int

@@ -11,16 +11,14 @@ from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.messages import (
     ROUND_BOTTOM,
     Ack,
-    Failed,
     Merge,
     Merged,
     Nack,
     Prepare,
     Query,
-    QueryDone,
+    Reply,
     Round,
     Update,
-    UpdateDone,
     UpdateOp,
     Vote,
     Voted,
@@ -37,15 +35,15 @@ SAMPLES = [
     Update(0, RID, UpdateOp.increment()),
     Update(0, RID, UpdateOp.set_add(b"")),
     Update(0, RID, UpdateOp.set_add(b"payload \xf0\x9f")),
-    UpdateDone(2, RID, (2, 41), 1, 0),
+    Reply(2, RID, "update", True, (2, 41), round_trips=1),
     Query(0, RID, QueryCommand.counter_value()),
     Query(0, RID, QueryCommand.set_contains(b"x")),
     Query(0, RID, QueryCommand.set_elements()),
-    QueryDone(1, RID, 42, STATE, 3, 1),
-    QueryDone(1, RID, None, None, 1, 0),
-    QueryDone(1, RID, True, None, 1, 0),
-    QueryDone(1, RID, False, SET_STATE, 2, 0),
-    QueryDone(1, RID, (b"", b"two"), SET_STATE, 1, 0),
+    Reply(1, RID, "query", True, None, 42, STATE, 3, 1),
+    Reply(1, RID, "query", True, None, None, None, 1, 0),
+    Reply(1, RID, "query", True, None, True, None, 1, 0),
+    Reply(1, RID, "query", True, None, False, SET_STATE, 2, 0),
+    Reply(1, RID, "query", True, None, (b"", b"two"), SET_STATE, 1, 0),
     Merge(3, RID, PLAIN),
     Merge(3, RID, STATE),
     Merged(2, RID),
@@ -56,13 +54,20 @@ SAMPLES = [
     Vote(1, RID, Round(5, (8, 1)), STATE),
     Voted(3, RID, Round(5, (8, 1))),
     Nack(2, RID, Round(9, (0, 0)), PLAIN, (17, 4)),
-    Failed(1, RID, "query", "max-retries"),
-    Failed(1, RID, "update", "max-retries", (2, 9)),
-    Failed(1, RID, "update", "ожидание истекло", None),
+    Reply(1, RID, "query", False, round_trips=52, retries=51, reason="max-retries"),
+    Reply(1, RID, "update", False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
+    Reply(1, RID, "update", False, None, reason="ожидание истекло"),
 ]
 
 
-@pytest.mark.parametrize("msg", SAMPLES, ids=lambda m: type(m).__name__)
+def _sample_id(msg) -> str:
+    """A Reply is named for the outcome it carries, any other message for its type."""
+    if isinstance(msg, Reply):
+        return "Failed" if not msg.ok else "UpdateDone" if msg.kind == "update" else "QueryDone"
+    return type(msg).__name__
+
+
+@pytest.mark.parametrize("msg", SAMPLES, ids=_sample_id)
 def test_round_trip(msg):
     frame = encode(msg)
     (length,) = struct.unpack(">I", frame[:4])
@@ -75,9 +80,9 @@ def test_round_trip(msg):
 
 def test_booleans_survive_the_int_overlap():
     # bool is an int subclass; make sure True does not come back as 1
-    frame = encode(QueryDone(1, RID, True, None, 1, 0))
+    frame = encode(Reply(1, RID, "query", True, result=True))
     assert decode_payload(frame[4:]).result is True
-    frame = encode(QueryDone(1, RID, 1, None, 1, 0))
+    frame = encode(Reply(1, RID, "query", True, result=1))
     result = decode_payload(frame[4:]).result
     assert result == 1 and not isinstance(result, bool)
 
@@ -115,10 +120,33 @@ def test_oversized_state_is_rejected_at_encode():
 
 
 def test_unknown_message_type_is_rejected():
-    payload = bytearray(encode(Merged(2, RID))[4:])
-    payload[0] = 99
+    for mtype in (99, 4, 12):  # 4 and 12 are retired numbers
+        payload = bytearray(encode(Merged(2, RID))[4:])
+        payload[0] = mtype
+        with pytest.raises(FrameError, match=f"unknown message type {mtype}"):
+            decode_payload(bytes(payload))
+
+
+_REPLY_BODY = 1 + 16 + 4 + 8 + 16  # where a Reply's body starts in its payload
+
+
+@pytest.mark.parametrize(
+    "index, value",
+    [(_REPLY_BODY, ord("x")), (_REPLY_BODY + 1, 2), (_REPLY_BODY + 10, 2),
+     (_REPLY_BODY + 10 + 17 + 1 + 4, 7), (-1, 0xFF)],
+    ids=["kind", "ok", "tag-presence", "reason-presence", "reason-not-utf8"],
+)
+def test_reply_with_a_bad_byte_is_rejected(index, value):
+    reply = Reply(1, RID, "update", False, (2, 9), round_trips=4, retries=3, reason="max-retries")
+    payload = bytearray(encode(reply)[4:])
+    payload[index] = value
     with pytest.raises(FrameError):
         decode_payload(bytes(payload))
+
+
+def test_reply_kind_must_have_a_wire_form():
+    with pytest.raises(FrameError):
+        encode(Reply(1, RID, "merge", True))
 
 
 def test_wrong_request_id_length_is_rejected():
@@ -204,15 +232,16 @@ def test_hundred_thousand_random_valid_messages_round_trip():
         if pick == 0:
             msg = Update(sender, rid, UpdateOp.set_add(rng.randbytes(rng.randrange(0, 20))))
         elif pick == 1:
-            msg = UpdateDone(sender, rid, (rng.randrange(1, 9), rng.randrange(1, 1 << 30)),
-                             rng.randrange(1 << 16), rng.randrange(1 << 10))
+            msg = Reply(sender, rid, "update", True, (rng.randrange(1, 9), rng.randrange(1, 1 << 30)),
+                        round_trips=rng.randrange(1 << 16), retries=rng.randrange(1 << 10))
         elif pick == 2:
             msg = Query(sender, rid, QueryCommand.set_contains(rng.randbytes(rng.randrange(0, 9))))
         elif pick == 3:
             result = rng.choice([None, True, False, rng.randrange(-(1 << 40), 1 << 40),
                                  tuple(rng.randbytes(3) for _ in range(rng.randrange(0, 4)))])
-            msg = QueryDone(sender, rid, result, rng.choice([None, _random_state(rng)]),
-                            rng.randrange(1 << 8), rng.randrange(1 << 8))
+            msg = Reply(sender, rid, "query", True, None, result,
+                        rng.choice([None, _random_state(rng)]), rng.randrange(1 << 8),
+                        rng.randrange(1 << 8))
         elif pick == 4:
             msg = Merge(sender, rid, _random_state(rng))
         elif pick == 5:
@@ -230,7 +259,9 @@ def test_hundred_thousand_random_valid_messages_round_trip():
                        (rng.randrange(1, 1 << 40), rng.randrange(1, 32)))
         else:
             tag = (rng.randrange(1, 9), rng.randrange(1, 1 << 20)) if rng.random() < 0.5 else None
-            msg = Failed(sender, rid, rng.choice(["update", "query"]), "timeout", tag)
+            msg = Reply(sender, rid, rng.choice(["update", "query"]), False, tag,
+                        round_trips=rng.randrange(1 << 8), retries=rng.randrange(1 << 8),
+                        reason=rng.choice(["timeout", "max-retries", ""]))
         assert decode_payload(encode(msg)[4:]) == msg
 
 
@@ -246,19 +277,20 @@ _TAGGED_SET_HEX = (
     "0000000000000000000001"
 )
 
-# one frame per message type, written by the codec before its one-pass rewrite:
-# the wire format must not move by a byte
+# one frame per message type; all but the Reply frames were written by the
+# codec before its one-pass rewrite: the wire format must not move by a byte
 GOLDEN = [
     (Update(0, RID, UpdateOp.set_add(b"e7")),
      "0000003501" + _HEAD + "00000000" + _BOTTOM + "6101000000026537"),
-    (UpdateDone(2, RID, (2, 41), 1, 0),
-     "0000004502" + _HEAD + "00000002" + _BOTTOM
-     + "000000000000000200000000000000290000000100000000"),
+    (Reply(2, RID, "update", True, (2, 41), round_trips=1),
+     "0000004e02" + _HEAD + "00000002" + _BOTTOM
+     + "7501" + "0000000100000000" + "01" + "0000000000000002" + "0000000000000029"
+     + "4e" + "00000000" + "00"),
     (Query(0, RID, QueryCommand.set_contains(b"x")),
      "0000003403" + _HEAD + "00000000" + _BOTTOM + "63010000000178"),
-    (QueryDone(1, RID, 42, STATE, 3, 1),
-     "0000007c04" + _HEAD + "00000001" + _BOTTOM
-     + "000000030000000149000000000000002a" + _TAGGED_HEX),
+    (Reply(1, RID, "query", True, None, 42, STATE, 3, 1),
+     "0000008002" + _HEAD + "00000001" + _BOTTOM
+     + "7101" + "0000000300000001" + "00" + "49000000000000002a" + _TAGGED_HEX + "00"),
     (Merge(3, RID, _TAGGED_SET),
      "0000006005" + _HEAD + "00000003" + _BOTTOM + _TAGGED_SET_HEX),
     (Merged(2, RID), "0000002d06" + _HEAD + "00000002" + _BOTTOM),
@@ -278,13 +310,14 @@ GOLDEN = [
     (Nack(2, RID, Round(9, (0, 0)), _TAGGED_SET, (17, 4)),
      "000000700b" + _HEAD + "00000002" + "0000000000000009" + "00" * 16
      + "00000000000000110000000000000004" + _TAGGED_SET_HEX),
-    (Failed(1, RID, "update", "max-retries", (2, 9)),
-     "0000004e0c" + _HEAD + "00000001" + _BOTTOM
-     + "750000000b6d61782d726574726965730100000000000000020000000000000009"),
+    (Reply(1, RID, "update", False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
+     "0000005d02" + _HEAD + "00000001" + _BOTTOM
+     + "7500" + "0000000400000003" + "01" + "0000000000000002" + "0000000000000009"
+     + "4e" + "00000000" + "01" + "0000000b" + "6d61782d72657472696573"),
 ]
 
 
-@pytest.mark.parametrize("msg,frame_hex", GOLDEN, ids=[type(m).__name__ for m, _ in GOLDEN])
+@pytest.mark.parametrize("msg,frame_hex", GOLDEN, ids=[_sample_id(m) for m, _ in GOLDEN])
 def test_golden_frames(msg, frame_hex):
     frame = bytes.fromhex(frame_hex)
     assert encode(msg) == frame
@@ -292,7 +325,7 @@ def test_golden_frames(msg, frame_hex):
 
 
 def test_golden_frames_cover_every_message_type():
-    assert len({type(msg) for msg, _ in GOLDEN}) == 12
+    assert len({type(msg) for msg, _ in GOLDEN}) == 10
 
 
 def test_huge_declared_frontier_width_is_rejected_before_allocating():
