@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="G1|G2@START..END")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=_parse_seeds, default=None, metavar="A..B",
-                   help="sweep mode: one metrics row per seed")
+                   help="sweep mode: seed,metric,value rows of every seed's metrics")
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
     p = sub.add_parser("check", help="verify a recorded history")
@@ -248,23 +248,6 @@ def _sim_config(args, seed: int, record_trace: bool) -> SimConfig:
     )
 
 
-_SWEEP_COLUMNS = (
-    "seed",
-    "update_ok",
-    "update_failed",
-    "query_ok",
-    "query_failed",
-    "pending",
-    "final_time",
-    "quiescent",
-)
-
-
-def _op_stats(history) -> tuple[dict, dict]:
-    stats = summarize(history)
-    return stats["update"], stats["query"]
-
-
 def _cmd_sim(args) -> int:
     if args.seeds is not None:
         if args.out:
@@ -273,21 +256,11 @@ def _cmd_sim(args) -> int:
         else:
             out = sys.stdout
         try:
-            out.write(",".join(_SWEEP_COLUMNS) + "\n")
+            out.write("seed,metric,value\n")
             for seed in args.seeds:
                 result = Simulation(_sim_config(args, seed, record_trace=False)).run()
-                update, query = _op_stats(result.history)
-                row = (
-                    seed,
-                    update["ok"],
-                    update["failed"],
-                    query["ok"],
-                    query["failed"],
-                    update["pending"] + query["pending"],
-                    result.metrics.final_time,
-                    int(result.metrics.quiescent),
-                )
-                out.write(",".join(str(v) for v in row) + "\n")
+                for key, value in result.metrics.rows(result.history):
+                    out.write(f"{seed},{key},{value}\n")
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -299,11 +272,12 @@ def _cmd_sim(args) -> int:
         result.write_outputs(args.out)
     else:
         write_metrics_csv(metrics.rows(result.history), sys.stdout)
-    update, query = _op_stats(result.history)
+    stats = summarize(result.history)
+    done = stats["update"]["ok"] + stats["query"]["ok"]
+    stalled = stats["update"]["pending"] + stats["query"]["pending"]
     print(
-        f"completed {update['ok'] + query['ok']} ops in {metrics.final_time} ticks"
-        f" ({'quiescent' if metrics.quiescent else 'horizon hit'},"
-        f" {update['pending'] + query['pending']} stalled)",
+        f"completed {done} ops in {metrics.final_time} ticks"
+        f" ({'quiescent' if metrics.quiescent else 'horizon hit'}, {stalled} stalled)",
         file=sys.stderr,
     )
     return 0

@@ -1,11 +1,8 @@
-"""Rounds and the message vocabulary shared by every transport.
+"""The message vocabulary shared by every transport.
 
-A round is a pair of a round number and a round id. Ordering between rounds
-compares numbers alone; two rounds are the same round only when both number
-and id match. Either half can be the distinguished bottom value: a bottom
-number marks an incremental prepare whose effective number each acceptor
-computes locally, and a bottom id marks a round invalidated by an update
-or merge (or the acceptor's initial round).
+A query's ``Prepare`` and its ``Ack`` carry the attempt number of the
+prepare, counted per request from 1, so a proposer can tell an ack of its
+live attempt from one of an attempt it has moved past.
 """
 
 from __future__ import annotations
@@ -13,26 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crdt import CausalTag, QueryCommand, SemilatticeValue, UpdateOp
-
-# Round ids are (per-process counter, process id). Counters start at 1 and
-# process ids at 1, so (0, 0) stays reserved for bottom.
-RoundId = tuple[int, int]
-
-BOTTOM_NR = -1
-BOTTOM_ID: RoundId = (0, 0)
-
-
-@dataclass(frozen=True, slots=True)
-class Round:
-    nr: int
-    rid: RoundId
-
-
-ROUND_BOTTOM = Round(BOTTOM_NR, BOTTOM_ID)
-
-
-def incremental_round(rid: RoundId) -> Round:
-    return Round(BOTTOM_NR, rid)
 
 
 # ----------------------------------------------------------- replica to replica
@@ -55,7 +32,7 @@ class Merged:
 class Prepare:
     sender: int
     request_id: bytes
-    round: Round
+    attempt: int
     state: SemilatticeValue
 
 
@@ -63,34 +40,8 @@ class Prepare:
 class Ack:
     sender: int
     request_id: bytes
-    round: Round
+    attempt: int  # the answered prepare's
     state: SemilatticeValue
-
-
-@dataclass(frozen=True, slots=True)
-class Vote:
-    sender: int
-    request_id: bytes
-    round: Round
-    state: SemilatticeValue
-
-
-@dataclass(frozen=True, slots=True)
-class Voted:
-    # No payload: the proposer kept the proposed state. The round names the
-    # vote being answered so late votes from an abandoned round never count.
-    sender: int
-    request_id: bytes
-    round: Round
-
-
-@dataclass(frozen=True, slots=True)
-class Nack:
-    sender: int
-    request_id: bytes
-    round: Round  # the acceptor's current round
-    state: SemilatticeValue  # the acceptor's current payload
-    reject_id: RoundId  # round id of the refused prepare or vote
 
 
 # ----------------------------------------------------------- client to replica
@@ -130,6 +81,6 @@ class Reply:
     reason: str | None = None
 
 
-ReplicaMessage = Merge | Merged | Prepare | Ack | Vote | Voted | Nack
+ReplicaMessage = Merge | Merged | Prepare | Ack
 ClientMessage = Update | Query | Reply
 Message = ReplicaMessage | ClientMessage

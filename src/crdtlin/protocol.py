@@ -1,12 +1,14 @@
 """Proposer and acceptor handlers for quorum-replicated CRDT state.
 
 Every replica runs both roles. Updates apply at the proposer's co-located
-acceptor and spread through a single merge round; queries learn a state
-through incremental prepares, either directly when a quorum answers with
-equivalent payloads or through one vote round when the quorum agrees on a
-round. Rejected or timed-out queries retry with an incremental prepare
-carrying the least upper bound of every payload received so far, which
-bounds retries once writes quiesce.
+acceptor and spread through a single merge round. A query broadcasts a
+prepare; every acceptor folds its payload in and acks with its own, and the
+query learns the state when a quorum of acks holds equal payloads. A quorum
+that disagrees (updates raced the prepare) sends nothing: the proposer asks
+for a back-off timer, keeps folding late acks into everything gathered so
+far, and when the timer fires prepares again with that least upper bound.
+A lost prepare or ack retries the same way when the loss timer fires. Once
+writes quiesce, a retry carrying everything gathered ends the query.
 
 Handlers are pure state machines: no I/O, no clocks, no randomness. The
 same ``Replica`` runs under the simulator and the networked service; the
@@ -32,21 +34,7 @@ from .crdt import (
     apply_query,
     apply_update,
 )
-from .messages import (
-    BOTTOM_ID,
-    BOTTOM_NR,
-    Ack,
-    Merge,
-    Merged,
-    Nack,
-    Prepare,
-    ReplicaMessage,
-    Round,
-    RoundId,
-    Vote,
-    Voted,
-    incremental_round,
-)
+from .messages import Ack, Merge, Merged, Prepare, ReplicaMessage
 
 _REQ_ID = struct.Struct(">QQ")
 
@@ -110,16 +98,22 @@ class ClientReply:
 
 @dataclass(frozen=True, slots=True)
 class TimerRequest:
-    """(Re)arm the per-request timer; the runtime chooses the duration."""
+    """(Re)arm the per-request timer; the runtime chooses the duration.
+
+    ``backoff`` is None for the loss timer. For the wait before a query
+    prepares again after a disagreeing quorum, it is the request's retries
+    so far, so a runtime may wait longer each time.
+    """
 
     request_id: bytes
     generation: int
+    backoff: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class RequestRetry:
     """Reported when a request starts another round; kinds: incremental,
-    fixed, merge-resend."""
+    merge-resend."""
 
     request_id: bytes
     kind: str
@@ -137,47 +131,26 @@ class StepOutput:
 
 
 class Acceptor:
-    """Round-tracking holder of the replica's CRDT payload.
+    """Holder of the replica's CRDT payload, which only ever grows: updates
+    inflate it, merges and prepares fold remote payloads in."""
 
-    The payload only ever grows: updates inflate it, merges fold remote
-    payloads in. Applying an update or a merge blanks the round id so that
-    votes prepared before the change can no longer succeed.
-    """
-
-    __slots__ = ("rid", "round", "state")
+    __slots__ = ("rid", "state")
 
     def __init__(self, rid: int, initial: SemilatticeValue):
         self.rid = rid
-        self.round = Round(0, BOTTOM_ID)
         self.state = initial
 
     def apply_update(self, cmd: UpdateCommand) -> SemilatticeValue:
         self.state = apply_update(cmd, self.state)
-        self.round = Round(self.round.nr, BOTTOM_ID)
         return self.state
 
     def on_merge(self, m: Merge) -> Merged:
         self.state = self.state.merge(m.state)
-        self.round = Round(self.round.nr, BOTTOM_ID)
         return Merged(sender=self.rid, request_id=m.request_id)
 
-    def on_prepare(self, m: Prepare) -> Ack | Nack:
+    def on_prepare(self, m: Prepare) -> Ack:
         self.state = self.state.merge(m.state)
-        r = m.round
-        if r.nr == BOTTOM_NR:
-            # incremental prepare: one past whatever this acceptor has seen
-            r = Round(self.round.nr + 1, r.rid)
-        if r.nr > self.round.nr:
-            self.round = r
-            return Ack(self.rid, m.request_id, self.round, self.state)
-        return Nack(self.rid, m.request_id, self.round, self.state, reject_id=m.round.rid)
-
-    def on_vote(self, m: Vote) -> Voted | Nack:
-        # merge first: even a refused vote's payload must not be lost
-        self.state = self.state.merge(m.state)
-        if m.round == self.round:
-            return Voted(self.rid, m.request_id, m.round)
-        return Nack(self.rid, m.request_id, self.round, self.state, reject_id=m.round.rid)
+        return Ack(self.rid, m.request_id, m.attempt, self.state)
 
 
 # ------------------------------------------------------------------ proposer
@@ -190,12 +163,10 @@ class ProposerRequest:
     request_id: bytes
     kind: str  # "update" | "query"
     ops: list[tuple[object, object, object]]  # (client, token, command)
-    phase: str  # "merging" | "preparing" | "voting"
-    round: Round = Round(BOTTOM_NR, BOTTOM_ID)  # its id names the live prepare/vote attempt
-    acks: dict[int, tuple[Round, SemilatticeValue]] = field(default_factory=dict)
+    phase: str  # "merging" | "preparing" | "backing-off"
+    attempt: int = 1  # number of the live prepare
+    acks: dict[int, SemilatticeValue] = field(default_factory=dict)  # of the live prepare
     merged: set[int] = field(default_factory=set)
-    voted: set[int] = field(default_factory=set)
-    proposed: SemilatticeValue | None = None  # set exactly while phase == "voting"
     gathered: SemilatticeValue | None = None  # LUB of every payload seen so far
     merge_state: SemilatticeValue | None = None
     retries: int = 0
@@ -219,7 +190,6 @@ class Replica:
         self.config = config
         self.acceptor = Acceptor(rid, initial)
         self.requests: dict[bytes, ProposerRequest] = {}
-        self._round_counter = 0
         self._request_counter = 0
         self._update_seq = 0
         # by request kind: ops waiting for the next batch, and the batch in flight
@@ -232,11 +202,8 @@ class Replica:
             TimerFire: self.on_timeout,
             Merge: self._on_acceptor_message,
             Prepare: self._on_acceptor_message,
-            Vote: self._on_acceptor_message,
             Merged: self.on_merged,
             Ack: self.on_ack,
-            Voted: self.on_voted,
-            Nack: self.on_nack,
         }
 
     # -- identity helpers
@@ -244,10 +211,6 @@ class Replica:
     def is_quorum(self, ids: AbstractSet[int]) -> bool:
         """True for more than half the replicas; two such sets always intersect."""
         return len(ids) > self.config.n_replicas // 2
-
-    def new_round_id(self) -> RoundId:
-        self._round_counter += 1
-        return (self._round_counter, self.rid)
 
     def _new_request_id(self) -> bytes:
         self._request_counter += 1
@@ -299,10 +262,8 @@ class Replica:
             return
         if isinstance(m, Merge):
             reply = self.acceptor.on_merge(m)
-        elif isinstance(m, Prepare):
-            reply = self.acceptor.on_prepare(m)
         else:
-            reply = self.acceptor.on_vote(m)
+            reply = self.acceptor.on_prepare(m)
         out.sends.append((m.sender, reply))
 
     # -- client operations and batching
@@ -379,12 +340,11 @@ class Replica:
             kind="query",
             ops=items,
             phase="preparing",
-            round=incremental_round(self.new_round_id()),
             gathered=payload,
             round_trips=1,
         )
         self.requests[request_id] = req
-        self._broadcast(Prepare(self.rid, request_id, req.round, payload), out)
+        self._broadcast(Prepare(self.rid, request_id, req.attempt, payload), out)
         self._arm_timer(req, out)
         return req
 
@@ -409,71 +369,28 @@ class Replica:
     def on_ack(self, m: Ack, out: StepOutput) -> None:
         self._admit(m)
         req = self.requests.get(m.request_id)
-        if req is None or req.kind != "query" or req.phase != "preparing":
+        if req is None or req.kind != "query":
             return
         if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.gathered = req.gathered.merge(m.state)
-        if m.round.rid != req.round.rid:
-            return  # an earlier attempt's ack: keep the payload, not the vote
-        if m.sender not in req.acks:
-            req.acks[m.sender] = (m.round, m.state)
+        if req.phase != "preparing" or m.attempt != req.attempt:
+            return  # backing off, or an earlier attempt's ack: keep only the payload
+        req.acks.setdefault(m.sender, m.state)
         if not self.is_quorum(req.acks.keys()):
             return
-        entries = sorted(req.acks.items())  # stable across runs
-        states = [s for _, (_, s) in entries]
-        rounds = [r for _, (r, _) in entries]
+        states = list(req.acks.values())
         lub = states[0]
         for s in states[1:]:
             lub = lub.merge(s)
         if all(lub.compare(s) for s in states):
             # equivalent payloads: the quorum already agrees on this state
             self._complete_query(req, lub, out)
-        elif all(r == rounds[0] for r in rounds[1:]):
-            # same round everywhere: ask the quorum to adopt the LUB
-            req.phase = "voting"
-            req.proposed = lub
-            req.round = rounds[0]
-            req.voted = set()
-            req.round_trips += 1
-            self._broadcast(Vote(self.rid, req.request_id, req.round, lub), out)
-            self._arm_timer(req, out)
-        else:
-            # mixed rounds: outbid them all with a fixed prepare
-            nr = max(r.nr for r in rounds) + 1
-            req.round = Round(nr, self.new_round_id())
-            req.acks = {}
-            req.retries += 1
-            req.round_trips += 1
-            out.retries.append(RequestRetry(req.request_id, "fixed"))
-            if self._retries_exhausted(req, out):
-                return
-            self._broadcast(Prepare(self.rid, req.request_id, req.round, lub), out)
-            self._arm_timer(req, out)
-
-    def on_voted(self, m: Voted, out: StepOutput) -> None:
-        req = self.requests.get(m.request_id)
-        if req is None or req.kind != "query" or req.phase != "voting":
             return
-        if m.round != req.round:
-            return  # vote for an abandoned round
-        if not 1 <= m.sender <= self.config.n_replicas:
-            return
-        req.voted.add(m.sender)
-        if self.is_quorum(req.voted):
-            self._complete_query(req, req.proposed, out)
-
-    def on_nack(self, m: Nack, out: StepOutput) -> None:
-        self._admit(m)
-        req = self.requests.get(m.request_id)
-        if req is None or req.kind != "query":
-            return
-        if not 1 <= m.sender <= self.config.n_replicas:
-            return
-        req.gathered = req.gathered.merge(m.state)
-        if m.reject_id != req.round.rid:
-            return  # refusal of an attempt already superseded
-        self._retry_incremental(req, out)
+        # updates raced the prepare: wait for them to spread, then prepare
+        # again with everything gathered by then
+        req.phase = "backing-off"
+        self._arm_timer(req, out, backoff=req.retries)
 
     def on_timeout(self, event: TimerFire, out: StepOutput) -> None:
         request_id = event.request_id
@@ -497,12 +414,11 @@ class Replica:
         if self._retries_exhausted(req, out):
             return
         req.phase = "preparing"
-        req.round = incremental_round(self.new_round_id())
+        req.attempt += 1
         req.acks = {}
-        req.proposed = None
         req.round_trips += 1
         out.retries.append(RequestRetry(req.request_id, "incremental"))
-        self._broadcast(Prepare(self.rid, req.request_id, req.round, req.gathered), out)
+        self._broadcast(Prepare(self.rid, req.request_id, req.attempt, req.gathered), out)
         self._arm_timer(req, out)
 
     def _retries_exhausted(self, req: ProposerRequest, out: StepOutput) -> bool:
@@ -533,9 +449,9 @@ class Replica:
             self._inflight[req.kind] = None
             self._flush(req.kind, out)
 
-    def _arm_timer(self, req: ProposerRequest, out: StepOutput) -> None:
+    def _arm_timer(self, req: ProposerRequest, out: StepOutput, backoff: int | None = None) -> None:
         req.timer_generation += 1
-        out.timers.append(TimerRequest(req.request_id, req.timer_generation))
+        out.timers.append(TimerRequest(req.request_id, req.timer_generation, backoff))
 
 
 def _reply(req: ProposerRequest, client, token, ok: bool, **fields) -> ClientReply:

@@ -2,11 +2,13 @@
 
 One daemon hosts both protocol roles for its replica id. All protocol state
 lives on a single asyncio event loop: protocol callbacks feed each complete
-frame and each request's one loss timer (cancelled once the request ends)
-into the state machine synchronously, so no two handlers ever interleave
-inside it. Peer frames are written straight to the socket, or held while the
-link reconnects; past a byte cap a dead or slow peer's frames are dropped,
-which the protocol is built to absorb.
+frame and each request's one timer (cancelled once the request ends) into
+the state machine synchronously, so no two handlers ever interleave inside
+it. A loss timer waits ``timeout`` seconds; a query's back-off after a
+disagreeing quorum fires on the loop's next turn, once the frames already
+received have been handled. Peer frames are written straight to the socket,
+or held while the link reconnects; past a byte cap a dead or slow peer's
+frames are dropped, which the protocol is built to absorb.
 
 Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
@@ -51,6 +53,7 @@ from .protocol import (
     ProtocolConfig,
     Replica,
     TimerFire,
+    TimerRequest,
 )
 from .wire import FrameError, encode, try_decode
 
@@ -250,7 +253,7 @@ class ReplicaDaemon:
                 else:
                     self._enqueue_peer(dst, msg)
             for timer in out.timers:
-                self._arm_timer(timer.request_id, timer.generation)
+                self._arm_timer(timer)
             for reply in out.replies:
                 # a batch replies to a rejected op early; the timer goes when the request ends
                 if reply.request_id not in self.replica.requests:
@@ -258,11 +261,13 @@ class ReplicaDaemon:
                         handle.cancel()
                 self._answer_client(reply)
 
-    def _arm_timer(self, request_id: bytes, generation: int) -> None:
-        if (old := self._timers.get(request_id)) is not None:
+    def _arm_timer(self, timer: TimerRequest) -> None:
+        if (old := self._timers.get(timer.request_id)) is not None:
             old.cancel()
-        timeout = self.config.timeout
-        self._timers[request_id] = self._loop.call_later(timeout, self._fire, request_id, generation)
+        delay = self.config.timeout if timer.backoff is None else 0
+        self._timers[timer.request_id] = self._loop.call_later(
+            delay, self._fire, timer.request_id, timer.generation
+        )
 
     def _fire(self, request_id: bytes, generation: int) -> None:
         del self._timers[request_id]

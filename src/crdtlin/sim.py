@@ -12,12 +12,14 @@ copy) inter-replica messages; replicas can crash-stop at scheduled times
 and groups can be partitioned for a window. Messages a replica addresses
 to itself take one reliable tick. Clients are closed-loop: each runs a
 generated script and issues the next operation one tick after the previous
-response.
+response. A request's loss timer fires ``effective_timeout()`` ticks after
+it is armed; a query that backs off after a disagreeing quorum prepares
+again ``(r + 2) * delay_max`` ticks later, where ``r`` is its retries so
+far.
 
 While it runs, the simulator cross-checks execution invariants that the
-protocol promises: acceptor payloads and round numbers only grow, each
-acceptor's acknowledged payloads are monotonic, a proposer never broadcasts
-two votes for the same request round, and every learned state is dominated
+protocol promises: acceptor payloads only grow, each acceptor's
+acknowledged payloads are monotonic, and every learned state is dominated
 by a quorum of current acceptor payloads at the moment it is learned.
 
 Operation metrics have one source, the recorded history: ``summarize``
@@ -37,7 +39,7 @@ from pathlib import Path
 
 from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
 from .history import OpRecord, TraceEvent, op_dict, record_reply, write_history, write_trace
-from .messages import Ack, Vote
+from .messages import Ack
 from .protocol import (
     ClientQuery,
     ClientReply,
@@ -313,7 +315,6 @@ class Simulation:
 
         # invariant monitor state
         self._last_acked: dict[int, SemilatticeValue] = {}
-        self._votes_broadcast: set[tuple[bytes, object]] = set()
 
         for rid, t in sorted(cfg.crash_schedule):
             self._push(t, "crash", (rid,))
@@ -443,12 +444,14 @@ class Simulation:
             return
         replica = self.replicas[rid]
         before_state = replica.acceptor.state
-        before_nr = replica.acceptor.round.nr
         out = replica.step(event)
         if self.config.check_invariants:
-            self._check_step_invariants(rid, replica, before_state, before_nr, out)
+            self._check_step_invariants(rid, replica, before_state, out)
         for timer in out.timers:
-            due = t + self.config.effective_timeout()
+            if timer.backoff is None:
+                due = t + self.config.effective_timeout()
+            else:
+                due = t + (timer.backoff + 2) * self.config.delay_max
             self._push(due, "timer", (rid, timer.request_id, timer.generation))
         for retry in out.retries:
             self._retry_times[retry.request_id].append((t, retry.kind))
@@ -499,25 +502,16 @@ class Simulation:
 
     # -- execution invariants
 
-    def _check_step_invariants(self, rid, replica, before_state, before_nr, out) -> None:
+    def _check_step_invariants(self, rid, replica, before_state, out) -> None:
         after = replica.acceptor.state
         if not before_state.compare(after):
             raise InvariantViolation(f"replica {rid} acceptor payload shrank")
-        if replica.acceptor.round.nr < before_nr:
-            raise InvariantViolation(f"replica {rid} acceptor round number went backwards")
-        vote_keys = set()
         for _dst, msg in out.sends:
             if isinstance(msg, Ack):
                 last = self._last_acked.get(rid)
                 if last is not None and not last.compare(msg.state):
                     raise InvariantViolation(f"replica {rid} acknowledged a smaller payload")
                 self._last_acked[rid] = msg.state
-            elif isinstance(msg, Vote):
-                vote_keys.add((msg.request_id, msg.round))
-        for key in vote_keys:
-            if key in self._votes_broadcast:
-                raise InvariantViolation("second vote broadcast for one request round")
-            self._votes_broadcast.add(key)
         checked = None  # a batch's replies share one learned state: check it once
         for reply in out.replies:
             learned = reply.learned

@@ -6,15 +6,14 @@ itself) followed by a fixed header and a type-specific body:
     u8   message type
     16B  request id
     u32  sender (0 for clients)
-    i64  round number (-1 is the incremental marker)
-    u64  round id counter, u64 round id process ((0, 0) is bottom)
     ...  body
 
-Messages that carry no round write the bottom round, and decoding insists
-on it: any other filler means a corrupt or foreign frame. Replicated states
-travel in their canonical byte form inside a length-prefixed slot (length
-zero means absent). Decoding is strict end to end; anything malformed
-raises FrameError, never an arbitrary struct or index error.
+Replicated states travel in their canonical byte form inside a
+length-prefixed slot (length zero means absent). Between replicas, Merge
+(type 5) is one state slot and Merged (type 6) has no body; Prepare (type
+7) and Ack (type 8) are a u32 attempt number and then a state slot.
+Decoding is strict end to end; anything malformed raises FrameError, never
+an arbitrary struct or index error.
 
 Clients send Update (type 1) and Query (type 3); every answer, ok or
 failed, update or query, is one Reply (type 2):
@@ -27,7 +26,8 @@ failed, update or query, is one Reply (type 2):
     ...  learned state slot
     ...  reason (presence byte, then u32 length and UTF-8 text)
 
-Types 4 and 12 are retired and decode as unknown, like any other number.
+Types 4, 9, 10, 11 and 12 are retired and decode as unknown, like any
+other number.
 """
 
 from __future__ import annotations
@@ -35,33 +35,14 @@ from __future__ import annotations
 import struct
 
 from .crdt import QueryCommand, SemilatticeValue, SerializationError, UpdateOp, state_from_bytes
-from .messages import (
-    BOTTOM_ID,
-    BOTTOM_NR,
-    ROUND_BOTTOM,
-    Ack,
-    Merge,
-    Merged,
-    Message,
-    Nack,
-    Prepare,
-    Query,
-    Reply,
-    Round,
-    Update,
-    Vote,
-    Voted,
-)
+from .messages import Ack, Merge, Merged, Message, Prepare, Query, Reply, Update
 
 __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
 
 MAX_FRAME = 16 * 1024 * 1024  # total frame size cap, length prefix included
 
 # wire type numbers; the gaps are retired numbers
-_TYPES: dict[type, int] = {
-    Update: 1, Reply: 2, Query: 3, Merge: 5, Merged: 6, Prepare: 7, Ack: 8, Vote: 9, Voted: 10,
-    Nack: 11,
-}
+_TYPES: dict[type, int] = {Update: 1, Reply: 2, Query: 3, Merge: 5, Merged: 6, Prepare: 7, Ack: 8}
 _BY_NUMBER = {number: cls for cls, number in _TYPES.items()}
 
 # decoding looks kinds up by byte value
@@ -72,8 +53,8 @@ _QUERY_KINDS_BACK = {v[0]: k for k, v in _QUERY_KINDS.items()}
 _REPLY_KINDS = {"update": b"u", "query": b"q"}
 _REPLY_KINDS_BACK = {v[0]: k for k, v in _REPLY_KINDS.items()}
 
-_HEADER = struct.Struct(">B16sIqQQ")
-_PREFIXED_HEADER = struct.Struct(">IB16sIqQQ")
+_HEADER = struct.Struct(">B16sI")
+_PREFIXED_HEADER = struct.Struct(">IB16sI")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _II = struct.Struct(">II")
@@ -137,12 +118,12 @@ def _query_slot(query: QueryCommand) -> bytes:
 
 def _body(msg: Message) -> bytes:
     match msg:  # peer messages first: they are most of the traffic
-        case Merge() | Prepare() | Ack() | Vote():
+        case Prepare() | Ack():
+            return _U32.pack(msg.attempt) + _state_slot(msg.state)
+        case Merge():
             return _state_slot(msg.state)
-        case Merged() | Voted():
+        case Merged():
             return b""
-        case Nack():
-            return _QQ.pack(msg.reject_id[0], msg.reject_id[1]) + _state_slot(msg.state)
         case Update():
             return _op_slot(msg.op)
         case Query():
@@ -170,12 +151,11 @@ def encode(msg: Message) -> bytes:
         raise FrameError(f"{type(msg).__name__} has no wire form")
     if len(msg.request_id) != 16:
         raise FrameError(f"request id must be 16 bytes, got {len(msg.request_id)}")
-    rnd = getattr(msg, "round", ROUND_BOTTOM)
     body = _body(msg)
     length = _HEADER.size + len(body)
     if 4 + length > MAX_FRAME:
         raise FrameError(f"frame of {4 + length} bytes exceeds the {MAX_FRAME} cap")
-    return _PREFIXED_HEADER.pack(length, mtype, msg.request_id, msg.sender, rnd.nr, *rnd.rid) + body
+    return _PREFIXED_HEADER.pack(length, mtype, msg.request_id, msg.sender) + body
 
 
 # ------------------------------------------------------------------- decode
@@ -268,24 +248,14 @@ def decode_payload(payload: bytes) -> Message:
 
 
 def _decode(p: bytes) -> tuple[Message, int]:
-    mtype, request_id, sender, nr, rid_counter, rid_process = _HEADER.unpack_from(p)
-    if nr < BOTTOM_NR:
-        raise FrameError(f"round number {nr} below bottom")
+    mtype, request_id, sender = _HEADER.unpack_from(p)
     if mtype not in _BY_NUMBER:
         raise FrameError(f"unknown message type {mtype}")
     pos = _HEADER.size
-    if 7 <= mtype <= 11:
-        rnd = Round(nr, (rid_counter, rid_process))
-        if mtype == 10:
-            return Voted(sender, request_id, rnd), pos
-        if mtype == 11:
-            reject = _QQ.unpack_from(p, pos)
-            state, pos = _require_state(p, pos + 16, mtype)
-            return Nack(sender, request_id, rnd, state, reject), pos
-        state, pos = _require_state(p, pos, mtype)
-        return _BY_NUMBER[mtype](sender, request_id, rnd, state), pos  # Prepare, Ack, Vote
-    if nr != BOTTOM_NR or rid_counter or rid_process:
-        raise FrameError(f"message type {mtype} must carry the bottom round")
+    if mtype == 7 or mtype == 8:
+        (attempt,) = _U32.unpack_from(p, pos)
+        state, pos = _require_state(p, pos + 4, mtype)
+        return _BY_NUMBER[mtype](sender, request_id, attempt, state), pos  # Prepare, Ack
     if mtype == 5:
         state, pos = _require_state(p, pos, mtype)
         return Merge(sender, request_id, state), pos

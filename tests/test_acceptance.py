@@ -265,6 +265,25 @@ def test_criterion_05_batching_round_trip_bound():
     )
 
 
+def test_criterion_05_holds_at_seeds_2_to_6():
+    # the same run at five more seeds, so the back-off rule is not fitted to seed 1
+    fractions = {}
+    for seed in range(2, 7):
+        cfg = SimConfig(
+            n_replicas=3, n_clients=64, update_fraction=0.1, ops_per_client=160,
+            batching=True, delay_min=1, delay_max=1, instrument=False, record_trace=False,
+            seed=seed,
+        )
+        history = sim_run(cfg).history
+        assert len(history) >= 10_000
+        queries = [r for r in history if r.kind == "query" and r.outcome == "ok"]
+        fractions[seed] = sum(1 for r in queries if r.round_trips <= 3) / len(queries)
+    worst = min(fractions, key=fractions.get)
+    passed = fractions[worst] >= 0.99
+    _line(5, passed, f"seeds 2-6: worst {fractions[worst]:.2%} within 3 round trips (seed {worst})")
+    assert passed, fractions
+
+
 def test_criterion_06_query_termination(sweep):
     checked = 0
     violations = []

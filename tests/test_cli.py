@@ -69,9 +69,29 @@ def test_sim_seed_sweep(tmp_path):
         "sim", "--clients", "2", "--ops", "5", "--seeds", "1..5", "--out", str(out),
     ) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0].startswith("seed,")
-    assert len(lines) == 6  # header + one row per seed
-    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
+    assert lines[0] == "seed,metric,value"
+    rows = [line.split(",") for line in lines[1:]]
+    assert sorted({int(seed) for seed, _, _ in rows}) == [1, 2, 3, 4, 5]
+    # every seed reports the same metrics a single run writes, round trips included
+    for seed in range(1, 6):
+        metrics = {metric for s, metric, _ in rows if s == str(seed)}
+        assert {"final_time", "ops_query_ok", "round_trips_query_1", "latency_query_p50"} <= metrics
+
+
+def test_sim_seed_sweep_rows_are_each_seeds_metrics(tmp_path, capsys):
+    assert run_cli(
+        "sim", "--clients", "4", "--ops", "20", "--mix", "0.3", "--batching", "--seeds", "3..4",
+    ) == 0
+    sweep = capsys.readouterr().out.splitlines()[1:]
+    for seed in (3, 4):
+        single = tmp_path / str(seed)
+        assert run_cli(
+            "sim", "--clients", "4", "--ops", "20", "--mix", "0.3", "--batching",
+            "--seed", str(seed), "--no-trace", "--out", str(single),
+        ) == 0
+        # a metrics.csv without its header and schema row
+        expected = (single / "metrics.csv").read_text().splitlines()[2:]
+        assert [line.split(",", 1)[1] for line in sweep if line.startswith(f"{seed},")] == expected
 
 
 def test_sim_rejects_bad_config(capsys):

@@ -8,22 +8,11 @@ hand on lattices small enough to eyeball.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crdtlin.crdt import CausalTaggedState, GCounter, QueryCommand, ShapeError, UpdateCommand
-from crdtlin.messages import (
-    BOTTOM_ID,
-    BOTTOM_NR,
-    Ack,
-    Merge,
-    Merged,
-    Nack,
-    Prepare,
-    Round,
-    UpdateOp,
-    Vote,
-    Voted,
-    incremental_round,
-)
+from crdtlin.messages import Ack, Merge, Merged, Prepare, UpdateOp
 from crdtlin.protocol import (
     Acceptor,
     ClientQuery,
@@ -34,10 +23,6 @@ from crdtlin.protocol import (
     Replica,
     TimerFire,
 )
-
-X = (1, 2)  # some previously issued round ids
-Y = (2, 3)
-Z = (3, 1)
 
 REQ = b"\x00" * 15 + b"\x01"
 
@@ -54,25 +39,16 @@ def sends_by_type(out, cls):
 # ---------------------------------------------------------------- acceptor
 
 
-def test_acceptor_starts_at_round_zero_bottom():
-    a = Acceptor(1, GCounter.zero(2))
-    assert a.round == Round(0, BOTTOM_ID)
-
-
-def test_apply_update_inflates_and_blanks_round_id():
+def test_apply_update_inflates_the_payload():
     a = Acceptor(1, GCounter((1, 0)))
-    a.round = Round(3, X)
     s = a.apply_update(UpdateCommand.increment(0, (1, 1)))
-    assert s == GCounter((2, 0))
-    assert a.round == Round(3, BOTTOM_ID)
+    assert s == a.state == GCounter((2, 0))
 
 
-def test_merge_folds_payload_and_blanks_round_id():
+def test_merge_folds_the_payload():
     a = Acceptor(2, GCounter((1, 0, 2)))
-    a.round = Round(2, X)
     reply = a.on_merge(Merge(sender=1, request_id=REQ, state=GCounter((0, 3, 2))))
     assert a.state == GCounter((1, 3, 2))
-    assert a.round == Round(2, BOTTOM_ID)
     assert reply == Merged(sender=2, request_id=REQ)
 
 
@@ -88,112 +64,37 @@ def test_duplicate_merge_is_idempotent_but_still_answered():
 
 def test_incremental_prepare_always_accepted():
     a = Acceptor(1, GCounter((1, 0)))
-    a.round = Round(2, X)
-    reply = a.on_prepare(Prepare(2, REQ, incremental_round(Y), GCounter((0, 1))))
-    assert a.round == Round(3, Y)
+    reply = a.on_prepare(Prepare(2, REQ, 3, GCounter((0, 1))))
     assert a.state == GCounter((1, 1))
-    assert reply == Ack(1, REQ, Round(3, Y), GCounter((1, 1)))
+    assert reply == Ack(1, REQ, 3, GCounter((1, 1)))  # answers the prepare's attempt
 
 
-def test_fixed_prepare_below_current_round_refused():
-    a = Acceptor(1, GCounter((1, 0)))
-    a.round = Round(2, X)
-    reply = a.on_prepare(Prepare(2, REQ, Round(1, Z), GCounter.zero(2)))
-    assert isinstance(reply, Nack)
-    # the refusal carries the acceptor's round and payload, plus which
-    # prepare it refused
-    assert reply.round == Round(2, X)
-    assert reply.state == GCounter((1, 0))
-    assert reply.reject_id == Z
-    assert a.round == Round(2, X)
+_counters = st.lists(st.integers(0, 5), min_size=3, max_size=3).map(
+    lambda counts: GCounter(tuple(counts))
+)
 
 
-def test_fixed_prepare_at_equal_number_refused():
-    a = Acceptor(1, GCounter.zero(2))
-    a.round = Round(2, X)
-    reply = a.on_prepare(Prepare(2, REQ, Round(2, Z), GCounter.zero(2)))
-    assert isinstance(reply, Nack)
+@given(_counters, _counters, st.integers(1, 60))
+def test_prepare_always_acks_with_a_state_at_least_the_prepares(held, sent, attempt):
+    a = Acceptor(1, held)
+    reply = a.on_prepare(Prepare(2, REQ, attempt, sent))
+    assert isinstance(reply, Ack) and reply.attempt == attempt
+    assert sent.compare(reply.state) and held.compare(reply.state)
+    assert reply.state == a.state
 
 
-def test_fixed_prepare_above_current_round_accepted():
-    a = Acceptor(1, GCounter((1, 0)))
-    a.round = Round(2, X)
-    reply = a.on_prepare(Prepare(2, REQ, Round(5, Z), GCounter((1, 0))))
-    assert a.round == Round(5, Z)
-    assert reply == Ack(1, REQ, Round(5, Z), GCounter((1, 0)))
+# ---------------------------------------------------------------- ids
 
 
-def test_refused_prepare_payload_still_merged():
-    a = Acceptor(1, GCounter((1, 0)))
-    a.round = Round(4, X)
-    a.on_prepare(Prepare(2, REQ, Round(1, Z), GCounter((0, 7))))
-    assert a.state == GCounter((1, 7))
-
-
-def test_vote_on_matching_round_succeeds():
-    a = Acceptor(1, GCounter((1, 0)))
-    a.round = Round(3, Y)
-    reply = a.on_vote(Vote(2, REQ, Round(3, Y), GCounter((1, 1))))
-    assert reply == Voted(1, REQ, Round(3, Y))
-    assert GCounter((1, 1)).compare(a.state)
-
-
-def test_vote_after_invalidation_refused():
-    a = Acceptor(1, GCounter((1, 1)))
-    a.round = Round(3, Y)
-    a.apply_update(UpdateCommand.increment(0, (1, 1)))  # blanks the round id
-    assert a.round == Round(3, BOTTOM_ID)
-    reply = a.on_vote(Vote(2, REQ, Round(3, Y), GCounter((1, 1))))
-    assert isinstance(reply, Nack)
-    assert reply.reject_id == Y
-
-
-def test_vote_on_stale_round_refused_but_payload_kept():
-    a = Acceptor(1, GCounter((0, 0)))
-    a.round = Round(4, Z)
-    reply = a.on_vote(Vote(2, REQ, Round(3, Y), GCounter((1, 1))))
-    assert isinstance(reply, Nack)
-    assert reply.round == Round(4, Z)
-    assert a.state == GCounter((1, 1))
-
-
-def test_merge_without_new_state_still_invalidates_the_round():
-    # even a no-op merge signals concurrent update traffic; pending votes
-    # must re-check rather than attest a state they did not re-read
-    a = Acceptor(1, GCounter((3, 1)))
-    a.round = Round(4, Z)
-    a.on_merge(Merge(2, REQ, GCounter((3, 0))))
-    assert a.round == Round(4, BOTTOM_ID)
-    assert a.state == GCounter((3, 1))
-
-
-def test_vote_needs_full_round_equality():
-    a = Acceptor(1, GCounter.zero(2))
-    a.round = Round(3, Y)
-    reply = a.on_vote(Vote(2, REQ, Round(3, Z), GCounter.zero(2)))
-    assert isinstance(reply, Nack)
-
-
-# ---------------------------------------------------------------- round ids
-
-
-def test_round_ids_unique_and_increasing():
-    r = make_replica()
-    a = r.new_round_id()
-    b = r.new_round_id()
-    assert a == (1, 1) and b == (2, 1)
-    assert a < b
-
-
-def test_round_ids_distinct_across_processes():
+def test_request_ids_distinct_across_processes():
     seen = set()
     replicas = [make_replica(rid=i, n=5) for i in range(1, 6)]
     for _ in range(200):
         for rep in replicas:
-            rid = rep.new_round_id()
-            assert rid not in seen
-            assert rid != BOTTOM_ID
-            seen.add(rid)
+            out = rep.step(ClientQuery(QueryCommand.counter_value(), client=0, token=0))
+            request_id = out.sends[0][1].request_id
+            assert request_id not in seen
+            seen.add(request_id)
     assert len(seen) == 1000
 
 
@@ -278,158 +179,132 @@ def start_query(r, client=9, token=90):
     prepares = sends_by_type(out, Prepare)
     assert [dst for dst, _ in prepares] == list(range(1, r.config.n_replicas + 1))
     msg = prepares[0][1]
-    assert msg.round.nr == BOTTOM_NR  # first attempt is always incremental
-    return msg.request_id, msg.round.rid, out
+    assert msg.attempt == 1
+    return msg.request_id, out
+
+
+def disagree(r, req_id):
+    """Two acks of attempt 1 with unequal payloads: a quorum of 3 that disagrees."""
+    r.step(Ack(1, req_id, 1, GCounter((1, 0, 0))))
+    return r.step(Ack(2, req_id, 1, GCounter((0, 1, 0))))
 
 
 def test_query_prepare_carries_local_payload():
     r = make_replica(rid=2, n=3)
     r.acceptor.state = GCounter((0, 4, 0))
-    _, _, out = start_query(r)
+    _, out = start_query(r)
     assert all(m.state == GCounter((0, 4, 0)) for _, m in sends_by_type(out, Prepare))
 
 
-def test_concurrent_queries_use_distinct_round_ids():
+def test_concurrent_queries_use_distinct_request_ids():
     r = make_replica(rid=1, n=3)
-    _, rid_a, _ = start_query(r, token=1)
-    _, rid_b, _ = start_query(r, token=2)
-    assert rid_a != rid_b
+    req_a, _ = start_query(r, token=1)
+    req_b, _ = start_query(r, token=2)
+    assert req_a != req_b
 
 
 def test_consistent_quorum_completes_in_one_round():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
+    req_id, _ = start_query(r)
     s = GCounter((1, 1, 0))
-    assert r.step(Ack(1, req_id, Round(3, rid), s)).replies == []
-    out = r.step(Ack(2, req_id, Round(3, rid), s))
+    assert r.step(Ack(1, req_id, 1, s)).replies == []
+    out = r.step(Ack(2, req_id, 1, s))
     assert len(out.replies) == 1
     reply = out.replies[0]
     assert reply.ok and reply.result == 2 and reply.round_trips == 1
 
 
-def test_equal_rounds_unequal_states_trigger_vote():
+def test_disagreeing_quorum_backs_off_without_sending():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    out = r.step(Ack(2, req_id, Round(3, rid), GCounter((0, 1, 0))))
-    votes = sends_by_type(out, Vote)
-    assert [dst for dst, _ in votes] == [1, 2, 3]
-    assert all(m.round == Round(3, rid) and m.state == GCounter((1, 1, 0)) for _, m in votes)
-    assert r.requests[req_id].phase == "voting"
-    assert r.requests[req_id].proposed == GCounter((1, 1, 0))
-    assert r.requests[req_id].round_trips == 2
+    req_id, out0 = start_query(r)
+    out = disagree(r, req_id)
+    assert out.sends == [] and out.replies == [] and out.retries == []
+    assert len(out.timers) == 1
+    timer = out.timers[0]
+    # the back-off replaces the loss timer; no retries yet, so its count is 0
+    assert timer.backoff == 0 and timer.generation == out0.timers[0].generation + 1
+    assert r.requests[req_id].phase == "backing-off"
+    assert r.requests[req_id].round_trips == 1
 
 
-def test_vote_quorum_learns_proposed_state():
+def test_ack_during_backoff_joins_gathered_and_sends_nothing():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    r.step(Ack(2, req_id, Round(3, rid), GCounter((0, 1, 0))))
-    assert r.step(Voted(1, req_id, Round(3, rid))).replies == []
-    out = r.step(Voted(2, req_id, Round(3, rid)))
-    assert out.replies[0].result == 2
-    assert out.replies[0].round_trips == 2
+    req_id, _ = start_query(r)
+    disagree(r, req_id)
+    out = r.step(Ack(3, req_id, 1, GCounter((0, 0, 4))))
+    assert out.sends == [] and out.timers == [] and out.replies == []
+    assert r.requests[req_id].gathered == GCounter((1, 1, 4))
 
 
-def test_mixed_rounds_trigger_fixed_prepare_with_lub():
+def test_backoff_fire_reprepares_with_gathered_as_one_retry():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    out = r.step(Ack(2, req_id, Round(4, rid), GCounter((0, 1, 0))))
+    req_id, _ = start_query(r)
+    timer = disagree(r, req_id).timers[0]
+    r.step(Ack(3, req_id, 1, GCounter((0, 0, 2))))  # late, during the back-off
+    out = r.step(TimerFire(req_id, timer.generation))
     prepares = sends_by_type(out, Prepare)
     assert [dst for dst, _ in prepares] == [1, 2, 3]
     msg = prepares[0][1]
-    assert msg.round.nr == 5  # one past the highest seen
-    assert msg.round.rid != rid  # fresh attempt id
-    assert msg.state == GCounter((1, 1, 0))
-    assert out.retries and out.retries[0].kind == "fixed"
-    assert r.requests[req_id].round_trips == 2
+    assert msg.attempt == 2
+    assert msg.state == GCounter((1, 1, 2))  # LUB of everything received
+    assert [retry.kind for retry in out.retries] == ["incremental"]
+    req = r.requests[req_id]
+    assert (req.phase, req.retries, req.round_trips) == ("preparing", 1, 2)
+    assert out.timers[0].backoff is None  # the loss timer again
+    # a quorum of the new attempt that agrees ends the query
+    s = GCounter((1, 1, 2))
+    r.step(Ack(1, req_id, 2, s))
+    reply = r.step(Ack(2, req_id, 2, s)).replies[0]
+    assert reply.ok and reply.result == 4
+    assert (reply.round_trips, reply.retries) == (2, 1)
 
 
-def test_nack_restarts_with_incremental_prepare_and_gathered_lub():
+def test_second_backoff_counts_the_retries_so_far():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    out = r.step(
-        Nack(2, req_id, Round(4, Z), GCounter((0, 3, 0)), reject_id=rid)
-    )
-    prepares = sends_by_type(out, Prepare)
-    assert len(prepares) == 3
-    msg = prepares[0][1]
-    assert msg.round.nr == BOTTOM_NR
-    assert msg.state == GCounter((1, 3, 0))  # LUB of everything received
-    assert out.retries[0].kind == "incremental"
-    assert r.requests[req_id].retries == 1
-
-
-def test_nack_during_vote_phase_restarts_prepare():
-    r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    r.step(Ack(2, req_id, Round(3, rid), GCounter((0, 1, 0))))
-    assert r.requests[req_id].phase == "voting"
-    out = r.step(Nack(3, req_id, Round(4, Z), GCounter((0, 0, 2)), reject_id=rid))
-    assert r.requests[req_id].phase == "preparing"
-    assert r.requests[req_id].proposed is None
-    msg = sends_by_type(out, Prepare)[0][1]
-    assert msg.state == GCounter((1, 1, 2))
+    req_id, _ = start_query(r)
+    timer = disagree(r, req_id).timers[0]
+    r.step(TimerFire(req_id, timer.generation))
+    r.step(Ack(1, req_id, 2, GCounter((1, 1, 0))))
+    out = r.step(Ack(2, req_id, 2, GCounter((1, 2, 0))))
+    assert out.sends == [] and [t.backoff for t in out.timers] == [1]
 
 
 def test_stale_ack_only_feeds_the_gathered_lub():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Nack(3, req_id, Round(9, Z), GCounter((0, 0, 1)), reject_id=rid))
-    new_rid = r.requests[req_id].round.rid
-    assert new_rid != rid
-    # ack for the abandoned attempt: remembered as payload, not as a vote
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((5, 0, 0))))
+    req_id, out0 = start_query(r)
+    r.step(TimerFire(req_id, out0.timers[0].generation))  # attempt 2 begins
+    assert r.requests[req_id].attempt == 2
+    # ack for the abandoned attempt: remembered as payload, not toward a quorum
+    r.step(Ack(1, req_id, 1, GCounter((5, 0, 0))))
+    out = r.step(Ack(2, req_id, 1, GCounter((5, 0, 0))))
+    assert out.replies == [] and out.timers == []
     assert r.requests[req_id].acks == {}
-    assert r.requests[req_id].gathered == GCounter((5, 0, 1))
+    assert r.requests[req_id].gathered == GCounter((5, 0, 0))
 
 
-def test_stale_voted_ignored():
+def test_attempts_count_up_within_a_request():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    r.step(Ack(2, req_id, Round(3, rid), GCounter((0, 1, 0))))
-    r.step(Voted(1, req_id, Round(3, rid)))
-    # the vote aborts; a new attempt begins
-    r.step(Nack(3, req_id, Round(4, Z), GCounter.zero(3), reject_id=rid))
-    new_rid = r.requests[req_id].round.rid
-    r.step(Ack(1, req_id, Round(5, new_rid), GCounter((1, 1, 0))))
-    r.step(Ack(2, req_id, Round(5, new_rid), GCounter((1, 1, 1))))
-    assert r.requests[req_id].phase == "voting"
-    # stale voted from the first vote round must not count now
-    out = r.step(Voted(1, req_id, Round(3, rid)))
-    assert out.replies == []
-    assert r.requests[req_id].voted == set()
-
-
-def test_stale_nack_does_not_retrigger_retry():
-    r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Nack(2, req_id, Round(4, Z), GCounter((0, 1, 0)), reject_id=rid))
-    retries_after_first = r.requests[req_id].retries
-    out = r.step(Nack(3, req_id, Round(4, Z), GCounter((0, 0, 1)), reject_id=rid))
-    assert r.requests[req_id].retries == retries_after_first
-    assert out.sends == []
-    assert r.requests[req_id].gathered == GCounter((0, 1, 1))
+    req_id, out = start_query(r)
+    attempts = [1]
+    for _ in range(3):
+        out = r.step(TimerFire(req_id, out.timers[0].generation))
+        attempts.append(sends_by_type(out, Prepare)[0][1].attempt)
+    assert attempts == [1, 2, 3, 4]
 
 
 def test_query_timeout_retries_incrementally():
     r = make_replica(rid=1, n=3)
-    req_id, rid, out0 = start_query(r)
+    req_id, out0 = start_query(r)
     timer = out0.timers[0]
     out = r.step(TimerFire(req_id, timer.generation))
     msg = sends_by_type(out, Prepare)[0][1]
-    assert msg.round.nr == BOTTOM_NR
-    assert msg.round.rid != rid
+    assert msg.attempt == 2
     assert out.retries[0].kind == "incremental"
 
 
 def test_max_retries_fails_the_request():
     r = make_replica(rid=1, n=3, max_retries=2)
-    req_id, rid, out = start_query(r, client=4, token=40)
+    req_id, out = start_query(r, client=4, token=40)
     for _ in range(2):
         gen = out.timers[-1].generation if out.timers else None
         out = r.step(TimerFire(req_id, gen))
@@ -444,33 +319,31 @@ def test_max_retries_fails_the_request():
 def test_replies_to_unknown_request_ids_dropped():
     r = make_replica(rid=1, n=3)
     ghost = b"\x99" * 16
-    assert r.step(Ack(2, ghost, Round(1, X), GCounter.zero(3))).sends == []
+    assert r.step(Ack(2, ghost, 1, GCounter.zero(3))).sends == []
     assert r.step(Merged(2, ghost)).replies == []
-    assert r.step(Voted(2, ghost, Round(1, X))).replies == []
-    assert r.step(Nack(2, ghost, Round(1, X), GCounter.zero(3), reject_id=X)).sends == []
 
 
 def test_senders_outside_the_cluster_ignored():
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(17, req_id, Round(3, rid), GCounter.zero(3)))
+    req_id, _ = start_query(r)
+    out = r.step(Ack(17, req_id, 1, GCounter((0, 0, 5))))
+    assert out.sends == [] and out.timers == []
+    # an ack from outside the cluster neither counts toward a quorum nor feeds the LUB
     assert r.requests[req_id].acks == {}
-    # a refusal from outside the cluster neither feeds the LUB nor starts a retry
-    out = r.step(Nack(17, req_id, Round(4, Z), GCounter((0, 0, 5)), reject_id=rid))
-    assert out.sends == [] and out.retries == []
-    assert r.requests[req_id].retries == 0
-    assert r.requests[req_id].round.rid == rid
     assert r.requests[req_id].gathered == GCounter.zero(3)
+    # nor is a prepare from outside answered or merged
+    assert r.step(Prepare(17, REQ, 1, GCounter((0, 0, 5)))).sends == []
+    assert r.acceptor.state == GCounter.zero(3)
 
 
 def test_learned_state_attached_only_when_exposed():
     # every query reply carries its learned state; the daemon decides what
     # reaches the client (a tagged state only)
     r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
+    req_id, _ = start_query(r)
     s = GCounter((2, 0, 0))
-    r.step(Ack(1, req_id, Round(1, rid), s))
-    out = r.step(Ack(2, req_id, Round(1, rid), s))
+    r.step(Ack(1, req_id, 1, s))
+    out = r.step(Ack(2, req_id, 1, s))
     assert out.replies[0].learned == s
 
 
@@ -501,20 +374,18 @@ def test_queries_batch_and_share_one_learned_state():
     r = make_replica(rid=1, n=3, batching=True)
     out = r.step(ClientQuery(QueryCommand.counter_value(), client=0, token=0))
     first_req = sends_by_type(out, Prepare)[0][1].request_id
-    first_rid = sends_by_type(out, Prepare)[0][1].round.rid
     for i in range(1, 4):
         assert r.step(ClientQuery(QueryCommand.counter_value(), client=i, token=i)).sends == []
     s = GCounter((3, 0, 0))
-    r.step(Ack(1, first_req, Round(1, first_rid), s))
-    out_done = r.step(Ack(2, first_req, Round(1, first_rid), s))
+    r.step(Ack(1, first_req, 1, s))
+    out_done = r.step(Ack(2, first_req, 1, s))
     assert [rep.token for rep in out_done.replies] == [0]
     # completion flushes the waiting three as a single new request
     next_prepares = sends_by_type(out_done, Prepare)
     assert len(next_prepares) == 3
     second_req = next_prepares[0][1].request_id
-    second_rid = next_prepares[0][1].round.rid
-    r.step(Ack(1, second_req, Round(2, second_rid), s))
-    out2 = r.step(Ack(3, second_req, Round(2, second_rid), s))
+    r.step(Ack(1, second_req, 1, s))
+    out2 = r.step(Ack(3, second_req, 1, s))
     assert sorted(rep.token for rep in out2.replies) == [1, 2, 3]
     assert all(rep.result == 3 for rep in out2.replies)
 
@@ -537,28 +408,6 @@ def test_single_replica_batch_does_not_wedge():
 
 
 # ---------------------------------------------------------------- invariants
-
-
-def test_one_vote_broadcast_per_request_round():
-    r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    out = r.step(Ack(2, req_id, Round(3, rid), GCounter((0, 1, 0))))
-    first_votes = {(m.request_id, m.round) for _, m in sends_by_type(out, Vote)}
-    assert len(first_votes) == 1
-    # a late ack for the same attempt must not re-broadcast the vote
-    out2 = r.step(Ack(3, req_id, Round(3, rid), GCounter((0, 0, 1))))
-    assert sends_by_type(out2, Vote) == []
-
-
-def test_proposed_state_set_exactly_in_voting_phase():
-    r = make_replica(rid=1, n=3)
-    req_id, rid, _ = start_query(r)
-    assert r.requests[req_id].proposed is None
-    r.step(Ack(1, req_id, Round(3, rid), GCounter((1, 0, 0))))
-    r.step(Ack(2, req_id, Round(3, rid), GCounter((0, 1, 0))))
-    assert r.requests[req_id].phase == "voting"
-    assert r.requests[req_id].proposed is not None
 
 
 @pytest.mark.parametrize("batching", [False, True])
@@ -594,16 +443,14 @@ def test_payload_claiming_unissued_local_updates_is_refused():
     forged = CausalTaggedState(GCounter((0, 1, 0)), (0, 1, 0))  # (2, 1) was never issued
     for msg in (
         Merge(1, REQ, forged),
-        Prepare(1, REQ, incremental_round(X), forged),
-        Vote(1, REQ, Round(1, X), forged),
-        Ack(1, REQ, Round(1, X), forged),  # refused even for a request it never made
-        Nack(1, REQ, Round(1, X), forged, X),
+        Prepare(1, REQ, 1, forged),
+        Ack(1, REQ, 1, forged),  # refused even for a request it never made
     ):
         with pytest.raises(PayloadRejected):
             r.step(msg)
     with pytest.raises(ShapeError):
         r.step(Merge(1, REQ, CausalTaggedState.initial(GCounter.zero(3), 2)))
-    assert r.acceptor.state == before and r.acceptor.round == Round(0, BOTTOM_ID)
+    assert r.acceptor.state == before
     # once (2, 1) is issued here, the same payload is an ordinary merge
     out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
     assert sends_by_type(out, Merge)

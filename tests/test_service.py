@@ -290,6 +290,34 @@ def test_concurrent_clients_agree_on_the_total(cluster):
         assert reader.value().result == per_client * len(threads)
 
 
+def test_contended_backoff_never_waits_for_the_loss_timer(cluster):
+    c = cluster(3, batching=True, timeout=5.0)
+    with c.client(1) as warm:
+        warm.value()  # every link is up
+    records, errors = [], []
+
+    def work(index: int) -> None:
+        try:
+            with c.client(index % 3 + 1, client_id=index) as cl:
+                for n in range(60):
+                    records.append(cl.increment() if n % 2 else cl.value())
+        except Exception as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    start = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    elapsed = time.monotonic() - start
+    assert not errors and len(records) == 360
+    # updates raced queries, so some quorums disagreed and their queries backed off
+    assert any(r.kind == "query" and r.retries for r in records)
+    # yet the whole run took less than one loss timer: no back-off waited for it
+    assert elapsed < 5.0, elapsed
+
+
 def test_idle_daemon_fires_no_timers(cluster):
     c = cluster(3, timeout=0.2)
     # replicas that start before their peers reach them only after a reconnect

@@ -11,7 +11,7 @@ import pytest
 
 from crdtlin.crdt import CausalTaggedState, GCounter
 from crdtlin.history import OpRecord, read_history, record_to_json, write_trace
-from crdtlin.messages import BOTTOM_ID, Merged, Round
+from crdtlin.messages import Merged
 from crdtlin.protocol import Acceptor, Replica
 from crdtlin.sim import (
     ConfigError,
@@ -89,8 +89,9 @@ def test_same_config_and_seed_give_identical_trace_bytes():
     assert len(first.trace) > 500
 
 
-# sha256 of each output file of two runs, recorded from a known-good tree: a
-# refactor that keeps these keeps every simulated event, reply and metric
+# sha256 of each output file of two runs, recorded from a tree whose two
+# histories pass every `crdtlin check`: a refactor that keeps these keeps
+# every simulated event, reply and metric
 _GOLDEN = {
     "quick-start": (
         SimConfig(
@@ -99,9 +100,9 @@ _GOLDEN = {
             crash_schedule=((3, 120),), seed=7,
         ),
         {
-            "history.jsonl": "8d39cafca7bb43d9143eb4e0963f35b9dcc66889e7834b77947a10bf65d92912",
-            "trace.jsonl": "e90b08fc01a5a85ea0d4fbeacd3c1da80343357cb985de1b5824363f1a6dd6cc",
-            "metrics.csv": "d7fd43121148ef6a9fa593d7d0005227bf4f393947689f3f93763a5595b0fb4b",
+            "history.jsonl": "9b47f69d4e1cb3ac5259f41f23a3bd1d5c99970ce31abf552cc0b93f1684c44e",
+            "trace.jsonl": "fca2115b2d7bf7e1d30b13f020a45916778c0fb3f26d6a2306a4a922246ea43b",
+            "metrics.csv": "0aa8db6c87d57421d4a4afe91fa40cc1d453bd2b96181dbedbaf9a7981fe1517",
         },
     ),
     "gset-faults-batching": (
@@ -112,9 +113,9 @@ _GOLDEN = {
             seed=11,
         ),
         {
-            "history.jsonl": "b0828ec4e162c2ddb12b606d06b88288da3b39869a8d96fc173093377a55ddfb",
-            "trace.jsonl": "a000764cc10f993d10e7dc9e9be745bf1ab861752bddffb5416af2e11f36f667",
-            "metrics.csv": "abc07fb2c020965bc761c9007630cb6b6e044dc70c3ccb926da7c31d357971c2",
+            "history.jsonl": "a98b3ebe3059290441edacd5203ef4e06132d869dd1e54d4cbe30d928752c79f",
+            "trace.jsonl": "54e8621f6b17267bcbf067652a040a61916f267d3e8ac49752caf841175c5ffd",
+            "metrics.csv": "c05ec161f5b5e8a0436116ceee6a678711ae9d16fc59b0121d4f2487439ad1d2",
         },
     ),
 }
@@ -405,7 +406,6 @@ def test_metrics_csv_and_bench_summary_share_one_percentile():
 def test_monitor_catches_an_acceptor_that_overwrites_instead_of_merging(monkeypatch):
     def overwrite(self, m):
         self.state = m.state
-        self.round = Round(self.round.nr, BOTTOM_ID)
         return Merged(sender=self.rid, request_id=m.request_id)
 
     monkeypatch.setattr(Acceptor, "on_merge", overwrite)
@@ -435,4 +435,30 @@ def test_monitor_catches_a_batch_learning_an_inflated_state(monkeypatch):
     with pytest.raises(InvariantViolation, match="not dominated by any quorum"):
         sim_run(config)
     assert batch_sizes
+    sim_run(replace(config, check_invariants=False))
+
+
+def test_monitor_catches_a_proposer_learning_a_disagreeing_quorums_join(monkeypatch):
+    arm = Replica._arm_timer
+    learned_joins = []
+
+    def learn_join(self, req, out, backoff=None):
+        if backoff is None:
+            return arm(self, req, out)
+        # instead of backing off, learn the join of the quorum's unequal acks
+        states = list(req.acks.values())
+        lub = states[0]
+        for state in states[1:]:
+            lub = lub.merge(state)
+        learned_joins.append(lub)
+        self._complete_query(req, lub, out)
+
+    monkeypatch.setattr(Replica, "_arm_timer", learn_join)
+    # at unit delay every merge sent in a tick lands in the next one, which
+    # hides the join; uneven delays expose it
+    config = SimConfig(n_replicas=3, n_clients=16, update_fraction=0.3, ops_per_client=20,
+                       delay_max=3, seed=1)
+    with pytest.raises(InvariantViolation, match="not dominated by any quorum"):
+        sim_run(config)
+    assert learned_joins
     sim_run(replace(config, check_invariants=False))
