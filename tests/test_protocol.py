@@ -86,7 +86,9 @@ def test_prepare_always_acks_with_a_state_at_least_the_prepares(held, sent, atte
 # ---------------------------------------------------------------- ids
 
 
-def test_request_ids_distinct_across_processes():
+def test_round_ids_distinct_across_processes():
+    """A prepare round is named by the (request id, attempt) it carries, and
+    request ids never repeat across replicas."""
     seen = set()
     replicas = [make_replica(rid=i, n=5) for i in range(1, 6)]
     for _ in range(200):
@@ -196,11 +198,13 @@ def test_query_prepare_carries_local_payload():
     assert all(m.state == GCounter((0, 4, 0)) for _, m in sends_by_type(out, Prepare))
 
 
-def test_concurrent_queries_use_distinct_request_ids():
+def test_concurrent_queries_use_distinct_round_ids():
     r = make_replica(rid=1, n=3)
-    req_a, _ = start_query(r, token=1)
-    req_b, _ = start_query(r, token=2)
+    req_a, out_a = start_query(r, token=1)
+    req_b, out_b = start_query(r, token=2)
     assert req_a != req_b
+    prep_a, prep_b = sends_by_type(out_a, Prepare)[0][1], sends_by_type(out_b, Prepare)[0][1]
+    assert (prep_a.request_id, prep_a.attempt) != (prep_b.request_id, prep_b.attempt)
 
 
 def test_consistent_quorum_completes_in_one_round():
@@ -282,14 +286,16 @@ def test_stale_ack_only_feeds_the_gathered_lub():
     assert r.requests[req_id].gathered == GCounter((5, 0, 0))
 
 
-def test_attempts_count_up_within_a_request():
+def test_round_ids_unique_and_increasing():
+    """Each re-prepare of a request carries the next attempt number."""
     r = make_replica(rid=1, n=3)
     req_id, out = start_query(r)
-    attempts = [1]
+    rounds = [(req_id, sends_by_type(out, Prepare)[0][1].attempt)]
     for _ in range(3):
         out = r.step(TimerFire(req_id, out.timers[0].generation))
-        attempts.append(sends_by_type(out, Prepare)[0][1].attempt)
-    assert attempts == [1, 2, 3, 4]
+        m = sends_by_type(out, Prepare)[0][1]
+        rounds.append((m.request_id, m.attempt))
+    assert rounds == [(req_id, a) for a in (1, 2, 3, 4)]
 
 
 def test_query_timeout_retries_incrementally():
