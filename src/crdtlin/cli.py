@@ -7,7 +7,8 @@ history), and ``bench`` (load a live cluster and record its history). ``sim``
 and ``bench`` write the same ``history.jsonl`` and ``metrics.csv``.
 
 Exit codes: 0 success, 1 a check or operation failed, 2 usage or
-configuration problem, 3 cannot reach the cluster.
+configuration problem, 3 cannot reach the cluster, 141 standard output was
+closed early, as by ``| head``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import asyncio
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +51,7 @@ log = logging.getLogger(__name__)
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
 _CONNECT_ERROR = 3
+_OUTPUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
@@ -356,7 +359,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away; it is a ConnectionError, so catch it
+        # first. As Python's SIGPIPE note advises, point stdout at devnull so
+        # that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _OUTPUT_CLOSED
     except (
         ClusterConfigError,
         ConfigError,

@@ -347,13 +347,19 @@ class QueryCommand:
         return cls(kind="set_elements")
 
 
+# commands are frozen, so every generated op of one kind can share one object
+_INCREMENT = UpdateOp.increment()
+_COUNTER_VALUE = QueryCommand.counter_value()
+_SET_ELEMENTS = QueryCommand.set_elements()
+
+
 def workload_op(crdt: str, kind: str, element: bytes) -> UpdateOp | QueryCommand:
     """The op a generated workload issues on a CRDT of kind ``crdt``: for an
     ``"update"`` an increment or an add of ``element``, for a ``"query"`` a
     read of the whole value."""
     if crdt == "gcounter":
-        return UpdateOp.increment() if kind == "update" else QueryCommand.counter_value()
-    return UpdateOp.set_add(element) if kind == "update" else QueryCommand.set_elements()
+        return _INCREMENT if kind == "update" else _COUNTER_VALUE
+    return UpdateOp.set_add(element) if kind == "update" else _SET_ELEMENTS
 
 
 def apply_update(cmd: UpdateCommand, state: SemilatticeValue) -> SemilatticeValue:

@@ -59,29 +59,33 @@ class ProtocolConfig:
 
 
 # ------------------------------------------------------------------ events
+#
+# Per-step records are plain slotted dataclasses: a runtime builds several
+# for every operation and never shares them, and a frozen one costs about
+# three times as much to build.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientUpdate:
     op: UpdateOp
     client: object
     token: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientQuery:
     query: QueryCommand
     client: object
     token: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TimerFire:
     request_id: bytes
     generation: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientReply:
     client: object
     token: object
@@ -96,7 +100,7 @@ class ClientReply:
     reason: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TimerRequest:
     """(Re)arm the per-request timer; the runtime chooses the duration.
 
@@ -110,7 +114,7 @@ class TimerRequest:
     backoff: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RequestRetry:
     """Reported when a request starts another round; kinds: incremental,
     merge-resend."""

@@ -15,7 +15,10 @@ generated script and issues the next operation one tick after the previous
 response. A request's loss timer fires ``effective_timeout()`` ticks after
 it is armed; a query that backs off after a disagreeing quorum prepares
 again ``(r + 2) * delay_max`` ticks later, where ``r`` is its retries so
-far.
+far. As in the daemon, a request has one timer: arming it again cancels
+the one before, and the request's end, or its replica's crash, cancels the
+last. A cancelled timer never fires, so it neither steps a replica nor
+appears in the trace.
 
 While it runs, the simulator cross-checks execution invariants that the
 protocol promises: acceptor payloads only grow, each acceptor's
@@ -302,40 +305,40 @@ class Simulation:
             for rid in range(1, cfg.n_replicas + 1)
         }
         self.crashed: set[int] = set()
+        self._alive = list(self.replicas)  # ascending, as the target draw expects
         self.clients = [_ClientState(script) for script in workload_generate(cfg)]
 
         self.trace: list[TraceEvent] = []
         self.metrics = Metrics()
         self.records: dict[int, OpRecord] = {}
-        self._retry_times: dict[bytes, list[tuple[int, str]]] = defaultdict(list)
+        self._incremental_times: dict[bytes, list[int]] = defaultdict(list)
         self._next_op_id = 0
         self._seq = 0
         self._heap: list = []
+        self._timers: dict[bytes, list] = {}  # request id -> heap entry of its armed timer
         self._now = 0
+        self._tracing = cfg.record_trace
+        self._timeout = cfg.effective_timeout()
 
         # invariant monitor state
         self._last_acked: dict[int, SemilatticeValue] = {}
 
         for rid, t in sorted(cfg.crash_schedule):
-            self._push(t, "crash", (rid,))
+            self._push(t, self._process_crash, (rid,))
         for cid in range(len(self.clients)):
-            self._push(0, "invoke", (cid,))
+            self._push(0, self._process_invoke, (cid,))
 
         horizon_hit = False
-        while self._heap:
-            t, _seq, kind, data = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _seq, handler, data = heapq.heappop(heap)
+            if handler is None:
+                continue  # a cancelled timer
             if t > cfg.max_virtual_time:
                 horizon_hit = True
                 break
             self._now = t
-            if kind == "deliver":
-                self._process_deliver(t, *data)
-            elif kind == "timer":
-                self._process_timer(t, *data)
-            elif kind == "invoke":
-                self._process_invoke(t, *data)
-            elif kind == "crash":
-                self._process_crash(t, *data)
+            handler(t, *data)
 
         self.metrics.final_time = self._now
         self.metrics.quiescent = not horizon_hit
@@ -355,14 +358,23 @@ class Simulation:
 
     # -- internals
 
-    def _push(self, t: int, kind: str, data: tuple) -> None:
+    def _push(self, t: int, handler, data: tuple) -> list:
+        """Schedule ``handler(t, *data)``; the entry is returned so that a
+        timer can be cancelled by clearing its handler."""
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, data))
+        entry = [t, self._seq, handler, data]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def _cancel_timer(self, request_id: bytes) -> None:
+        entry = self._timers.pop(request_id, None)
+        if entry is not None:
+            entry[2] = None
 
     def _trace(self, t: int, kind: str, detail: tuple[tuple[str, object], ...]) -> None:
-        if self.config.record_trace:
-            self._seq += 1
-            self.trace.append(TraceEvent(t=t, seq=self._seq, kind=kind, detail=detail))
+        # callers test ``_tracing`` first, so an untraced run builds no detail
+        self._seq += 1
+        self.trace.append(TraceEvent(t=t, seq=self._seq, kind=kind, detail=detail))
 
     # -- event processing
 
@@ -370,22 +382,25 @@ class Simulation:
         if rid in self.crashed:
             return
         self.crashed.add(rid)
-        self._trace(t, "crash", (("replica", rid),))
+        self._alive.remove(rid)
+        for request_id in self.replicas[rid].requests:
+            self._cancel_timer(request_id)  # a crashed replica's requests never end
+        if self._tracing:
+            self._trace(t, "crash", (("replica", rid),))
 
     def _process_timer(self, t: int, rid: int, request_id: bytes, generation: int) -> None:
-        if rid in self.crashed:
-            return
-        self._trace(t, "timer", (("replica", rid), ("request_id", request_id.hex()),))
+        del self._timers[request_id]
+        if self._tracing:
+            self._trace(t, "timer", (("replica", rid), ("request_id", request_id.hex()),))
         self._step_replica(t, rid, TimerFire(request_id, generation))
 
     def _process_invoke(self, t: int, cid: int) -> None:
         client = self.clients[cid]
         if client.next_op >= len(client.script):
             return
-        alive = [r for r in range(1, self.config.n_replicas + 1) if r not in self.crashed]
-        if not alive:
+        if not self._alive:
             return  # nowhere to send: the client halts
-        target = self._target_rng.choice(alive)
+        target = self._target_rng.choice(self._alive)
         kind = client.script[client.next_op]
         client.next_op += 1
         self._next_op_id += 1
@@ -397,30 +412,35 @@ class Simulation:
         self.records[op_id] = OpRecord(
             op_id=op_id, client=cid, replica=target, kind=kind, op=op_dict(cmd), invoke_t=t
         )
-        self._trace(
-            t,
-            "invoke",
-            (("op_id", op_id), ("client", cid), ("replica", target), ("op", kind)),
-        )
+        if self._tracing:
+            self._trace(
+                t,
+                "invoke",
+                (("op_id", op_id), ("client", cid), ("replica", target), ("op", kind)),
+            )
         self._step_replica(t, target, event)
 
     def _process_deliver(self, t: int, src: int, dst: int, msg) -> None:
-        mtype = type(msg).__name__
         if dst in self.crashed:
-            self.metrics.dropped["crashed"] += 1
-            self._trace(t, "drop", (("reason", "crashed"), ("src", src), ("dst", dst), ("msg", mtype)))
+            reason = "crashed"
+        elif self._partitioned(src, dst, t):
+            reason = "partition"
+        else:
+            self.metrics.delivered += 1
+            if self._tracing:
+                self._trace(
+                    t,
+                    "deliver",
+                    (("src", src), ("dst", dst), ("msg", type(msg).__name__),
+                     ("request_id", msg.request_id.hex())),
+                )
+            self._step_replica(t, dst, msg)
             return
-        if self._partitioned(src, dst, t):
-            self.metrics.dropped["partition"] += 1
-            self._trace(t, "drop", (("reason", "partition"), ("src", src), ("dst", dst), ("msg", mtype)))
-            return
-        self.metrics.delivered += 1
-        self._trace(
-            t,
-            "deliver",
-            (("src", src), ("dst", dst), ("msg", mtype), ("request_id", msg.request_id.hex())),
-        )
-        self._step_replica(t, dst, msg)
+        self.metrics.dropped[reason] += 1
+        if self._tracing:
+            self._trace(
+                t, "drop", (("reason", reason), ("src", src), ("dst", dst), ("msg", type(msg).__name__))
+            )
 
     def _partitioned(self, src: int, dst: int, t: int) -> bool:
         if src == dst:
@@ -449,12 +469,16 @@ class Simulation:
             self._check_step_invariants(rid, replica, before_state, out)
         for timer in out.timers:
             if timer.backoff is None:
-                due = t + self.config.effective_timeout()
+                due = t + self._timeout
             else:
                 due = t + (timer.backoff + 2) * self.config.delay_max
-            self._push(due, "timer", (rid, timer.request_id, timer.generation))
+            self._cancel_timer(timer.request_id)
+            self._timers[timer.request_id] = self._push(
+                due, self._process_timer, (rid, timer.request_id, timer.generation)
+            )
         for retry in out.retries:
-            self._retry_times[retry.request_id].append((t, retry.kind))
+            if retry.kind == "incremental":
+                self._incremental_times[retry.request_id].append(t)
         sized = None  # a broadcast shares one state: size it once
         for dst, msg in out.sends:
             state = getattr(msg, "state", None)
@@ -466,39 +490,50 @@ class Simulation:
             self._send(t, rid, dst, msg)
         for reply in out.replies:
             self._deliver_reply(t, reply)
+            if reply.request_id not in replica.requests:
+                self._cancel_timer(reply.request_id)  # the request has ended
 
     def _send(self, t: int, src: int, dst: int, msg) -> None:
+        cfg = self.config
         mtype = type(msg).__name__
         self.metrics.messages_sent[mtype] += 1
         if dst == src:
             # local hop: reliable, never duplicated, one tick
-            self._push(t + 1, "deliver", (src, dst, msg))
+            self._push(t + 1, self._process_deliver, (src, dst, msg))
             return
+        # each draw below comes from a stream of its own, so a draw whose
+        # outcome is fixed by the config can be skipped without moving any other
         copies = 1
-        if self._dup_rng.random() < self.config.duplicate_probability:
+        if cfg.duplicate_probability and self._dup_rng.random() < cfg.duplicate_probability:
             copies = 2
             self.metrics.duplicated += 1
-            self._trace(t, "duplicate", (("src", src), ("dst", dst), ("msg", mtype)))
+            if self._tracing:
+                self._trace(t, "duplicate", (("src", src), ("dst", dst), ("msg", mtype)))
         for _ in range(copies):
-            if self._drop_rng.random() < self.config.drop_probability:
+            if cfg.drop_probability and self._drop_rng.random() < cfg.drop_probability:
                 self.metrics.dropped["loss"] += 1
-                self._trace(t, "drop", (("reason", "loss"), ("src", src), ("dst", dst), ("msg", mtype)))
+                if self._tracing:
+                    self._trace(t, "drop", (("reason", "loss"), ("src", src), ("dst", dst), ("msg", mtype)))
                 continue
-            delay = self._delay_rng.randint(self.config.delay_min, self.config.delay_max)
-            self._push(t + delay, "deliver", (src, dst, msg))
+            if cfg.delay_min == cfg.delay_max:
+                delay = cfg.delay_min
+            else:
+                delay = self._delay_rng.randint(cfg.delay_min, cfg.delay_max)
+            self._push(t + delay, self._process_deliver, (src, dst, msg))
 
     def _deliver_reply(self, t: int, reply: ClientReply) -> None:
         rec = self.records[reply.token]
         record_reply(rec, reply, t)
-        rec.incremental_retry_times = tuple(
-            rt for rt, kind in self._retry_times.get(reply.request_id, ()) if kind == "incremental"
-        )
-        self._trace(
-            t,
-            "respond",
-            (("op_id", rec.op_id), ("outcome", rec.outcome), ("round_trips", reply.round_trips)),
-        )
-        self._push(t + 1, "invoke", (rec.client,))
+        times = self._incremental_times.get(reply.request_id)
+        if times:
+            rec.incremental_retry_times = tuple(times)
+        if self._tracing:
+            self._trace(
+                t,
+                "respond",
+                (("op_id", rec.op_id), ("outcome", rec.outcome), ("round_trips", reply.round_trips)),
+            )
+        self._push(t + 1, self._process_invoke, (rec.client,))
 
     # -- execution invariants
 

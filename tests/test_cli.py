@@ -3,6 +3,8 @@
 import asyncio
 import json
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -92,6 +94,19 @@ def test_sim_seed_sweep_rows_are_each_seeds_metrics(tmp_path, capsys):
         # a metrics.csv without its header and schema row
         expected = (single / "metrics.csv").read_text().splitlines()[2:]
         assert [line.split(",", 1)[1] for line in sweep if line.startswith(f"{seed},")] == expected
+
+
+def test_sim_sweep_into_a_closed_pipe_ends_quietly():
+    # like `crdtlin sim --seeds 1..2 | head` once head has exited
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crdtlin.cli", "sim", "--clients", "1", "--ops", "2",
+         "--seeds", "1..2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141  # 128 + SIGPIPE, not 3 ("cannot reach the cluster")
+    assert err == b""
 
 
 def test_sim_rejects_bad_config(capsys):

@@ -12,7 +12,7 @@ import pytest
 from crdtlin.crdt import CausalTaggedState, GCounter
 from crdtlin.history import OpRecord, read_history, record_to_json, write_trace
 from crdtlin.messages import Merged
-from crdtlin.protocol import Acceptor, Replica
+from crdtlin.protocol import Acceptor, Replica, TimerFire
 from crdtlin.sim import (
     ConfigError,
     InvariantViolation,
@@ -89,9 +89,10 @@ def test_same_config_and_seed_give_identical_trace_bytes():
     assert len(first.trace) > 500
 
 
-# sha256 of each output file of two runs, recorded from a tree whose two
+# sha256 of each output file of three runs, recorded from a tree whose
 # histories pass every `crdtlin check`: a refactor that keeps these keeps
-# every simulated event, reply and metric
+# every simulated event, reply and metric. The third run is fault-free with
+# a fixed delay, so the simulator takes no drop, duplicate or delay draw.
 _GOLDEN = {
     "quick-start": (
         SimConfig(
@@ -101,8 +102,8 @@ _GOLDEN = {
         ),
         {
             "history.jsonl": "9b47f69d4e1cb3ac5259f41f23a3bd1d5c99970ce31abf552cc0b93f1684c44e",
-            "trace.jsonl": "fca2115b2d7bf7e1d30b13f020a45916778c0fb3f26d6a2306a4a922246ea43b",
-            "metrics.csv": "0aa8db6c87d57421d4a4afe91fa40cc1d453bd2b96181dbedbaf9a7981fe1517",
+            "trace.jsonl": "c54f89cb2cbcca1adf6061f5aedbe1a1c2be7dae15a17f3e9b3be69535f74a52",
+            "metrics.csv": "ffcff6b7338cff09dd78b50e06bc6475c6cf04f8386e7b49dfef9b85bca5e208",
         },
     ),
     "gset-faults-batching": (
@@ -114,8 +115,19 @@ _GOLDEN = {
         ),
         {
             "history.jsonl": "a98b3ebe3059290441edacd5203ef4e06132d869dd1e54d4cbe30d928752c79f",
-            "trace.jsonl": "54e8621f6b17267bcbf067652a040a61916f267d3e8ac49752caf841175c5ffd",
-            "metrics.csv": "c05ec161f5b5e8a0436116ceee6a678711ae9d16fc59b0121d4f2487439ad1d2",
+            "trace.jsonl": "a4460e5348590862aef56d476d1db65bf1080e681ff126786c92aa01a94c86ac",
+            "metrics.csv": "19f88a416c80e1b63526d989ce46080d39e94fab4588f373f856a7e1fc42565b",
+        },
+    ),
+    "fixed-delay-batching": (
+        SimConfig(
+            n_replicas=3, n_clients=16, ops_per_client=20, update_fraction=0.1, batching=True,
+            seed=1,
+        ),
+        {
+            "history.jsonl": "15792f42f06401c0f38d88a8f14d24b6f7a1ed59ce643b71bf7acdf0d2d455ce",
+            "trace.jsonl": "8963940bf93257a1e0a89d6ae02859ead26ddf07bb72aaf441c5a53f66de7138",
+            "metrics.csv": "98b2a1c3802bf969ee4f11df5e1bef2129d713fcce81fcff383cca3012a8faa2",
         },
     ),
 }
@@ -127,6 +139,29 @@ def test_outputs_match_golden_digests(name, tmp_path):
     sim_run(cfg).write_outputs(tmp_path)
     for filename, digest in digests.items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+
+
+@pytest.mark.parametrize("name", ["quick-start", "gset-faults-batching"])
+def test_every_timer_that_fires_does_work(name, monkeypatch):
+    # a timer that is re-armed, or whose request ends, is cancelled, so the
+    # replica never steps a timer only to drop it by generation
+    timer_steps = []
+    step = Replica.step
+
+    def recording_step(self, event):
+        out = step(self, event)
+        if type(event) is TimerFire:
+            timer_steps.append(out)
+        return out
+
+    monkeypatch.setattr(Replica, "step", recording_step)
+    result = sim_run(_GOLDEN[name][0])
+    assert timer_steps
+    assert all(out.sends or out.replies for out in timer_steps)
+    if name == "quick-start":
+        # no cancelled timer keeps the clock running after the last delivery
+        last_delivery = max(e.t for e in result.trace if e.kind == "deliver")
+        assert result.metrics.final_time <= last_delivery
 
 
 def test_different_seeds_diverge():
@@ -193,6 +228,16 @@ def test_all_replicas_crashed_halts_clients():
     result = sim_run(cfg)
     assert result.history == []
     assert result.metrics.quiescent
+
+
+def test_a_crash_cancels_its_replicas_timers():
+    # the whole cluster crashes at tick 4 with the client's request in flight,
+    # so nothing after the crash does any work
+    cfg = SimConfig(n_replicas=3, n_clients=1, ops_per_client=3,
+                    crash_schedule=((1, 4), (2, 4), (3, 4)), seed=1)
+    result = sim_run(cfg)
+    assert result.history[-1].outcome is None
+    assert result.metrics.final_time == 4
 
 
 def test_partition_stalls_then_heals():
