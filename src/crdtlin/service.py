@@ -8,7 +8,9 @@ it. A loss timer waits ``timeout`` seconds; a query's back-off after a
 disagreeing quorum fires on the loop's next turn, once the frames already
 received have been handled. Peer frames are written straight to the socket,
 or held while the link reconnects; past a byte cap a dead or slow peer's
-frames are dropped, which the protocol is built to absorb.
+frames are dropped, which the protocol is built to absorb. A link that is
+down retries as soon as the daemon accepts a connection, since a peer that
+comes up connects to us, or else every 0.2 s.
 
 Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
@@ -341,17 +343,24 @@ class ReplicaDaemon:
 
     async def _keep_linked(self, peer: ReplicaEndpoint, link: _PeerLink) -> None:
         while True:
+            link.wake.clear()  # a connection accepted from here on cuts the wait below short
             try:
                 await self._loop.create_connection(lambda: link, peer.host, peer.port)
             except OSError:
-                await asyncio.sleep(_RECONNECT_DELAY)
-                continue
-            log.debug("replica %d: connected to peer %d", self.endpoint.id, peer.id)
-            await link.lost
-            # shutdown cancels this task here: links a stopping cluster closes are no drops
-            await asyncio.sleep(_RECONNECT_DELAY)
-            if not self._stop.is_set():
-                log.debug("replica %d: link to peer %d dropped", self.endpoint.id, peer.id)
+                linked = False
+            else:
+                linked = True
+                log.info("replica %d: linked to peer %d", self.endpoint.id, peer.id)
+                await link.lost
+                link.wake.clear()  # connections accepted while the link was up say nothing new
+            # a peer that comes up connects to us; poll in case none does
+            try:
+                await asyncio.wait_for(link.wake.wait(), _RECONNECT_DELAY)
+            except TimeoutError:
+                pass
+            # shutdown cancels this task in that wait: links a stopping cluster closes are no drops
+            if linked and not self._stop.is_set():
+                log.info("replica %d: link to peer %d dropped", self.endpoint.id, peer.id)
 
 
 class _Connection(asyncio.Protocol):
@@ -364,6 +373,8 @@ class _Connection(asyncio.Protocol):
     def connection_made(self, transport) -> None:
         self.transport = transport
         self.daemon._connections.add(transport)
+        for link in self.daemon._links.values():
+            link.wake.set()  # a peer that comes up connects to us: retry the links now
 
     def data_received(self, data: bytes) -> None:
         self.buf += data
@@ -391,6 +402,7 @@ class _PeerLink(asyncio.Protocol):
 
     def __init__(self):
         self.held = bytearray()
+        self.wake = asyncio.Event()  # set by every accepted connection: the peer may be up
 
     def connection_made(self, transport) -> None:
         self.transport, self.lost = transport, asyncio.get_running_loop().create_future()

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from crdtlin import service
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.history import merge_histories
@@ -320,8 +321,9 @@ def test_contended_backoff_never_waits_for_the_loss_timer(cluster):
 
 def test_idle_daemon_fires_no_timers(cluster):
     c = cluster(3, timeout=0.2)
-    # replicas that start before their peers reach them only after a reconnect
-    # delay, so the first request may really time out; let the links settle
+    # a replica that starts before its peers links to each one as that peer
+    # connects to it, so the first request may race the links coming up and
+    # hold frames until they do; let the links settle
     with c.client(1) as alice:
         alice.value()
     time.sleep(0.5)
@@ -442,6 +444,29 @@ def test_peer_frame_queued_before_the_peer_listens_arrives_once_it_does():
     finally:
         c.stop_all()
     assert frame == Merged(1, rid)
+
+
+def test_a_replica_links_to_a_peer_as_soon_as_it_connects(monkeypatch):
+    # a poll this slow would hold replica 1's Prepares past the client timeout
+    monkeypatch.setattr(service, "_RECONNECT_DELAY", 30.0)
+    c = Cluster(3)
+    try:
+        c.start(1)
+        time.sleep(0.1)  # replica 1 has tried, and failed, to reach replicas 2 and 3
+        assert all(link.transport is None for link in c.daemons[1]._links.values())
+        c.start(2)
+        c.start(3)
+        with c.client(1, timeout=3) as alice:
+            assert alice.value().result == 0
+        # a lost link comes back as soon as its peer does, too; with replica 3
+        # down, replica 1's quorum needs replica 2 back
+        c.stop(3)
+        c.stop(2)
+        c.start(2)  # no update has run, so a fresh replica 2 reuses no tag
+        with c.client(1, timeout=3) as alice:
+            assert alice.value().result == 0
+    finally:
+        c.stop_all()
 
 
 def test_link_to_a_down_peer_holds_no_more_than_the_byte_cap(caplog):
