@@ -67,14 +67,6 @@ __all__ = [
     "subhistory",
 ]
 
-GLA_CONDITIONS = (
-    "validity",
-    "stability",
-    "consistency",
-    "update-stability",
-    "update-visibility",
-)
-
 Frontier = tuple[int, ...]
 
 
@@ -383,6 +375,7 @@ def check_update_visibility(history: list[OpRecord]) -> Verdict:
     return Verdict("update-visibility", True)
 
 
+# the five safety conditions, in the order check_all and linearize run them
 _CHECKS = {
     "validity": check_validity,
     "stability": check_stability,
@@ -390,6 +383,7 @@ _CHECKS = {
     "update-stability": check_update_stability,
     "update-visibility": check_update_visibility,
 }
+GLA_CONDITIONS = tuple(_CHECKS)
 
 
 def check_all(history: list[OpRecord]) -> dict[str, Verdict]:
@@ -410,8 +404,8 @@ def linearize(history: list[OpRecord]) -> SequentialWitness:
     Raises :class:`PreconditionFailed` naming the first failing safety
     condition: the construction is only meaningful once all five hold.
     """
-    for name in GLA_CONDITIONS:
-        verdict = _CHECKS[name](history)
+    for check in _CHECKS.values():
+        verdict = check(history)
         if not verdict.passed:
             raise PreconditionFailed(verdict)
 

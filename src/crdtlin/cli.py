@@ -25,6 +25,7 @@ from .bench import bench_live
 from .checker import (
     PreconditionFailed,
     UnsupportedInput,
+    Verdict,
     check_all,
     linearize,
 )
@@ -149,7 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("history", type=Path, help="history JSONL file")
     p.add_argument("--mode", choices=["gla", "lin", "both"], default="both")
 
-    p = sub.add_parser("bench", help="load a live cluster and record its history")
+    p = sub.add_parser(
+        "bench",
+        help="load a live cluster and record its history",
+        description="Load a live cluster and record its history. crdtlin check reads a history "
+        "as starting from empty replicas, so it fails validity on a run against a cluster that "
+        "has already served operations: check only runs against freshly started daemons.",
+    )
     p.add_argument("--config", type=Path, required=True, help="cluster config JSON")
     p.add_argument("--clients", type=int, default=8)
     p.add_argument("--mix", type=float, default=0.1, help="update fraction in [0,1]")
@@ -286,6 +293,14 @@ def _cmd_sim(args) -> int:
     return 0
 
 
+def _print_witness(verdict: Verdict) -> None:
+    """A failed check's witness, as one JSON line."""
+    witness = verdict.witness
+    print(json.dumps(
+        {"condition": verdict.condition, "op_ids": list(witness.op_ids), "message": witness.message}
+    ))
+
+
 def _cmd_check(args) -> int:
     with open(args.history) as fp:
         history = read_history(fp)
@@ -297,30 +312,14 @@ def _cmd_check(args) -> int:
             else:
                 failed = True
                 print(f"{name}: FAIL")
-                print(
-                    json.dumps(
-                        {
-                            "condition": name,
-                            "op_ids": list(verdict.witness.op_ids),
-                            "message": verdict.witness.message,
-                        }
-                    )
-                )
+                _print_witness(verdict)
     if args.mode in ("lin", "both") and not failed:
         try:
             witness = linearize(history)
         except PreconditionFailed as exc:
             failed = True
             print("linearizable: FAIL")
-            print(
-                json.dumps(
-                    {
-                        "condition": exc.verdict.condition,
-                        "op_ids": list(exc.verdict.witness.op_ids),
-                        "message": exc.verdict.witness.message,
-                    }
-                )
-            )
+            _print_witness(exc.verdict)
         else:
             print(f"linearizable: pass ({len(witness.order)} operations ordered)")
     return _CHECK_FAILED if failed else 0

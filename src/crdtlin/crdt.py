@@ -1,14 +1,14 @@
 """Join-semilattice values and the commands that read and inflate them.
 
 The replication layer is generic over ``SemilatticeValue``: anything with a
-partial-order ``compare``, a least-upper-bound ``merge``, and a canonical
-byte form. Two concrete value types ship here, a grow-only counter and a
-grow-only set. ``CausalTaggedState`` wraps any value with the update tags
-that produced it. Each replica applies its own tags in sequence, so that tag
-set is summarised by a per-replica frontier (a version vector); instrumented
-runs record the frontier each query learned and the checker works on it
-directly, so instrumentation costs O(replicas) per payload and per recorded
-query, however long the history.
+partial-order ``compare``, a least-upper-bound ``merge``, a canonical byte
+form and a ``frontier``. The grow-only counter and grow-only set shipped here
+carry no update tags, so their frontier is None; ``CausalTaggedState`` wraps
+any value with the tags that produced it. Each replica applies its own tags
+in sequence, so that tag set is summarised by a per-replica frontier (a
+version vector); instrumented runs record the frontier each query learned
+and the checker works on it directly, so instrumentation costs O(replicas)
+per payload and per recorded query, however long the history.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class SemilatticeValue:
       equal for equal values;
     - ``canonical_size() -> int``: the length of ``canonical_bytes()``
       without building it;
-    - ``render() -> str``: a short human-readable form for logs.
+    - ``frontier``: the per-replica frontier of its update tags, or None.
     """
 
     __slots__ = ()
@@ -96,6 +96,7 @@ class GCounter(SemilatticeValue):
     """
 
     counts: tuple[int, ...]
+    frontier = None  # carries no tags; a class attribute, not a field
 
     @classmethod
     def zero(cls, width: int) -> "GCounter":
@@ -144,15 +145,13 @@ class GCounter(SemilatticeValue):
     def canonical_size(self) -> int:
         return 5 + 8 * len(self.counts)
 
-    def render(self) -> str:
-        return "[" + ",".join(str(c) for c in self.counts) + "]"
-
 
 @dataclass(frozen=True, slots=True)
 class GSet(SemilatticeValue):
     """Grow-only set of opaque byte strings."""
 
     elements: frozenset[bytes]
+    frontier = None  # carries no tags; a class attribute, not a field
 
     @classmethod
     def empty(cls) -> "GSet":
@@ -200,10 +199,6 @@ class GSet(SemilatticeValue):
 
     def canonical_size(self) -> int:
         return 5 + sum(4 + len(el) for el in self.elements)
-
-    def render(self) -> str:
-        shown = ",".join(el.decode("utf-8", "backslashreplace") for el in sorted(self.elements))
-        return "{" + shown + "}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,9 +267,6 @@ class CausalTaggedState(SemilatticeValue):
 
     def canonical_size(self) -> int:
         return 1 + self.value.canonical_size() + 4 + 8 * len(self.frontier)
-
-    def render(self) -> str:
-        return f"{self.value.render()}+{sum(self.frontier)}t"
 
 
 def initial_state(crdt: str, n_replicas: int, tagged: bool) -> SemilatticeValue:

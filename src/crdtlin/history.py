@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
-from .crdt import CausalTag, CausalTaggedState, QueryCommand, UpdateOp
+from .crdt import CausalTag, QueryCommand, UpdateOp
 
 SCHEMA_VERSION = 2
 
@@ -48,7 +48,6 @@ class OpRecord:
     outcome: str | None = None
     result: object = None
     learned_frontier: tuple[int, ...] | None = None
-    learned_value: str | None = None
     round_trips: int | None = None
     retries: int | None = None
     incremental_retry_times: tuple[int, ...] = ()
@@ -79,9 +78,8 @@ def record_reply(rec: OpRecord, reply, response_t: int) -> None:
     rec.retries = reply.retries
     if reply.kind == "update":
         rec.tag = reply.tag
-    if reply.ok and reply.kind == "query" and isinstance(reply.learned, CausalTaggedState):
+    if reply.ok and reply.kind == "query" and reply.learned is not None:
         rec.learned_frontier = reply.learned.frontier
-        rec.learned_value = reply.learned.value.render()
 
 
 def _encode_result(result) -> object:
@@ -129,7 +127,6 @@ def record_to_json(rec: OpRecord) -> str:
         "learned_frontier": (
             list(rec.learned_frontier) if rec.learned_frontier is not None else None
         ),
-        "learned_value": rec.learned_value,
         "round_trips": rec.round_trips,
         "retries": rec.retries,
         "incremental_retry_times": list(rec.incremental_retry_times),
@@ -184,7 +181,6 @@ def record_from_json(line: str) -> OpRecord:
             outcome=_choice(obj.get("outcome"), "outcome", _OUTCOMES),
             result=_decode_result(obj.get("result")),
             learned_frontier=_int_tuple(obj.get("learned_frontier"), "learned_frontier", optional=True),
-            learned_value=obj.get("learned_value"),
             round_trips=_int(obj.get("round_trips"), "round_trips", optional=True),
             retries=_int(obj.get("retries"), "retries", optional=True),
             incremental_retry_times=_int_tuple(

@@ -24,7 +24,6 @@ from typing import AbstractSet, Iterable
 
 from .crdt import (
     CausalTag,
-    CausalTaggedState,
     CommandError,
     QueryCommand,
     SemilatticeValue,
@@ -243,17 +242,17 @@ class Replica:
         return out
 
     def _admit(self, m) -> None:
-        state = m.state
-        if not isinstance(state, CausalTaggedState):
+        frontier = m.state.frontier
+        if frontier is None:
             return  # a mismatched shape raises ShapeError in the merge itself
-        if len(state.frontier) != self.config.n_replicas:
+        if len(frontier) != self.config.n_replicas:
             raise ShapeError(
-                f"frontier of width {len(state.frontier)} in a {self.config.n_replicas}-replica cluster"
+                f"frontier of width {len(frontier)} in a {self.config.n_replicas}-replica cluster"
             )
         # only this replica issues its own tags, so a claim beyond its
         # sequence is forged; taking it in would put every later local
         # update out of sequence
-        claimed = state.frontier[self.rid - 1]
+        claimed = frontier[self.rid - 1]
         if claimed > self._update_seq:
             raise PayloadRejected(
                 f"{type(m).__name__} from replica {m.sender} holds {claimed} updates "
@@ -356,7 +355,7 @@ class Replica:
 
     def on_merged(self, m: Merged, out: StepOutput) -> None:
         req = self.requests.get(m.request_id)
-        if req is None or req.kind != "update" or req.phase != "merging":
+        if req is None or req.kind != "update":
             return
         if not 1 <= m.sender <= self.config.n_replicas:
             return

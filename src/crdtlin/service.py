@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .crdt import (
     CRDT_KINDS,
-    CausalTaggedState,
     CrdtError,
     QueryCommand,
     SemilatticeValue,
@@ -305,8 +304,9 @@ class ReplicaDaemon:
         transport = self._client_transports.pop(reply.token, None)
         if transport is None:
             return  # the client went away; nothing to route
-        # only a tagged state means anything to a client's history
-        learned = reply.learned if isinstance(reply.learned, CausalTaggedState) else None
+        learned = reply.learned
+        if learned is not None and learned.frontier is None:
+            learned = None  # only a tagged state means anything to a client's history
         msg = Reply(
             self.endpoint.id, reply.token, reply.kind, reply.ok, reply.tag, reply.result,
             learned, reply.round_trips, reply.retries, reply.reason,
@@ -504,7 +504,7 @@ class ReplicaClient:
             reply = self._next_frame()  # a stray frame for someone else's request
         response_t = time.monotonic_ns()
         rec.replica = self._replica_hint = reply.sender
-        if isinstance(reply.learned, CausalTaggedState):
+        if reply.learned is not None and reply.learned.frontier is not None:
             n_tags = sum(reply.learned.frontier)
             if n_tags > _MAX_LEARNED_TAGS:
                 reply = replace(

@@ -273,7 +273,6 @@ class SimResult:
 class _ClientState:
     script: list[str]
     next_op: int = 0
-    waiting: bool = False
 
 
 class Simulation:

@@ -241,6 +241,24 @@ def test_schema_1_history_is_refused(tmp_path, capsys):
     assert "unsupported history schema" in capsys.readouterr().err
 
 
+# two lines as written before queries stopped recording a rendered learned value
+_SCHEMA_2_WITH_LEARNED_VALUE = """\
+{"v":2,"op_id":1,"client":0,"replica":2,"kind":"update","op":{"kind":"set_add","element":"ZTE="},"invoke_t":0,"tag":[2,1],"response_t":2,"outcome":"ok","result":null,"learned_frontier":null,"learned_value":null,"round_trips":1,"retries":0,"incremental_retry_times":[]}
+{"v":2,"op_id":2,"client":0,"replica":3,"kind":"query","op":{"kind":"set_elements"},"invoke_t":3,"tag":null,"response_t":5,"outcome":"ok","result":{"elements":["ZTE="]},"learned_frontier":[0,1,0],"learned_value":"{e1}","round_trips":1,"retries":0,"incremental_retry_times":[]}
+"""
+
+
+def test_schema_2_history_with_a_learned_value_still_checks(tmp_path, capsys):
+    path = tmp_path / "old.jsonl"
+    path.write_text(_SCHEMA_2_WITH_LEARNED_VALUE)
+    with open(path) as fp:
+        update, query = read_history(fp)
+    assert update.tag == (2, 1)
+    assert query.result == (b"e1",) and query.learned_frontier == (0, 1, 0)
+    assert run_cli("check", str(path)) == 0
+    assert "linearizable: pass (2 operations ordered)" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------- bench
 
 

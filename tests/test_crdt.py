@@ -7,11 +7,13 @@ the top of this file (naive recomputation / replay), then frozen.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crdtlin
 from crdtlin.crdt import (
     CausalTaggedState,
     CommandError,
@@ -397,8 +399,15 @@ def test_malformed_tagged_bytes_rejected():
         state_from_bytes(good + bytes(8))  # a whole extra entry beyond the width
 
 
-def test_render_forms():
-    assert GCounter((1, 0, 2)).render() == "[1,0,2]"
-    assert GSet.of(b"b", b"a").render() == "{a,b}"
-    tagged = CausalTaggedState(GCounter((1,)), (1,))
-    assert tagged.render() == "[1]+1t"
+def test_untagged_values_answer_no_frontier():
+    assert GCounter.zero(3).frontier is None and GSet.of(b"a").frontier is None
+    # the attribute lives on the untagged types, so the wrapper still needs its frontier
+    with pytest.raises(TypeError):
+        CausalTaggedState(GCounter.zero(3))
+
+
+def test_only_crdt_names_the_tagged_wrapper():
+    # every value answers .frontier, so no other module needs the tagged type
+    src = Path(crdtlin.__file__).parent
+    naming = sorted(p.name for p in src.glob("*.py") if "CausalTaggedState" in p.read_text())
+    assert naming == ["__init__.py", "crdt.py"]

@@ -603,6 +603,44 @@ def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
         assert cl.value().result == 1
 
 
+def _reply_once(learned) -> tuple[int, threading.Thread]:
+    """A one-shot replica on a free port that answers one query with ``learned``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener, listener.accept()[0] as conn:
+            buf = bytearray()
+            while (decoded := try_decode(buf)) is None:
+                buf += conn.recv(65536)
+            query = decoded[0]
+            conn.sendall(encode(Reply(1, query.request_id, "query", True, None, 3, learned, 1, 0)))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+def test_client_keeps_an_untagged_learned_state_out_of_its_record():
+    port, thread = _reply_once(GCounter((3, 0, 0)))
+    with ReplicaClient("127.0.0.1", port, timeout=5) as cl:
+        rec = cl.value()
+    thread.join(5)
+    assert not thread.is_alive()
+    assert rec.outcome == "ok" and rec.result == 3 and rec.learned_frontier is None
+
+
+def test_client_fails_a_reply_whose_learned_state_names_too_many_tags():
+    n_tags = service._MAX_LEARNED_TAGS + 1
+    port, thread = _reply_once(CausalTaggedState(GCounter((3, 0, 0)), (n_tags, 0, 0)))
+    with ReplicaClient("127.0.0.1", port, timeout=5, record=True) as cl:
+        with pytest.raises(RequestFailed, match=f"names {n_tags} tags"):
+            cl.value()
+    thread.join(5)
+    assert not thread.is_alive()
+    (rec,) = cl.history
+    assert rec.outcome == "failed" and rec.result is None and rec.learned_frontier is None
+
+
 # ------------------------------------------------------------ recorded runs
 
 

@@ -9,10 +9,17 @@ from dataclasses import replace
 
 import pytest
 
-from crdtlin.crdt import CausalTaggedState, GCounter
-from crdtlin.history import OpRecord, read_history, record_to_json, write_trace
+from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.history import (
+    OpRecord,
+    op_dict,
+    read_history,
+    record_reply,
+    record_to_json,
+    write_trace,
+)
 from crdtlin.messages import Merged
-from crdtlin.protocol import Acceptor, Replica, TimerFire
+from crdtlin.protocol import Acceptor, ClientReply, Replica, TimerFire
 from crdtlin.sim import (
     ConfigError,
     InvariantViolation,
@@ -101,7 +108,7 @@ _GOLDEN = {
             crash_schedule=((3, 120),), seed=7,
         ),
         {
-            "history.jsonl": "9b47f69d4e1cb3ac5259f41f23a3bd1d5c99970ce31abf552cc0b93f1684c44e",
+            "history.jsonl": "996ea9b1d55da9e17d6da90d42204172e3d35a53e85f7cc0298e90dd846e0e76",
             "trace.jsonl": "c54f89cb2cbcca1adf6061f5aedbe1a1c2be7dae15a17f3e9b3be69535f74a52",
             "metrics.csv": "ffcff6b7338cff09dd78b50e06bc6475c6cf04f8386e7b49dfef9b85bca5e208",
         },
@@ -114,7 +121,7 @@ _GOLDEN = {
             seed=11,
         ),
         {
-            "history.jsonl": "a98b3ebe3059290441edacd5203ef4e06132d869dd1e54d4cbe30d928752c79f",
+            "history.jsonl": "2e9fcafb108cf7a8d7feda68774543e80a18693c02858fb5122bade78aa1b980",
             "trace.jsonl": "a4460e5348590862aef56d476d1db65bf1080e681ff126786c92aa01a94c86ac",
             "metrics.csv": "19f88a416c80e1b63526d989ce46080d39e94fab4588f373f856a7e1fc42565b",
         },
@@ -125,7 +132,7 @@ _GOLDEN = {
             seed=1,
         ),
         {
-            "history.jsonl": "15792f42f06401c0f38d88a8f14d24b6f7a1ed59ce643b71bf7acdf0d2d455ce",
+            "history.jsonl": "60920ca0efc9412f25a19fdbcbce63f6c3452113e602e7f1aa42e3fcd0f1eb04",
             "trace.jsonl": "8963940bf93257a1e0a89d6ae02859ead26ddf07bb72aaf441c5a53f66de7138",
             "metrics.csv": "98b2a1c3802bf969ee4f11df5e1bef2129d713fcce81fcff383cca3012a8faa2",
         },
@@ -424,6 +431,21 @@ def test_query_records_do_not_grow_with_the_history():
     long_updates, long_longest = run(2060)
     assert short_updates == 10 and long_updates >= 1000
     assert long_longest <= short_longest
+
+
+def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
+    elements = [b"element-%04d" % i for i in range(1000)]
+    reply = ClientReply(
+        client=0, token=1, kind="query", ok=True, request_id=bytes(16), result=False,
+        learned=CausalTaggedState(GSet.of(*elements), (400, 300, 300)), round_trips=1,
+    )
+    rec = OpRecord(op_id=1, client=0, replica=1, kind="query",
+                   op=op_dict(QueryCommand.set_contains(b"absent")), invoke_t=0)
+    record_reply(rec, reply, 5)
+    line = record_to_json(rec)
+    assert rec.learned_frontier == (400, 300, 300)
+    assert not any(e.decode() in line for e in elements)
+    assert len(line) < 400  # O(replicas), whatever the size of the learned set
 
 
 def test_metrics_csv_and_bench_summary_share_one_percentile():
