@@ -76,9 +76,9 @@ def record_reply(rec: OpRecord, reply, response_t: int) -> None:
     rec.result = reply.result
     rec.round_trips = reply.round_trips
     rec.retries = reply.retries
-    if reply.kind == "update":
+    if rec.kind == "update":
         rec.tag = reply.tag
-    if reply.ok and reply.kind == "query" and reply.learned is not None:
+    elif reply.ok and reply.learned is not None:
         rec.learned_frontier = reply.learned.frontier
 
 

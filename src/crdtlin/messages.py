@@ -48,30 +48,23 @@ class Ack:
 
 
 @dataclass(frozen=True, slots=True)
-class Update:
+class Request:
     sender: int
     request_id: bytes
-    op: UpdateOp
-
-
-@dataclass(frozen=True, slots=True)
-class Query:
-    sender: int
-    request_id: bytes
-    query: QueryCommand
+    command: UpdateOp | QueryCommand  # its type says update or query
 
 
 @dataclass(frozen=True, slots=True)
 class Reply:
     """A replica's answer to one client request: the outcome fields of
-    ``protocol.ClientReply`` under the same names. ``tag`` is an update's
-    causal tag, kept on a failure whose payload already merged locally (the
-    tag may still surface); ``result`` and ``learned`` answer an ok query;
-    ``reason`` says why an op failed."""
+    ``protocol.ClientReply`` under the same names. It does not repeat the
+    operation's kind; the client already holds the request it answers.
+    ``tag`` is an update's causal tag, kept on a failure whose payload
+    already merged locally (the tag may still surface); ``result`` and
+    ``learned`` answer an ok query; ``reason`` says why an op failed."""
 
     sender: int
     request_id: bytes
-    kind: str  # "update" | "query"
     ok: bool
     tag: CausalTag | None = None
     result: object = None
@@ -82,5 +75,5 @@ class Reply:
 
 
 ReplicaMessage = Merge | Merged | Prepare | Ack
-ClientMessage = Update | Query | Reply
+ClientMessage = Request | Reply
 Message = ReplicaMessage | ClientMessage

@@ -65,15 +65,8 @@ class ProtocolConfig:
 
 
 @dataclass(slots=True)
-class ClientUpdate:
-    op: UpdateOp
-    client: object
-    token: object
-
-
-@dataclass(slots=True)
-class ClientQuery:
-    query: QueryCommand
+class ClientRequest:
+    command: UpdateOp | QueryCommand  # its type says update or query
     client: object
     token: object
 
@@ -81,14 +74,15 @@ class ClientQuery:
 @dataclass(slots=True)
 class TimerFire:
     request_id: bytes
-    generation: int
 
 
 @dataclass(slots=True)
 class ClientReply:
+    """The outcome of one client operation. It does not repeat the
+    operation's kind: whoever routes it holds the request it answers."""
+
     client: object
     token: object
-    kind: str  # "update" | "query"
     ok: bool
     request_id: bytes
     result: object = None
@@ -101,7 +95,8 @@ class ClientReply:
 
 @dataclass(slots=True)
 class TimerRequest:
-    """(Re)arm the per-request timer; the runtime chooses the duration.
+    """(Re)arm the request's one timer, replacing any armed before; the
+    runtime chooses the duration and cancels the timer when the request ends.
 
     ``backoff`` is None for the loss timer. For the wait before a query
     prepares again after a disagreeing quorum, it is the request's retries
@@ -109,7 +104,6 @@ class TimerRequest:
     """
 
     request_id: bytes
-    generation: int
     backoff: int | None = None
 
 
@@ -174,7 +168,6 @@ class ProposerRequest:
     merge_state: SemilatticeValue | None = None
     retries: int = 0
     round_trips: int = 0
-    timer_generation: int = 0
 
 
 class Replica:
@@ -200,8 +193,7 @@ class Replica:
         self._inflight: dict[str, bytes | None] = {"update": None, "query": None}
         # one handler per event type; peer payloads pass _admit before any state changes
         self._handlers = {
-            ClientUpdate: self._submit,
-            ClientQuery: self._submit,
+            ClientRequest: self._submit,
             TimerFire: self.on_timeout,
             Merge: self._on_acceptor_message,
             Prepare: self._on_acceptor_message,
@@ -271,12 +263,9 @@ class Replica:
 
     # -- client operations and batching
 
-    def _submit(self, event: ClientUpdate | ClientQuery, out: StepOutput) -> None:
-        if type(event) is ClientUpdate:
-            kind, item = "update", (event.client, event.token, event.op)
-        else:
-            kind, item = "query", (event.client, event.token, event.query)
-        self._pending[kind].append(item)
+    def _submit(self, event: ClientRequest, out: StepOutput) -> None:
+        kind = "update" if type(event.command) is UpdateOp else "query"
+        self._pending[kind].append((event.client, event.token, event.command))
         if self._inflight[kind] is None:
             self._flush(kind, out)
 
@@ -301,7 +290,7 @@ class Replica:
             except CommandError as exc:
                 out.replies.append(
                     ClientReply(
-                        client=client, token=token, kind="update", ok=False,
+                        client=client, token=token, ok=False,
                         request_id=request_id, reason=str(exc),
                     )
                 )
@@ -398,7 +387,7 @@ class Replica:
     def on_timeout(self, event: TimerFire, out: StepOutput) -> None:
         request_id = event.request_id
         req = self.requests.get(request_id)
-        if req is None or event.generation != req.timer_generation:
+        if req is None:
             return
         if req.kind == "update":
             req.retries += 1
@@ -453,13 +442,12 @@ class Replica:
             self._flush(req.kind, out)
 
     def _arm_timer(self, req: ProposerRequest, out: StepOutput, backoff: int | None = None) -> None:
-        req.timer_generation += 1
-        out.timers.append(TimerRequest(req.request_id, req.timer_generation, backoff))
+        out.timers.append(TimerRequest(req.request_id, backoff))
 
 
 def _reply(req: ProposerRequest, client, token, ok: bool, **fields) -> ClientReply:
     """A reply to one of ``req``'s ops, carrying the request's cost so far."""
     return ClientReply(
-        client=client, token=token, kind=req.kind, ok=ok, request_id=req.request_id,
+        client=client, token=token, ok=ok, request_id=req.request_id,
         round_trips=req.round_trips, retries=req.retries, **fields,
     )

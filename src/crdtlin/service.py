@@ -16,12 +16,13 @@ Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
 id back requires restarting the cluster.
 
-Clients speak the same framed protocol over a plain TCP connection:
-requests carry a client-chosen 16-byte request id, and the one ``Reply``
-frame that answers each echoes it. :class:`ReplicaClient` wraps that in a
-blocking call-per-operation API: each call returns the operation's
-:class:`OpRecord`, and with ``record=True`` the client also keeps them all
-as a history for the offline checker.
+Clients speak the same framed protocol over a plain TCP connection: each
+update or query is one ``Request`` frame with a client-chosen 16-byte
+request id, and the one ``Reply`` frame that answers it echoes the id but
+not the kind, which the client already knows. :class:`ReplicaClient` wraps
+that in a blocking call-per-operation API: each call returns the
+operation's :class:`OpRecord`, and with ``record=True`` the client also
+keeps them all as a history for the offline checker.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ from .crdt import (
     initial_state,
 )
 from .history import OpRecord, op_dict, record_reply
-from .messages import Message, Query, Reply, Update
+from .messages import Message, Reply, Request
 from .protocol import (
-    ClientQuery,
     ClientReply,
-    ClientUpdate,
+    ClientRequest,
     PayloadRejected,
     ProtocolConfig,
     Replica,
@@ -266,13 +266,11 @@ class ReplicaDaemon:
         if (old := self._timers.get(timer.request_id)) is not None:
             old.cancel()
         delay = self.config.timeout if timer.backoff is None else 0
-        self._timers[timer.request_id] = self._loop.call_later(
-            delay, self._fire, timer.request_id, timer.generation
-        )
+        self._timers[timer.request_id] = self._loop.call_later(delay, self._fire, timer.request_id)
 
-    def _fire(self, request_id: bytes, generation: int) -> None:
+    def _fire(self, request_id: bytes) -> None:
         del self._timers[request_id]
-        self._dispatch(TimerFire(request_id, generation))
+        self._dispatch(TimerFire(request_id))
 
     def _enqueue_peer(self, dst: int, msg) -> None:
         link = self._links[dst]
@@ -308,7 +306,7 @@ class ReplicaDaemon:
         if learned is not None and learned.frontier is None:
             learned = None  # only a tagged state means anything to a client's history
         msg = Reply(
-            self.endpoint.id, reply.token, reply.kind, reply.ok, reply.tag, reply.result,
+            self.endpoint.id, reply.token, reply.ok, reply.tag, reply.result,
             learned, reply.round_trips, reply.retries, reply.reason,
         )
         try:
@@ -320,12 +318,9 @@ class ReplicaDaemon:
 
     def _handle_message(self, msg: Message, transport: asyncio.Transport) -> None:
         match msg:
-            case Update():
+            case Request():
                 self._client_transports[msg.request_id] = transport
-                self._dispatch(ClientUpdate(msg.op, client=msg.sender, token=msg.request_id))
-            case Query():
-                self._client_transports[msg.request_id] = transport
-                self._dispatch(ClientQuery(msg.query, client=msg.sender, token=msg.request_id))
+                self._dispatch(ClientRequest(msg.command, client=msg.sender, token=msg.request_id))
             case Reply():
                 raise FrameError("a Reply answers a request; a daemon takes none")
             case _:
@@ -497,8 +492,7 @@ class ReplicaClient:
         if self.record:
             self.history.append(rec)
         request_id = os.urandom(16)
-        request = Update if kind == "update" else Query
-        self._sock.sendall(encode(request(self.client_id, request_id, command)))
+        self._sock.sendall(encode(Request(self.client_id, request_id, command)))
         reply = self._next_frame()
         while type(reply) is not Reply or reply.request_id != request_id:
             reply = self._next_frame()  # a stray frame for someone else's request
@@ -513,7 +507,7 @@ class ReplicaClient:
                 )
         record_reply(rec, reply, response_t)
         if not reply.ok:
-            raise RequestFailed(reply.kind, reply.reason)
+            raise RequestFailed(kind, reply.reason)
         return rec
 
     def _next_frame(self) -> Message:

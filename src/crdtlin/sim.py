@@ -44,9 +44,8 @@ from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
 from .history import OpRecord, TraceEvent, op_dict, record_reply, write_history, write_trace
 from .messages import Ack
 from .protocol import (
-    ClientQuery,
     ClientReply,
-    ClientUpdate,
+    ClientRequest,
     ProtocolConfig,
     Replica,
     TimerFire,
@@ -387,11 +386,11 @@ class Simulation:
         if self._tracing:
             self._trace(t, "crash", (("replica", rid),))
 
-    def _process_timer(self, t: int, rid: int, request_id: bytes, generation: int) -> None:
+    def _process_timer(self, t: int, rid: int, request_id: bytes) -> None:
         del self._timers[request_id]
         if self._tracing:
             self._trace(t, "timer", (("replica", rid), ("request_id", request_id.hex()),))
-        self._step_replica(t, rid, TimerFire(request_id, generation))
+        self._step_replica(t, rid, TimerFire(request_id))
 
     def _process_invoke(self, t: int, cid: int) -> None:
         client = self.clients[cid]
@@ -406,8 +405,7 @@ class Simulation:
         op_id = self._next_op_id
         # a set element is unique per op by construction
         cmd = workload_op(self.config.crdt, kind, f"e{op_id}".encode())
-        request = ClientUpdate if kind == "update" else ClientQuery
-        event = request(cmd, client=cid, token=op_id)
+        event = ClientRequest(cmd, client=cid, token=op_id)
         self.records[op_id] = OpRecord(
             op_id=op_id, client=cid, replica=target, kind=kind, op=op_dict(cmd), invoke_t=t
         )
@@ -473,7 +471,7 @@ class Simulation:
                 due = t + (timer.backoff + 2) * self.config.delay_max
             self._cancel_timer(timer.request_id)
             self._timers[timer.request_id] = self._push(
-                due, self._process_timer, (rid, timer.request_id, timer.generation)
+                due, self._process_timer, (rid, timer.request_id)
             )
         for retry in out.retries:
             if retry.kind == "incremental":
@@ -549,7 +547,7 @@ class Simulation:
         checked = None  # a batch's replies share one learned state: check it once
         for reply in out.replies:
             learned = reply.learned
-            if not reply.ok or reply.kind != "query" or learned is None or learned is checked:
+            if not reply.ok or learned is None or learned is checked:
                 continue
             checked = learned
             dominating = {

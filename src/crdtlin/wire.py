@@ -15,10 +15,14 @@ length-prefixed slot (length zero means absent). Between replicas, Merge
 Decoding is strict end to end; anything malformed raises FrameError, never
 an arbitrary struct or index error.
 
-Clients send Update (type 1) and Query (type 3); every answer, ok or
-failed, update or query, is one Reply (type 2):
+Clients send every operation as one Request (type 1): a command kind
+byte, then the command's element (presence byte, then u32 length and the
+bytes). The kind byte names the command's class as well: updates are "i"
+increment and "a" set_add, queries "v" counter_value, "c" set_contains and
+"e" set_elements. Every answer, ok or failed, update or query, is one
+Reply (type 2); it does not repeat the kind, which the client's request
+already says:
 
-    u8   kind ("u" update, "q" query)
     u8   ok (0 or 1)
     u32  round trips, u32 retries
     ...  tag (presence byte, then u64 replica, u64 counter)
@@ -26,7 +30,7 @@ failed, update or query, is one Reply (type 2):
     ...  learned state slot
     ...  reason (presence byte, then u32 length and UTF-8 text)
 
-Types 4, 9, 10, 11 and 12 are retired and decode as unknown, like any
+Types 3, 4, 9, 10, 11 and 12 are retired and decode as unknown, like any
 other number.
 """
 
@@ -35,23 +39,25 @@ from __future__ import annotations
 import struct
 
 from .crdt import QueryCommand, SemilatticeValue, SerializationError, UpdateOp, state_from_bytes
-from .messages import Ack, Merge, Merged, Message, Prepare, Query, Reply, Update
+from .messages import Ack, Merge, Merged, Message, Prepare, Reply, Request
 
 __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
 
 MAX_FRAME = 16 * 1024 * 1024  # total frame size cap, length prefix included
 
 # wire type numbers; the gaps are retired numbers
-_TYPES: dict[type, int] = {Update: 1, Reply: 2, Query: 3, Merge: 5, Merged: 6, Prepare: 7, Ack: 8}
+_TYPES: dict[type, int] = {Request: 1, Reply: 2, Merge: 5, Merged: 6, Prepare: 7, Ack: 8}
 _BY_NUMBER = {number: cls for cls, number in _TYPES.items()}
 
-# decoding looks kinds up by byte value
-_OP_KINDS = {"increment": b"i", "set_add": b"a"}
-_OP_KINDS_BACK = {v[0]: k for k, v in _OP_KINDS.items()}
-_QUERY_KINDS = {"counter_value": b"v", "set_contains": b"c", "set_elements": b"e"}
-_QUERY_KINDS_BACK = {v[0]: k for k, v in _QUERY_KINDS.items()}
-_REPLY_KINDS = {"update": b"u", "query": b"q"}
-_REPLY_KINDS_BACK = {v[0]: k for k, v in _REPLY_KINDS.items()}
+# no two kinds share a byte, so decoding looks the class up with the kind
+_COMMAND_KINDS = {
+    (UpdateOp, "increment"): b"i",
+    (UpdateOp, "set_add"): b"a",
+    (QueryCommand, "counter_value"): b"v",
+    (QueryCommand, "set_contains"): b"c",
+    (QueryCommand, "set_elements"): b"e",
+}
+_COMMAND_KINDS_BACK = {v[0]: k for k, v in _COMMAND_KINDS.items()}
 
 _HEADER = struct.Struct(">B16sI")
 _PREFIXED_HEADER = struct.Struct(">IB16sI")
@@ -102,18 +108,11 @@ def _result_slot(result) -> bytes:
     raise FrameError(f"result {result!r} has no wire form")
 
 
-def _op_slot(op: UpdateOp) -> bytes:
-    kind = _OP_KINDS.get(op.kind)
+def _command_slot(command: UpdateOp | QueryCommand) -> bytes:
+    kind = _COMMAND_KINDS.get((type(command), command.kind))
     if kind is None:
-        raise FrameError(f"update op kind {op.kind!r} has no wire form")
-    return kind + _bytes_slot(op.element)
-
-
-def _query_slot(query: QueryCommand) -> bytes:
-    kind = _QUERY_KINDS.get(query.kind)
-    if kind is None:
-        raise FrameError(f"query kind {query.kind!r} has no wire form")
-    return kind + _bytes_slot(query.element)
+        raise FrameError(f"{type(command).__name__} kind {command.kind!r} has no wire form")
+    return kind + _bytes_slot(command.element)
 
 
 def _body(msg: Message) -> bytes:
@@ -124,18 +123,12 @@ def _body(msg: Message) -> bytes:
             return _state_slot(msg.state)
         case Merged():
             return b""
-        case Update():
-            return _op_slot(msg.op)
-        case Query():
-            return _query_slot(msg.query)
+        case Request():
+            return _command_slot(msg.command)
         case Reply():
-            kind = _REPLY_KINDS.get(msg.kind)
-            if kind is None:
-                raise FrameError(f"reply kind {msg.kind!r} has no wire form")
             reason = None if msg.reason is None else msg.reason.encode("utf-8")
             return (
-                kind
-                + (b"\x01" if msg.ok else b"\x00")
+                (b"\x01" if msg.ok else b"\x00")
                 + _II.pack(msg.round_trips, msg.retries)
                 + _tag_slot(msg.tag)
                 + _result_slot(msg.result)
@@ -262,23 +255,15 @@ def _decode(p: bytes) -> tuple[Message, int]:
     if mtype == 6:
         return Merged(sender, request_id), pos
     if mtype == 1:
-        kind = _OP_KINDS_BACK.get(p[pos])
-        if kind is None:
-            raise FrameError("unknown update op kind")
+        command = _COMMAND_KINDS_BACK.get(p[pos])
+        if command is None:
+            raise FrameError("unknown command kind")
+        cls, kind = command
         element, pos = _read_bytes_slot(p, pos + 1)
-        return Update(sender, request_id, UpdateOp(kind, element)), pos
-    if mtype == 3:
-        kind = _QUERY_KINDS_BACK.get(p[pos])
-        if kind is None:
-            raise FrameError("unknown query kind")
-        element, pos = _read_bytes_slot(p, pos + 1)
-        return Query(sender, request_id, QueryCommand(kind, element)), pos
-    kind = _REPLY_KINDS_BACK.get(p[pos])
-    if kind is None:
-        raise FrameError("unknown reply kind")
-    ok = _read_flag(p, pos + 1, "ok")
-    round_trips, retries = _II.unpack_from(p, pos + 2)
-    tag, pos = _read_tag(p, pos + 10)
+        return Request(sender, request_id, cls(kind, element)), pos
+    ok = _read_flag(p, pos, "ok")
+    round_trips, retries = _II.unpack_from(p, pos + 1)
+    tag, pos = _read_tag(p, pos + 9)
     result, pos = _read_result(p, pos)
     learned, pos = _read_state(p, pos)
     reason, pos = _read_bytes_slot(p, pos)
@@ -287,8 +272,7 @@ def _decode(p: bytes) -> tuple[Message, int]:
             reason = reason.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FrameError("reply reason is not valid UTF-8") from exc
-    reply = Reply(sender, request_id, kind, ok, tag, result, learned, round_trips, retries, reason)
-    return reply, pos
+    return Reply(sender, request_id, ok, tag, result, learned, round_trips, retries, reason), pos
 
 
 def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:

@@ -15,8 +15,7 @@ from crdtlin.crdt import CausalTaggedState, GCounter, QueryCommand, ShapeError, 
 from crdtlin.messages import Ack, Merge, Merged, Prepare, UpdateOp
 from crdtlin.protocol import (
     Acceptor,
-    ClientQuery,
-    ClientUpdate,
+    ClientRequest,
     PayloadRejected,
     ProtocolConfig,
     ProtocolError,
@@ -93,7 +92,7 @@ def test_round_ids_distinct_across_processes():
     replicas = [make_replica(rid=i, n=5) for i in range(1, 6)]
     for _ in range(200):
         for rep in replicas:
-            out = rep.step(ClientQuery(QueryCommand.counter_value(), client=0, token=0))
+            out = rep.step(ClientRequest(QueryCommand.counter_value(), client=0, token=0))
             request_id = out.sends[0][1].request_id
             assert request_id not in seen
             seen.add(request_id)
@@ -105,7 +104,7 @@ def test_round_ids_distinct_across_processes():
 
 def test_client_update_applies_locally_then_merges():
     r = make_replica(rid=1, n=3)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=7, token=70))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=7, token=70))
     assert r.acceptor.state == GCounter((1, 0, 0))
     merges = sends_by_type(out, Merge)
     assert [dst for dst, _ in merges] == [2, 3]
@@ -116,12 +115,12 @@ def test_client_update_applies_locally_then_merges():
 
 def test_update_completes_on_merge_quorum():
     r = make_replica(rid=1, n=3)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=7, token=70))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=7, token=70))
     req_id = sends_by_type(out, Merge)[0][1].request_id
     out2 = r.step(Merged(sender=2, request_id=req_id))
     assert len(out2.replies) == 1
     reply = out2.replies[0]
-    assert reply.ok and reply.kind == "update" and reply.token == 70
+    assert reply.ok and reply.token == 70
     assert reply.tag == (1, 1)
     assert reply.round_trips == 1
     assert req_id not in r.requests
@@ -129,7 +128,7 @@ def test_update_completes_on_merge_quorum():
 
 def test_duplicate_merged_counted_once():
     r = make_replica(rid=1, n=5)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=1))
     req_id = sends_by_type(out, Merge)[0][1].request_id
     assert r.step(Merged(sender=2, request_id=req_id)).replies == []
     assert r.step(Merged(sender=2, request_id=req_id)).replies == []  # same acceptor
@@ -138,7 +137,7 @@ def test_duplicate_merged_counted_once():
 
 def test_late_merged_after_completion_dropped():
     r = make_replica(rid=1, n=3)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=1))
     req_id = sends_by_type(out, Merge)[0][1].request_id
     r.step(Merged(sender=2, request_id=req_id))
     assert r.step(Merged(sender=3, request_id=req_id)).replies == []
@@ -146,38 +145,26 @@ def test_late_merged_after_completion_dropped():
 
 def test_update_timeout_resends_to_silent_acceptors_only():
     r = make_replica(rid=1, n=3)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=1))
     req_id = sends_by_type(out, Merge)[0][1].request_id
-    timer = out.timers[0]
     r.step(Merged(sender=2, request_id=req_id))  # not yet a reply-quorum... 2 of 3 is
     # quorum already met with self + 2; rebuild a fresh scenario for N=5
     r = make_replica(rid=1, n=5)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=1))
     req_id = sends_by_type(out, Merge)[0][1].request_id
-    timer = out.timers[0]
     r.step(Merged(sender=2, request_id=req_id))
-    out2 = r.step(TimerFire(req_id, timer.generation))
+    out2 = r.step(TimerFire(req_id))
     resent = sends_by_type(out2, Merge)
     assert sorted(dst for dst, _ in resent) == [3, 4, 5]
     assert out2.retries and out2.retries[0].kind == "merge-resend"
     assert r.requests[req_id].round_trips == 2
 
 
-def test_stale_timer_generation_ignored():
-    r = make_replica(rid=1, n=5)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
-    req_id = sends_by_type(out, Merge)[0][1].request_id
-    old = out.timers[0].generation
-    out2 = r.step(TimerFire(req_id, old))  # arms generation old+1
-    assert out2.timers[0].generation == old + 1
-    assert r.step(TimerFire(req_id, old)).sends == []
-
-
 # ---------------------------------------------------------------- proposer: queries
 
 
 def start_query(r, client=9, token=90):
-    out = r.step(ClientQuery(QueryCommand.counter_value(), client=client, token=token))
+    out = r.step(ClientRequest(QueryCommand.counter_value(), client=client, token=token))
     prepares = sends_by_type(out, Prepare)
     assert [dst for dst, _ in prepares] == list(range(1, r.config.n_replicas + 1))
     msg = prepares[0][1]
@@ -220,13 +207,11 @@ def test_consistent_quorum_completes_in_one_round():
 
 def test_disagreeing_quorum_backs_off_without_sending():
     r = make_replica(rid=1, n=3)
-    req_id, out0 = start_query(r)
+    req_id, _ = start_query(r)
     out = disagree(r, req_id)
     assert out.sends == [] and out.replies == [] and out.retries == []
-    assert len(out.timers) == 1
-    timer = out.timers[0]
-    # the back-off replaces the loss timer; no retries yet, so its count is 0
-    assert timer.backoff == 0 and timer.generation == out0.timers[0].generation + 1
+    # one back-off timer; no retries yet, so its count is 0
+    assert [t.backoff for t in out.timers] == [0]
     assert r.requests[req_id].phase == "backing-off"
     assert r.requests[req_id].round_trips == 1
 
@@ -243,9 +228,9 @@ def test_ack_during_backoff_joins_gathered_and_sends_nothing():
 def test_backoff_fire_reprepares_with_gathered_as_one_retry():
     r = make_replica(rid=1, n=3)
     req_id, _ = start_query(r)
-    timer = disagree(r, req_id).timers[0]
+    disagree(r, req_id)
     r.step(Ack(3, req_id, 1, GCounter((0, 0, 2))))  # late, during the back-off
-    out = r.step(TimerFire(req_id, timer.generation))
+    out = r.step(TimerFire(req_id))
     prepares = sends_by_type(out, Prepare)
     assert [dst for dst, _ in prepares] == [1, 2, 3]
     msg = prepares[0][1]
@@ -266,8 +251,8 @@ def test_backoff_fire_reprepares_with_gathered_as_one_retry():
 def test_second_backoff_counts_the_retries_so_far():
     r = make_replica(rid=1, n=3)
     req_id, _ = start_query(r)
-    timer = disagree(r, req_id).timers[0]
-    r.step(TimerFire(req_id, timer.generation))
+    disagree(r, req_id)
+    r.step(TimerFire(req_id))
     r.step(Ack(1, req_id, 2, GCounter((1, 1, 0))))
     out = r.step(Ack(2, req_id, 2, GCounter((1, 2, 0))))
     assert out.sends == [] and [t.backoff for t in out.timers] == [1]
@@ -275,8 +260,8 @@ def test_second_backoff_counts_the_retries_so_far():
 
 def test_stale_ack_only_feeds_the_gathered_lub():
     r = make_replica(rid=1, n=3)
-    req_id, out0 = start_query(r)
-    r.step(TimerFire(req_id, out0.timers[0].generation))  # attempt 2 begins
+    req_id, _ = start_query(r)
+    r.step(TimerFire(req_id))  # attempt 2 begins
     assert r.requests[req_id].attempt == 2
     # ack for the abandoned attempt: remembered as payload, not toward a quorum
     r.step(Ack(1, req_id, 1, GCounter((5, 0, 0))))
@@ -292,7 +277,7 @@ def test_round_ids_unique_and_increasing():
     req_id, out = start_query(r)
     rounds = [(req_id, sends_by_type(out, Prepare)[0][1].attempt)]
     for _ in range(3):
-        out = r.step(TimerFire(req_id, out.timers[0].generation))
+        out = r.step(TimerFire(req_id))
         m = sends_by_type(out, Prepare)[0][1]
         rounds.append((m.request_id, m.attempt))
     assert rounds == [(req_id, a) for a in (1, 2, 3, 4)]
@@ -300,9 +285,8 @@ def test_round_ids_unique_and_increasing():
 
 def test_query_timeout_retries_incrementally():
     r = make_replica(rid=1, n=3)
-    req_id, out0 = start_query(r)
-    timer = out0.timers[0]
-    out = r.step(TimerFire(req_id, timer.generation))
+    req_id, _ = start_query(r)
+    out = r.step(TimerFire(req_id))
     msg = sends_by_type(out, Prepare)[0][1]
     assert msg.attempt == 2
     assert out.retries[0].kind == "incremental"
@@ -312,10 +296,8 @@ def test_max_retries_fails_the_request():
     r = make_replica(rid=1, n=3, max_retries=2)
     req_id, out = start_query(r, client=4, token=40)
     for _ in range(2):
-        gen = out.timers[-1].generation if out.timers else None
-        out = r.step(TimerFire(req_id, gen))
-    gen = out.timers[-1].generation
-    out = r.step(TimerFire(req_id, gen))
+        r.step(TimerFire(req_id))
+    out = r.step(TimerFire(req_id))
     assert len(out.replies) == 1
     reply = out.replies[0]
     assert not reply.ok and reply.reason == "max-retries" and reply.token == 40
@@ -358,11 +340,11 @@ def test_learned_state_attached_only_when_exposed():
 
 def test_updates_buffered_while_batch_in_flight():
     r = make_replica(rid=1, n=3, batching=True)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=0, token=0))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=0, token=0))
     first_req = sends_by_type(out, Merge)[0][1].request_id
     # ten more arrive while the first batch is still merging
     for i in range(1, 11):
-        out_i = r.step(ClientUpdate(UpdateOp.increment(), client=i, token=i))
+        out_i = r.step(ClientRequest(UpdateOp.increment(), client=i, token=i))
         assert out_i.sends == []
     out_done = r.step(Merged(sender=2, request_id=first_req))
     assert [rep.token for rep in out_done.replies] == [0]
@@ -378,10 +360,10 @@ def test_updates_buffered_while_batch_in_flight():
 
 def test_queries_batch_and_share_one_learned_state():
     r = make_replica(rid=1, n=3, batching=True)
-    out = r.step(ClientQuery(QueryCommand.counter_value(), client=0, token=0))
+    out = r.step(ClientRequest(QueryCommand.counter_value(), client=0, token=0))
     first_req = sends_by_type(out, Prepare)[0][1].request_id
     for i in range(1, 4):
-        assert r.step(ClientQuery(QueryCommand.counter_value(), client=i, token=i)).sends == []
+        assert r.step(ClientRequest(QueryCommand.counter_value(), client=i, token=i)).sends == []
     s = GCounter((3, 0, 0))
     r.step(Ack(1, first_req, 1, s))
     out_done = r.step(Ack(2, first_req, 1, s))
@@ -398,17 +380,17 @@ def test_queries_batch_and_share_one_learned_state():
 
 def test_update_and_query_batches_run_independently():
     r = make_replica(rid=1, n=3, batching=True)
-    out_u = r.step(ClientUpdate(UpdateOp.increment(), client=0, token=0))
-    out_q = r.step(ClientQuery(QueryCommand.counter_value(), client=1, token=1))
+    out_u = r.step(ClientRequest(UpdateOp.increment(), client=0, token=0))
+    out_q = r.step(ClientRequest(QueryCommand.counter_value(), client=1, token=1))
     assert sends_by_type(out_u, Merge)
     assert sends_by_type(out_q, Prepare)
 
 
 def test_single_replica_batch_does_not_wedge():
     r = make_replica(rid=1, n=1, batching=True, width=1)
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=0, token=0))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=0, token=0))
     assert out.replies and out.replies[0].ok
-    out2 = r.step(ClientUpdate(UpdateOp.increment(), client=0, token=1))
+    out2 = r.step(ClientRequest(UpdateOp.increment(), client=0, token=1))
     assert out2.replies and out2.replies[0].ok
     assert r.acceptor.state == GCounter((2,))
 
@@ -419,12 +401,12 @@ def test_single_replica_batch_does_not_wedge():
 @pytest.mark.parametrize("batching", [False, True])
 def test_bad_command_against_cluster_type_fails_cleanly(batching):
     r = make_replica(rid=1, n=3, batching=batching)
-    out = r.step(ClientUpdate(UpdateOp.set_add(b"x"), client=1, token=1))
+    out = r.step(ClientRequest(UpdateOp.set_add(b"x"), client=1, token=1))
     assert len(out.replies) == 1 and not out.replies[0].ok
     assert out.sends == []
     assert r.requests == {}
     # a batch with no valid op leaves nothing in flight: the next update ships at once
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=2))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=2))
     assert [dst for dst, _ in sends_by_type(out, Merge)] == [2, 3]
 
 
@@ -434,9 +416,9 @@ def test_rejected_update_burns_no_tag(tagged):
     if tagged:
         initial = CausalTaggedState.initial(initial, 3)
     r = Replica(1, ProtocolConfig(n_replicas=3), initial)
-    failed = r.step(ClientUpdate(UpdateOp.set_add(b"x"), client=1, token=1))
+    failed = r.step(ClientRequest(UpdateOp.set_add(b"x"), client=1, token=1))
     assert not failed.replies[0].ok
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=2))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=2))
     req_id = sends_by_type(out, Merge)[0][1].request_id
     reply = r.step(Merged(sender=2, request_id=req_id)).replies[0]
     assert reply.ok and reply.tag == (1, 1)
@@ -458,7 +440,7 @@ def test_payload_claiming_unissued_local_updates_is_refused():
         r.step(Merge(1, REQ, CausalTaggedState.initial(GCounter.zero(3), 2)))
     assert r.acceptor.state == before
     # once (2, 1) is issued here, the same payload is an ordinary merge
-    out = r.step(ClientUpdate(UpdateOp.increment(), client=1, token=1))
+    out = r.step(ClientRequest(UpdateOp.increment(), client=1, token=1))
     assert sends_by_type(out, Merge)
     assert r.step(Merge(1, REQ, forged)).sends == [(1, Merged(2, REQ))]
 

@@ -16,8 +16,8 @@ from crdtlin import service
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.history import merge_histories
-from crdtlin.messages import Merge, Merged, Query, Reply, Update, UpdateOp
-from crdtlin.protocol import TimerFire
+from crdtlin.messages import Merge, Merged, Reply, Request, UpdateOp
+from crdtlin.protocol import ClientRequest, TimerFire, TimerRequest
 from crdtlin.service import (
     ClusterConfig,
     ClusterConfigError,
@@ -257,14 +257,14 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
     # the reply frame itself carries no learned state, not just the client's view of it
     endpoint = c.config.endpoint(1)
     with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
-        raw.sendall(encode(Query(0, bytes(16), QueryCommand.counter_value())))
+        raw.sendall(encode(Request(0, bytes(16), QueryCommand.counter_value())))
         buf = bytearray()
         while (decoded := try_decode(buf)) is None:
             chunk = raw.recv(65536)
             assert chunk, "replica closed the connection"
             buf += chunk
     reply = decoded[0]
-    assert isinstance(reply, Reply) and reply.kind == "query" and reply.ok
+    assert isinstance(reply, Reply) and reply.ok and reply.tag is None
     assert reply.result == 1 and reply.learned is None
 
 
@@ -345,6 +345,45 @@ def test_idle_daemon_fires_no_timers(cluster):
     assert all(not daemon._timers for daemon in c.daemons.values())
 
 
+class _RecordingHandle:
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class _RecordingLoop:
+    """Stands in for a daemon's event loop: records each timer, runs none."""
+
+    def __init__(self):
+        self.handles: list[_RecordingHandle] = []
+
+    def call_later(self, delay, callback, *args) -> _RecordingHandle:
+        self.handles.append(_RecordingHandle())
+        return self.handles[-1]
+
+
+def test_daemon_rearming_a_request_timer_cancels_the_one_before():
+    daemon = ReplicaDaemon(Cluster(3).config, 1)
+    daemon._loop = _RecordingLoop()
+    rid = bytes(15) + b"\x05"
+    daemon._arm_timer(TimerRequest(rid))
+    daemon._arm_timer(TimerRequest(rid, backoff=0))
+    first, second = daemon._loop.handles
+    assert first.cancelled and not second.cancelled
+    assert daemon._timers == {rid: second}
+
+
+def test_daemon_update_in_a_one_replica_cluster_leaves_no_timer_armed():
+    daemon = ReplicaDaemon(Cluster(1).config, 1)
+    daemon._loop = _RecordingLoop()
+    daemon._dispatch(ClientRequest(UpdateOp.increment(), client=0, token=bytes(16)))
+    (handle,) = daemon._loop.handles
+    assert handle.cancelled and daemon._timers == {}
+    assert daemon.replica.requests == {}
+
+
 def test_batch_with_a_rejected_op_resends_its_lost_merge(cluster):
     c = cluster(2, crdt="gset", batching=True, timeout=0.2)
     with c.client(1) as alice:
@@ -366,14 +405,14 @@ def test_batch_with_a_rejected_op_resends_its_lost_merge(cluster):
     with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
         # a starts the first batch; b, refused by a set, and c wait for the second
         raw.sendall(
-            encode(Update(0, rid_a, UpdateOp.set_add(b"a")))
-            + encode(Update(0, rid_b, UpdateOp.increment()))
-            + encode(Update(0, rid_c, UpdateOp.set_add(b"c")))
+            encode(Request(0, rid_a, UpdateOp.set_add(b"a")))
+            + encode(Request(0, rid_b, UpdateOp.increment()))
+            + encode(Request(0, rid_c, UpdateOp.set_add(b"c")))
         )
         replies = {r.request_id: r for r in _read_replies(raw, 3)}
-    assert replies[rid_a].kind == "update" and replies[rid_a].ok
-    assert replies[rid_b].kind == "update" and not replies[rid_b].ok
-    assert replies[rid_c].kind == "update" and replies[rid_c].ok  # its merge was sent again
+    assert replies[rid_a].ok and replies[rid_a].tag is not None
+    assert not replies[rid_b].ok
+    assert replies[rid_c].ok and replies[rid_c].tag is not None  # its merge was sent again
     assert replies[rid_c].retries == 1
 
 
@@ -398,12 +437,12 @@ def test_two_requests_in_one_segment_both_get_replies(cluster):
     endpoint = c.config.endpoint(1)
     with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
         raw.sendall(
-            encode(Update(0, rid_a, UpdateOp.increment()))
-            + encode(Query(0, rid_b, QueryCommand.counter_value()))
+            encode(Request(0, rid_a, UpdateOp.increment()))
+            + encode(Request(0, rid_b, QueryCommand.counter_value()))
         )
         replies = {r.request_id: r for r in _read_replies(raw, 2)}
-    assert replies[rid_a].kind == "update" and replies[rid_a].ok
-    assert replies[rid_b].kind == "query" and replies[rid_b].ok
+    assert replies[rid_a].ok and replies[rid_a].tag is not None
+    assert replies[rid_b].ok and replies[rid_b].tag is None and replies[rid_b].result == 1
 
 
 def test_request_sent_a_byte_at_a_time_gets_its_reply(cluster):
@@ -412,11 +451,11 @@ def test_request_sent_a_byte_at_a_time_gets_its_reply(cluster):
     endpoint = c.config.endpoint(2)
     with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
         raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        for byte in encode(Query(0, rid, QueryCommand.counter_value())):
+        for byte in encode(Request(0, rid, QueryCommand.counter_value())):
             raw.sendall(bytes([byte]))
             time.sleep(0.001)
         (reply,) = _read_replies(raw, 1)
-    assert reply.kind == "query" and reply.ok and reply.request_id == rid and reply.result == 0
+    assert reply.ok and reply.request_id == rid and reply.result == 0
 
 
 def test_peer_frame_queued_before_the_peer_listens_arrives_once_it_does():
@@ -595,7 +634,7 @@ def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
     c = cluster(3)
     endpoint = c.config.endpoint(2)
     raw = socket.create_connection((endpoint.host, endpoint.port), timeout=5)
-    raw.sendall(encode(Reply(9, bytes(16), "update", True, (1, 1), round_trips=1)))
+    raw.sendall(encode(Reply(9, bytes(16), True, (1, 1), round_trips=1)))
     assert raw.recv(1024) == b""
     raw.close()
     with c.client(2) as cl:
@@ -613,7 +652,7 @@ def _reply_once(learned) -> tuple[int, threading.Thread]:
             while (decoded := try_decode(buf)) is None:
                 buf += conn.recv(65536)
             query = decoded[0]
-            conn.sendall(encode(Reply(1, query.request_id, "query", True, None, 3, learned, 1, 0)))
+            conn.sendall(encode(Reply(1, query.request_id, True, None, 3, learned, 1, 0)))
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()

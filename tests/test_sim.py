@@ -151,7 +151,7 @@ def test_outputs_match_golden_digests(name, tmp_path):
 @pytest.mark.parametrize("name", ["quick-start", "gset-faults-batching"])
 def test_every_timer_that_fires_does_work(name, monkeypatch):
     # a timer that is re-armed, or whose request ends, is cancelled, so the
-    # replica never steps a timer only to drop it by generation
+    # replica never steps a timer for a request that has moved on or ended
     timer_steps = []
     step = Replica.step
 
@@ -436,7 +436,7 @@ def test_query_records_do_not_grow_with_the_history():
 def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
     elements = [b"element-%04d" % i for i in range(1000)]
     reply = ClientReply(
-        client=0, token=1, kind="query", ok=True, request_id=bytes(16), result=False,
+        client=0, token=1, ok=True, request_id=bytes(16), result=False,
         learned=CausalTaggedState(GSet.of(*elements), (400, 300, 300)), round_trips=1,
     )
     rec = OpRecord(op_id=1, client=0, replica=1, kind="query",

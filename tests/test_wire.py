@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
-from crdtlin.messages import Ack, Merge, Merged, Prepare, Query, Reply, Update, UpdateOp
+from crdtlin.messages import Ack, Merge, Merged, Prepare, Reply, Request, UpdateOp
 from crdtlin.wire import MAX_FRAME, FrameError, decode_payload, encode, try_decode
 
 RID = bytes(range(16))
@@ -17,18 +17,18 @@ PLAIN = GCounter((1, 2, 3))
 SET_STATE = GSet(frozenset({b"", b"alpha", b"\x00\xff"}))
 
 SAMPLES = [
-    Update(0, RID, UpdateOp.increment()),
-    Update(0, RID, UpdateOp.set_add(b"")),
-    Update(0, RID, UpdateOp.set_add(b"payload \xf0\x9f")),
-    Reply(2, RID, "update", True, (2, 41), round_trips=1),
-    Query(0, RID, QueryCommand.counter_value()),
-    Query(0, RID, QueryCommand.set_contains(b"x")),
-    Query(0, RID, QueryCommand.set_elements()),
-    Reply(1, RID, "query", True, None, 42, STATE, 3, 1),
-    Reply(1, RID, "query", True, None, None, None, 1, 0),
-    Reply(1, RID, "query", True, None, True, None, 1, 0),
-    Reply(1, RID, "query", True, None, False, SET_STATE, 2, 0),
-    Reply(1, RID, "query", True, None, (b"", b"two"), SET_STATE, 1, 0),
+    Request(0, RID, UpdateOp.increment()),
+    Request(0, RID, UpdateOp.set_add(b"")),
+    Request(0, RID, UpdateOp.set_add(b"payload \xf0\x9f")),
+    Reply(2, RID, True, (2, 41), round_trips=1),
+    Request(0, RID, QueryCommand.counter_value()),
+    Request(0, RID, QueryCommand.set_contains(b"x")),
+    Request(0, RID, QueryCommand.set_elements()),
+    Reply(1, RID, True, None, 42, STATE, 3, 1),
+    Reply(1, RID, True, None, None, None, 1, 0),
+    Reply(1, RID, True, None, True, None, 1, 0),
+    Reply(1, RID, True, None, False, SET_STATE, 2, 0),
+    Reply(1, RID, True, None, (b"", b"two"), SET_STATE, 1, 0),
     Merge(3, RID, PLAIN),
     Merge(3, RID, STATE),
     Merged(2, RID),
@@ -36,16 +36,19 @@ SAMPLES = [
     Prepare(1, RID, 7, STATE),
     Ack(2, RID, 0, PLAIN),
     Ack(2, RID, 0xFFFFFFFF, SET_STATE),
-    Reply(1, RID, "query", False, round_trips=52, retries=51, reason="max-retries"),
-    Reply(1, RID, "update", False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
-    Reply(1, RID, "update", False, None, reason="ожидание истекло"),
+    Reply(1, RID, False, round_trips=52, retries=51, reason="max-retries"),
+    Reply(1, RID, False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
+    Reply(1, RID, False, None, reason="ожидание истекло"),
 ]
 
 
 def _sample_id(msg) -> str:
-    """A Reply is named for the outcome it carries, any other message for its type."""
+    """A Request is named for its command, a Reply for the outcome it
+    carries (only an ok update's has a tag), any other message for its type."""
+    if isinstance(msg, Request):
+        return "Update" if isinstance(msg.command, UpdateOp) else "Query"
     if isinstance(msg, Reply):
-        return "Failed" if not msg.ok else "UpdateDone" if msg.kind == "update" else "QueryDone"
+        return "Failed" if not msg.ok else "UpdateDone" if msg.tag is not None else "QueryDone"
     return type(msg).__name__
 
 
@@ -62,9 +65,9 @@ def test_round_trip(msg):
 
 def test_booleans_survive_the_int_overlap():
     # bool is an int subclass; make sure True does not come back as 1
-    frame = encode(Reply(1, RID, "query", True, result=True))
+    frame = encode(Reply(1, RID, True, result=True))
     assert decode_payload(frame[4:]).result is True
-    frame = encode(Reply(1, RID, "query", True, result=1))
+    frame = encode(Reply(1, RID, True, result=1))
     result = decode_payload(frame[4:]).result
     assert result == 1 and not isinstance(result, bool)
 
@@ -102,7 +105,7 @@ def test_oversized_state_is_rejected_at_encode():
 
 
 def test_unknown_message_type_is_rejected():
-    for mtype in (99, 4, 9, 10, 11, 12):  # 4 and 9 to 12 are retired numbers
+    for mtype in (99, 3, 4, 9, 10, 11, 12):  # 3, 4 and 9 to 12 are retired numbers
         payload = bytearray(encode(Merged(2, RID))[4:])
         payload[0] = mtype
         with pytest.raises(FrameError, match=f"unknown message type {mtype}"):
@@ -114,21 +117,15 @@ _REPLY_BODY = 1 + 16 + 4  # where a Reply's body starts in its payload
 
 @pytest.mark.parametrize(
     "index, value",
-    [(_REPLY_BODY, ord("x")), (_REPLY_BODY + 1, 2), (_REPLY_BODY + 10, 2),
-     (_REPLY_BODY + 10 + 17 + 1 + 4, 7), (-1, 0xFF)],
-    ids=["kind", "ok", "tag-presence", "reason-presence", "reason-not-utf8"],
+    [(_REPLY_BODY, 2), (_REPLY_BODY + 9, 2), (_REPLY_BODY + 9 + 17 + 1 + 4, 7), (-1, 0xFF)],
+    ids=["ok", "tag-presence", "reason-presence", "reason-not-utf8"],
 )
 def test_reply_with_a_bad_byte_is_rejected(index, value):
-    reply = Reply(1, RID, "update", False, (2, 9), round_trips=4, retries=3, reason="max-retries")
+    reply = Reply(1, RID, False, (2, 9), round_trips=4, retries=3, reason="max-retries")
     payload = bytearray(encode(reply)[4:])
     payload[index] = value
     with pytest.raises(FrameError):
         decode_payload(bytes(payload))
-
-
-def test_reply_kind_must_have_a_wire_form():
-    with pytest.raises(FrameError):
-        encode(Reply(1, RID, "merge", True))
 
 
 def test_wrong_request_id_length_is_rejected():
@@ -202,16 +199,16 @@ def test_hundred_thousand_random_valid_messages_round_trip():
         attempt = rng.randrange(1 << 32)
         pick = i % 9
         if pick == 0:
-            msg = Update(sender, rid, UpdateOp.set_add(rng.randbytes(rng.randrange(0, 20))))
+            msg = Request(sender, rid, UpdateOp.set_add(rng.randbytes(rng.randrange(0, 20))))
         elif pick == 1:
-            msg = Reply(sender, rid, "update", True, (rng.randrange(1, 9), rng.randrange(1, 1 << 30)),
+            msg = Reply(sender, rid, True, (rng.randrange(1, 9), rng.randrange(1, 1 << 30)),
                         round_trips=rng.randrange(1 << 16), retries=rng.randrange(1 << 10))
         elif pick == 2:
-            msg = Query(sender, rid, QueryCommand.set_contains(rng.randbytes(rng.randrange(0, 9))))
+            msg = Request(sender, rid, QueryCommand.set_contains(rng.randbytes(rng.randrange(0, 9))))
         elif pick == 3:
             result = rng.choice([None, True, False, rng.randrange(-(1 << 40), 1 << 40),
                                  tuple(rng.randbytes(3) for _ in range(rng.randrange(0, 4)))])
-            msg = Reply(sender, rid, "query", True, None, result,
+            msg = Reply(sender, rid, True, None, result,
                         rng.choice([None, _random_state(rng)]), rng.randrange(1 << 8),
                         rng.randrange(1 << 8))
         elif pick == 4:
@@ -224,7 +221,7 @@ def test_hundred_thousand_random_valid_messages_round_trip():
             msg = Ack(sender, rid, attempt, _random_state(rng))
         else:
             tag = (rng.randrange(1, 9), rng.randrange(1, 1 << 20)) if rng.random() < 0.5 else None
-            msg = Reply(sender, rid, rng.choice(["update", "query"]), False, tag,
+            msg = Reply(sender, rid, False, tag,
                         round_trips=rng.randrange(1 << 8), retries=rng.randrange(1 << 8),
                         reason=rng.choice(["timeout", "max-retries", ""]))
         assert decode_payload(encode(msg)[4:]) == msg
@@ -246,17 +243,17 @@ _TAGGED_SET_HEX = (
 # for one: 1 type + 16 request id + 4 sender + 4 attempt + 4 slot length +
 # 58 state bytes = 87 (0x57) after the length prefix
 GOLDEN = [
-    (Update(0, RID, UpdateOp.set_add(b"e7")),
+    (Request(0, RID, UpdateOp.set_add(b"e7")),
      "0000001d01" + _HEAD + "00000000" + "6101000000026537"),
-    (Reply(2, RID, "update", True, (2, 41), round_trips=1),
-     "0000003602" + _HEAD + "00000002"
-     + "7501" + "0000000100000000" + "01" + "0000000000000002" + "0000000000000029"
+    (Reply(2, RID, True, (2, 41), round_trips=1),
+     "0000003502" + _HEAD + "00000002"
+     + "01" + "0000000100000000" + "01" + "0000000000000002" + "0000000000000029"
      + "4e" + "00000000" + "00"),
-    (Query(0, RID, QueryCommand.set_contains(b"x")),
-     "0000001c03" + _HEAD + "00000000" + "63010000000178"),
-    (Reply(1, RID, "query", True, None, 42, STATE, 3, 1),
-     "0000006802" + _HEAD + "00000001"
-     + "7101" + "0000000300000001" + "00" + "49000000000000002a" + _TAGGED_HEX + "00"),
+    (Request(0, RID, QueryCommand.set_contains(b"x")),
+     "0000001c01" + _HEAD + "00000000" + "63010000000178"),
+    (Reply(1, RID, True, None, 42, STATE, 3, 1),
+     "0000006702" + _HEAD + "00000001"
+     + "01" + "0000000300000001" + "00" + "49000000000000002a" + _TAGGED_HEX + "00"),
     (Merge(3, RID, _TAGGED_SET),
      "0000004805" + _HEAD + "00000003" + _TAGGED_SET_HEX),
     (Merged(2, RID), "0000001506" + _HEAD + "00000002"),
@@ -265,9 +262,9 @@ GOLDEN = [
     (Ack(2, RID, 12, SET_STATE),
      "0000003508" + _HEAD + "00000002" + "0000000c"
      + "000000185300000003000000000000000200ff00000005616c706861"),
-    (Reply(1, RID, "update", False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
-     "0000004502" + _HEAD + "00000001"
-     + "7500" + "0000000400000003" + "01" + "0000000000000002" + "0000000000000009"
+    (Reply(1, RID, False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
+     "0000004402" + _HEAD + "00000001"
+     + "00" + "0000000400000003" + "01" + "0000000000000002" + "0000000000000009"
      + "4e" + "00000000" + "01" + "0000000b" + "6d61782d72657472696573"),
 ]
 
@@ -280,7 +277,7 @@ def test_golden_frames(msg, frame_hex):
 
 
 def test_golden_frames_cover_every_message_type():
-    assert len({type(msg) for msg, _ in GOLDEN}) == 7
+    assert len({type(msg) for msg, _ in GOLDEN}) == 6
 
 
 def test_huge_declared_frontier_width_is_rejected_before_allocating():
