@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 from .crdt import CausalTag, QueryCommand, UpdateOp
+from .messages import Reply
 
 SCHEMA_VERSION = 2
 
@@ -68,9 +69,8 @@ def op_dict(cmd: UpdateOp | QueryCommand) -> dict:
     return {"kind": cmd.kind, "element": cmd.element}
 
 
-def record_reply(rec: OpRecord, reply, response_t: int) -> None:
-    """Write a replica's answer into ``rec``: a ``protocol.ClientReply`` in the
-    simulator, the ``messages.Reply`` frame it became in a live client."""
+def record_reply(rec: OpRecord, reply: Reply, response_t: int) -> None:
+    """Write a replica's answer into ``rec``, in the simulator and a live client alike."""
     rec.response_t = response_t
     rec.outcome = "ok" if reply.ok else "failed"
     rec.result = reply.result
@@ -90,9 +90,17 @@ def _encode_result(result) -> object:
     raise HistoryFormatError(f"unencodable result {result!r}")
 
 
+def _b64(value, name: str) -> bytes:
+    # strict: the lenient default reads "!!" as b"" and lets "a?b" raise binascii.Error
+    try:
+        return base64.b64decode(value, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise HistoryFormatError(f"bad history record: {name} {value!r} is not base64") from exc
+
+
 def _decode_result(obj) -> object:
     if isinstance(obj, dict) and "elements" in obj:
-        return tuple(base64.b64decode(e) for e in obj["elements"])
+        return tuple(_b64(e, "result element") for e in obj["elements"])
     return obj
 
 
@@ -108,7 +116,7 @@ def _decode_op(obj) -> dict:
         raise HistoryFormatError(f"bad history record: op {obj!r} is not an object")
     if obj.get("element") is None:
         return obj
-    return {**obj, "element": base64.b64decode(obj["element"])}
+    return {**obj, "element": _b64(obj["element"], "op element")}
 
 
 def record_to_json(rec: OpRecord) -> str:
@@ -189,6 +197,8 @@ def record_from_json(line: str) -> OpRecord:
         )
     except (KeyError, TypeError) as exc:
         raise HistoryFormatError(f"bad history record: {exc}") from exc
+    if rec.tag is not None and len(rec.tag) != 2:
+        raise HistoryFormatError(f"bad history record: tag {list(rec.tag)} is not two ints")
     # the checker reads a response time wherever there is an outcome, and no other
     if (rec.outcome is None) != (rec.response_t is None):
         raise HistoryFormatError(

@@ -45,23 +45,25 @@ class Ack:
 
 
 # ----------------------------------------------------------- client to replica
+# not frozen: each is built once per operation and never shared, and frozen costs 2-3x to build
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Request:
     sender: int
     request_id: bytes
     command: UpdateOp | QueryCommand  # its type says update or query
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Reply:
-    """A replica's answer to one client request: the outcome fields of
-    ``protocol.ClientReply`` under the same names. It does not repeat the
-    operation's kind; the client already holds the request it answers.
-    ``tag`` is an update's causal tag, kept on a failure whose payload
-    already merged locally (the tag may still surface); ``result`` and
-    ``learned`` answer an ok query; ``reason`` says why an op failed."""
+    """A replica's answer to one client request, as ``Replica.step`` returns
+    it and the daemon sends it. It does not repeat the operation's kind; the
+    client already holds the request it answers. ``tag`` is an update's
+    causal tag, kept on a failure whose payload already merged locally (the
+    tag may still surface); ``result`` and ``learned`` answer an ok query
+    (the daemon sends ``learned`` only when it is tagged); ``reason`` says
+    why an op failed."""
 
     sender: int
     request_id: bytes

@@ -25,7 +25,6 @@ from typing import AbstractSet, Iterable
 from .crdt import (
     CausalTag,
     CommandError,
-    QueryCommand,
     SemilatticeValue,
     ShapeError,
     UpdateCommand,
@@ -33,7 +32,7 @@ from .crdt import (
     apply_query,
     apply_update,
 )
-from .messages import Ack, Merge, Merged, Prepare, ReplicaMessage
+from .messages import Ack, Merge, Merged, Prepare, ReplicaMessage, Reply, Request
 
 _REQ_ID = struct.Struct(">QQ")
 
@@ -65,32 +64,8 @@ class ProtocolConfig:
 
 
 @dataclass(slots=True)
-class ClientRequest:
-    command: UpdateOp | QueryCommand  # its type says update or query
-    client: object
-    token: object
-
-
-@dataclass(slots=True)
 class TimerFire:
     request_id: bytes
-
-
-@dataclass(slots=True)
-class ClientReply:
-    """The outcome of one client operation. It does not repeat the
-    operation's kind: whoever routes it holds the request it answers."""
-
-    client: object
-    token: object
-    ok: bool
-    request_id: bytes
-    result: object = None
-    tag: CausalTag | None = None
-    learned: SemilatticeValue | None = None
-    round_trips: int = 0
-    retries: int = 0
-    reason: str | None = None
 
 
 @dataclass(slots=True)
@@ -118,8 +93,8 @@ class RequestRetry:
 
 @dataclass(slots=True)
 class StepOutput:
-    sends: list[tuple[int, ReplicaMessage]] = field(default_factory=list)
-    replies: list[ClientReply] = field(default_factory=list)
+    sends: list[tuple[int, ReplicaMessage]] = field(default_factory=list)  # (destination, message)
+    replies: list[tuple[bytes, Reply]] = field(default_factory=list)  # (proposer request id, reply)
     timers: list[TimerRequest] = field(default_factory=list)
     retries: list[RequestRetry] = field(default_factory=list)
 
@@ -159,7 +134,7 @@ class ProposerRequest:
 
     request_id: bytes
     kind: str  # "update" | "query"
-    ops: list[tuple[object, object, object]]  # (client, token, command)
+    ops: list[tuple[bytes, object]]  # (client request id, command)
     phase: str  # "merging" | "preparing" | "backing-off"
     attempt: int = 1  # number of the live prepare
     acks: dict[int, SemilatticeValue] = field(default_factory=dict)  # of the live prepare
@@ -189,11 +164,11 @@ class Replica:
         self._request_counter = 0
         self._update_seq = 0
         # by request kind: ops waiting for the next batch, and the batch in flight
-        self._pending: dict[str, list[tuple[object, object, object]]] = {"update": [], "query": []}
+        self._pending: dict[str, list[tuple[bytes, object]]] = {"update": [], "query": []}
         self._inflight: dict[str, bytes | None] = {"update": None, "query": None}
         # one handler per event type; peer payloads pass _admit before any state changes
         self._handlers = {
-            ClientRequest: self._submit,
+            Request: self._submit,
             TimerFire: self.on_timeout,
             Merge: self._on_acceptor_message,
             Prepare: self._on_acceptor_message,
@@ -263,9 +238,9 @@ class Replica:
 
     # -- client operations and batching
 
-    def _submit(self, event: ClientRequest, out: StepOutput) -> None:
+    def _submit(self, event: Request, out: StepOutput) -> None:
         kind = "update" if type(event.command) is UpdateOp else "query"
-        self._pending[kind].append((event.client, event.token, event.command))
+        self._pending[kind].append((event.request_id, event.command))
         if self._inflight[kind] is None:
             self._flush(kind, out)
 
@@ -282,21 +257,17 @@ class Replica:
 
     def _start_update(self, items, out: StepOutput) -> ProposerRequest | None:
         request_id = self._new_request_id()
-        bound: list[tuple[object, object, UpdateCommand]] = []
-        for client, token, op in items:
+        bound: list[tuple[bytes, UpdateCommand]] = []
+        for client_request_id, op in items:
             try:
                 cmd = self._bind_update(op)
                 self.acceptor.apply_update(cmd)
             except CommandError as exc:
-                out.replies.append(
-                    ClientReply(
-                        client=client, token=token, ok=False,
-                        request_id=request_id, reason=str(exc),
-                    )
-                )
+                reply = Reply(self.rid, client_request_id, False, reason=str(exc))
+                out.replies.append((request_id, reply))
                 continue
             self._update_seq += 1
-            bound.append((client, token, cmd))
+            bound.append((client_request_id, cmd))
         if not bound:
             return None
         req = ProposerRequest(
@@ -354,8 +325,8 @@ class Replica:
     def _check_merge_quorum(self, req: ProposerRequest, out: StepOutput) -> None:
         if not self.is_quorum(req.merged):
             return
-        for client, token, cmd in req.ops:
-            out.replies.append(_reply(req, client, token, True, tag=cmd.tag))
+        for client_request_id, cmd in req.ops:
+            self._reply(req, client_request_id, True, out, tag=cmd.tag)
         self._finish(req, out)
 
     def on_ack(self, m: Ack, out: StepOutput) -> None:
@@ -417,22 +388,22 @@ class Replica:
         limit = self.config.max_retries
         if limit is None or req.retries <= limit:
             return False
-        for client, token, cmd in req.ops:
+        for client_request_id, cmd in req.ops:
             # a failed update may still take effect: its payload already merged
             # into the local acceptor, so surface the tentative tag
             tag = cmd.tag if req.kind == "update" else None
-            out.replies.append(_reply(req, client, token, False, reason="max-retries", tag=tag))
+            self._reply(req, client_request_id, False, out, reason="max-retries", tag=tag)
         self._finish(req, out)
         return True
 
     def _complete_query(self, req: ProposerRequest, learned: SemilatticeValue, out: StepOutput) -> None:
-        for client, token, query in req.ops:
+        for client_request_id, query in req.ops:
             try:
                 result = apply_query(query, learned)
             except CommandError as exc:
-                out.replies.append(_reply(req, client, token, False, reason=str(exc)))
+                self._reply(req, client_request_id, False, out, reason=str(exc))
                 continue
-            out.replies.append(_reply(req, client, token, True, result=result, learned=learned))
+            self._reply(req, client_request_id, True, out, result=result, learned=learned)
         self._finish(req, out)
 
     def _finish(self, req: ProposerRequest, out: StepOutput) -> None:
@@ -444,10 +415,9 @@ class Replica:
     def _arm_timer(self, req: ProposerRequest, out: StepOutput, backoff: int | None = None) -> None:
         out.timers.append(TimerRequest(req.request_id, backoff))
 
-
-def _reply(req: ProposerRequest, client, token, ok: bool, **fields) -> ClientReply:
-    """A reply to one of ``req``'s ops, carrying the request's cost so far."""
-    return ClientReply(
-        client=client, token=token, ok=ok, request_id=req.request_id,
-        round_trips=req.round_trips, retries=req.retries, **fields,
-    )
+    def _reply(self, req: ProposerRequest, request_id: bytes, ok: bool, out: StepOutput, **fields):
+        """Answer ``req``'s op with client request id ``request_id``, at the cost so far."""
+        reply = Reply(
+            self.rid, request_id, ok, round_trips=req.round_trips, retries=req.retries, **fields
+        )
+        out.replies.append((req.request_id, reply))

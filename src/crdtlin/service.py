@@ -19,10 +19,11 @@ id back requires restarting the cluster.
 Clients speak the same framed protocol over a plain TCP connection: each
 update or query is one ``Request`` frame with a client-chosen 16-byte
 request id, and the one ``Reply`` frame that answers it echoes the id but
-not the kind, which the client already knows. :class:`ReplicaClient` wraps
-that in a blocking call-per-operation API: each call returns the
-operation's :class:`OpRecord`, and with ``record=True`` the client also
-keeps them all as a history for the offline checker.
+not the kind, which the client already knows. The replica itself takes the
+``Request`` and returns the ``Reply``, which goes out less any untagged
+learned state. :class:`ReplicaClient` wraps that in a blocking API: each
+call returns the operation's :class:`OpRecord`, and with ``record=True``
+the client also keeps them all as a history for the offline checker.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .crdt import (
 from .history import OpRecord, op_dict, record_reply
 from .messages import Message, Reply, Request
 from .protocol import (
-    ClientReply,
-    ClientRequest,
     PayloadRejected,
     ProtocolConfig,
     Replica,
@@ -255,10 +254,10 @@ class ReplicaDaemon:
                     self._enqueue_peer(dst, msg)
             for timer in out.timers:
                 self._arm_timer(timer)
-            for reply in out.replies:
+            for request_id, reply in out.replies:
                 # a batch replies to a rejected op early; the timer goes when the request ends
-                if reply.request_id not in self.replica.requests:
-                    if (handle := self._timers.pop(reply.request_id, None)) is not None:
+                if request_id not in self.replica.requests:
+                    if (handle := self._timers.pop(request_id, None)) is not None:
                         handle.cancel()
                 self._answer_client(reply)
 
@@ -298,19 +297,14 @@ class ReplicaDaemon:
         else:
             transport.write(frame)
 
-    def _answer_client(self, reply: ClientReply) -> None:
-        transport = self._client_transports.pop(reply.token, None)
+    def _answer_client(self, reply: Reply) -> None:
+        transport = self._client_transports.pop(reply.request_id, None)
         if transport is None:
             return  # the client went away; nothing to route
-        learned = reply.learned
-        if learned is not None and learned.frontier is None:
-            learned = None  # only a tagged state means anything to a client's history
-        msg = Reply(
-            self.endpoint.id, reply.token, reply.ok, reply.tag, reply.result,
-            learned, reply.round_trips, reply.retries, reply.reason,
-        )
+        if reply.learned is not None and reply.learned.frontier is None:
+            reply = replace(reply, learned=None)  # only a tagged state means anything to a client
         try:
-            transport.write(encode(msg))
+            transport.write(encode(reply))
         except Exception:
             log.debug("replica %d: client reply write failed", self.endpoint.id, exc_info=True)
 
@@ -320,7 +314,7 @@ class ReplicaDaemon:
         match msg:
             case Request():
                 self._client_transports[msg.request_id] = transport
-                self._dispatch(ClientRequest(msg.command, client=msg.sender, token=msg.request_id))
+                self._dispatch(msg)
             case Reply():
                 raise FrameError("a Reply answers a request; a daemon takes none")
             case _:

@@ -42,14 +42,8 @@ from pathlib import Path
 
 from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
 from .history import OpRecord, TraceEvent, op_dict, record_reply, write_history, write_trace
-from .messages import Ack
-from .protocol import (
-    ClientReply,
-    ClientRequest,
-    ProtocolConfig,
-    Replica,
-    TimerFire,
-)
+from .messages import Ack, Reply, Request
+from .protocol import ProtocolConfig, Replica, TimerFire
 
 __all__ = [
     "ConfigError",
@@ -308,7 +302,7 @@ class Simulation:
 
         self.trace: list[TraceEvent] = []
         self.metrics = Metrics()
-        self.records: dict[int, OpRecord] = {}
+        self.records: dict[bytes, OpRecord] = {}  # by client request id, in op order
         self._incremental_times: dict[bytes, list[int]] = defaultdict(list)
         self._next_op_id = 0
         self._seq = 0
@@ -347,11 +341,11 @@ class Simulation:
             for req in replica.requests.values():
                 if req.kind != "update":
                     continue
-                for _client, token, cmd in req.ops:
-                    rec = self.records.get(token)
-                    if rec is not None and rec.tag is None:
+                for request_id, cmd in req.ops:
+                    rec = self.records[request_id]
+                    if rec.tag is None:
                         rec.tag = cmd.tag
-        history = [self.records[op_id] for op_id in sorted(self.records)]
+        history = list(self.records.values())
         return SimResult(self.config, self.trace, history, self.metrics)
 
     # -- internals
@@ -405,8 +399,8 @@ class Simulation:
         op_id = self._next_op_id
         # a set element is unique per op by construction
         cmd = workload_op(self.config.crdt, kind, f"e{op_id}".encode())
-        event = ClientRequest(cmd, client=cid, token=op_id)
-        self.records[op_id] = OpRecord(
+        event = Request(cid, op_id.to_bytes(16, "big"), cmd)
+        self.records[event.request_id] = OpRecord(
             op_id=op_id, client=cid, replica=target, kind=kind, op=op_dict(cmd), invoke_t=t
         )
         if self._tracing:
@@ -485,10 +479,10 @@ class Simulation:
                 if size > self.metrics.max_payload_bytes:
                     self.metrics.max_payload_bytes = size
             self._send(t, rid, dst, msg)
-        for reply in out.replies:
-            self._deliver_reply(t, reply)
-            if reply.request_id not in replica.requests:
-                self._cancel_timer(reply.request_id)  # the request has ended
+        for request_id, reply in out.replies:
+            self._deliver_reply(t, request_id, reply)
+            if request_id not in replica.requests:
+                self._cancel_timer(request_id)  # the request has ended
 
     def _send(self, t: int, src: int, dst: int, msg) -> None:
         cfg = self.config
@@ -518,10 +512,10 @@ class Simulation:
                 delay = self._delay_rng.randint(cfg.delay_min, cfg.delay_max)
             self._push(t + delay, self._process_deliver, (src, dst, msg))
 
-    def _deliver_reply(self, t: int, reply: ClientReply) -> None:
-        rec = self.records[reply.token]
+    def _deliver_reply(self, t: int, request_id: bytes, reply: Reply) -> None:
+        rec = self.records[reply.request_id]
         record_reply(rec, reply, t)
-        times = self._incremental_times.get(reply.request_id)
+        times = self._incremental_times.get(request_id)
         if times:
             rec.incremental_retry_times = tuple(times)
         if self._tracing:
@@ -545,7 +539,7 @@ class Simulation:
                     raise InvariantViolation(f"replica {rid} acknowledged a smaller payload")
                 self._last_acked[rid] = msg.state
         checked = None  # a batch's replies share one learned state: check it once
-        for reply in out.replies:
+        for _request_id, reply in out.replies:
             learned = reply.learned
             if not reply.ok or learned is None or learned is checked:
                 continue

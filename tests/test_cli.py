@@ -151,21 +151,12 @@ def test_check_gla_violation_exits_one_with_witness_json(tmp_path, capsys):
         make_query(2, 20, 30, (0, 0, 0)),
     ]
     path = _write_history(tmp_path, history)
-    assert run_cli("check", str(path), "--mode", "gla") == 1
+    assert run_cli("check", str(path)) == 1
     out = capsys.readouterr().out
     assert "update-visibility: FAIL" in out
     witness = json.loads(out.splitlines()[-1])
     assert witness["condition"] == "update-visibility"
     assert witness["op_ids"] == [1, 2]
-
-
-def test_check_lin_mode_reports_precondition(tmp_path, capsys):
-    from tests_support import make_query
-
-    history = [make_query(1, 0, 50, (1, 0, 0)), make_query(2, 10, 40, (0, 1, 0))]
-    path = _write_history(tmp_path, history)
-    assert run_cli("check", str(path), "--mode", "lin") == 1
-    assert "linearizable: FAIL" in capsys.readouterr().out
 
 
 def test_check_uninstrumented_history_is_a_usage_error(tmp_path, capsys):
@@ -194,12 +185,18 @@ def test_check_malformed_history_is_a_usage_error(tmp_path, capsys):
      ("op_id", [1]), ("client", "0"), ("replica", 1.0), ("invoke_t", "a"),
      ("response_t", "x"), ("round_trips", True), ("retries", 2.5),
      ("incremental_retry_times", None), ("op", "ab"), ("kind", "Query"),
-     ("outcome", "OK"), ("response_t", None), ("outcome", None), ("invoke_t", 11)],
+     ("outcome", "OK"), ("response_t", None), ("outcome", None), ("invoke_t", 11),
+     ("tag", [7]), ("tag", []), ("tag", [1, 2, 3]),
+     ("op", {"kind": "set_contains", "element": "!!"}),
+     ("op", {"kind": "set_contains", "element": "a?b"}),
+     ("result", {"elements": ["!!"]})],
     ids=["not-an-object", "frontier-string", "tag-float",
          "op_id-list", "client-string", "replica-float", "invoke_t-string",
          "response_t-string", "round_trips-bool", "retries-float", "retry-times-null",
          "op-string", "kind-unknown", "outcome-unknown", "outcome-without-response_t",
-         "response_t-without-outcome", "response_t-before-invoke_t"],
+         "response_t-without-outcome", "response_t-before-invoke_t",
+         "tag-one-int", "tag-empty", "tag-three-ints",
+         "element-not-base64", "element-bad-base64-char", "result-element-not-base64"],
 )
 def test_check_mistyped_history_line_is_a_usage_error(tmp_path, capsys, field, value):
     from tests_support import make_query
@@ -210,6 +207,8 @@ def test_check_mistyped_history_line_is_a_usage_error(tmp_path, capsys, field, v
         line = json.dumps({**json.loads(record_to_json(make_query(1, 0, 10, (1, 0, 0)))), field: value})
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n")
+    with open(path) as fp, pytest.raises(HistoryFormatError):
+        read_history(fp)
     assert run_cli("check", str(path)) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -17,7 +17,7 @@ from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.history import merge_histories
 from crdtlin.messages import Merge, Merged, Reply, Request, UpdateOp
-from crdtlin.protocol import ClientRequest, TimerFire, TimerRequest
+from crdtlin.protocol import TimerFire, TimerRequest
 from crdtlin.service import (
     ClusterConfig,
     ClusterConfigError,
@@ -378,7 +378,7 @@ def test_daemon_rearming_a_request_timer_cancels_the_one_before():
 def test_daemon_update_in_a_one_replica_cluster_leaves_no_timer_armed():
     daemon = ReplicaDaemon(Cluster(1).config, 1)
     daemon._loop = _RecordingLoop()
-    daemon._dispatch(ClientRequest(UpdateOp.increment(), client=0, token=bytes(16)))
+    daemon._dispatch(Request(0, bytes(16), UpdateOp.increment()))
     (handle,) = daemon._loop.handles
     assert handle.cancelled and daemon._timers == {}
     assert daemon.replica.requests == {}

@@ -18,8 +18,8 @@ from crdtlin.history import (
     record_to_json,
     write_trace,
 )
-from crdtlin.messages import Merged
-from crdtlin.protocol import Acceptor, ClientReply, Replica, TimerFire
+from crdtlin.messages import Merged, Reply
+from crdtlin.protocol import Acceptor, Replica, TimerFire
 from crdtlin.sim import (
     ConfigError,
     InvariantViolation,
@@ -435,8 +435,8 @@ def test_query_records_do_not_grow_with_the_history():
 
 def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
     elements = [b"element-%04d" % i for i in range(1000)]
-    reply = ClientReply(
-        client=0, token=1, ok=True, request_id=bytes(16), result=False,
+    reply = Reply(
+        0, bytes(16), True, result=False,
         learned=CausalTaggedState(GSet.of(*elements), (400, 300, 300)), round_trips=1,
     )
     rec = OpRecord(op_id=1, client=0, replica=1, kind="query",
