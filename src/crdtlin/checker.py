@@ -398,14 +398,16 @@ def _inv_key(rec: OpRecord) -> tuple:
     return (rec.invoke_t, rec.client, rec.op_id)
 
 
-def linearize(history: list[OpRecord]) -> SequentialWitness:
+def linearize(history: list[OpRecord], verdicts: dict[str, Verdict] | None = None) -> SequentialWitness:
     """Build and validate the explicit total order for a safe history.
 
     Raises :class:`PreconditionFailed` naming the first failing safety
     condition: the construction is only meaningful once all five hold.
+    ``verdicts``, from :func:`check_all` on the same history, saves running
+    the five checks again.
     """
-    for check in _CHECKS.values():
-        verdict = check(history)
+    for name, check in _CHECKS.items():
+        verdict = check(history) if verdicts is None else verdicts[name]
         if not verdict.passed:
             raise PreconditionFailed(verdict)
 

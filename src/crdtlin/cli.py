@@ -303,7 +303,8 @@ def _cmd_check(args) -> int:
     with open(args.history) as fp:
         history = read_history(fp)
     failed = False
-    for name, verdict in check_all(history).items():
+    verdicts = check_all(history)
+    for name, verdict in verdicts.items():
         if verdict.passed:
             print(f"{name}: pass")
         else:
@@ -312,8 +313,7 @@ def _cmd_check(args) -> int:
             _print_witness(verdict)
     if failed:
         return _CHECK_FAILED
-    # linearize raises PreconditionFailed only when one of the checks above failed
-    witness = linearize(history)
+    witness = linearize(history, verdicts)
     print(f"linearizable: pass ({len(witness.order)} operations ordered)")
     return 0
 

@@ -2,13 +2,21 @@
 
 Every replica runs both roles. Updates apply at the proposer's co-located
 acceptor and spread through a single merge round. A query broadcasts a
-prepare; every acceptor folds its payload in and acks with its own, and the
-query learns the state when a quorum of acks holds equal payloads. A quorum
-that disagrees (updates raced the prepare) sends nothing: the proposer asks
-for a back-off timer, keeps folding late acks into everything gathered so
-far, and when the timer fires prepares again with that least upper bound.
-A lost prepare or ack retries the same way when the loss timer fires. Once
-writes quiesce, a retry carrying everything gathered ends the query.
+prepare; every acceptor folds its payload in and acks with its own. As soon
+as a quorum of the live attempt's acks hold equivalent payloads, the query
+learns their join. When the attempt's first quorum disagrees (updates raced
+the prepare), the proposer sends nothing and asks for a back-off timer; it
+keeps counting the attempt's acks meanwhile, and folds every ack into
+everything gathered so far. If no agreeing quorum forms before the timer
+fires, it prepares again with that least upper bound. A lost prepare or ack
+retries the same way when the loss timer fires. Once writes quiesce, a
+retry carrying everything gathered ends the query.
+
+Learning from any agreeing quorum is safe. Each ack is its acceptor's
+payload right after it merged the prepare, and payloads only grow; two
+quorums share an acceptor, so any two learned states are ordered. An update
+that finished before the query began sits at a merge quorum, which meets
+the agreeing one, so the learned state holds it.
 
 Handlers are pure state machines: no I/O, no clocks, no randomness. The
 same ``Replica`` runs under the simulator and the networked service; the
@@ -337,23 +345,25 @@ class Replica:
         if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.gathered = req.gathered.merge(m.state)
-        if req.phase != "preparing" or m.attempt != req.attempt:
-            return  # backing off, or an earlier attempt's ack: keep only the payload
-        req.acks.setdefault(m.sender, m.state)
+        if m.attempt != req.attempt or m.sender in req.acks:
+            return  # an earlier attempt's ack, or a repeat: keep only the payload
+        req.acks[m.sender] = m.state
         if not self.is_quorum(req.acks.keys()):
             return
-        states = list(req.acks.values())
-        lub = states[0]
-        for s in states[1:]:
-            lub = lub.merge(s)
-        if all(lub.compare(s) for s in states):
-            # equivalent payloads: the quorum already agrees on this state
-            self._complete_query(req, lub, out)
-            return
-        # updates raced the prepare: wait for them to spread, then prepare
-        # again with everything gathered by then
-        req.phase = "backing-off"
-        self._arm_timer(req, out, backoff=req.retries)
+        # only the newcomer can complete an agreeing quorum that was not
+        # there before, so look at its equivalence class alone; acks that
+        # arrive while backing off count too
+        agreeing = {r: s for r, s in req.acks.items() if s.equivalent(m.state)}
+        if self.is_quorum(agreeing.keys()):
+            learned = m.state
+            for s in agreeing.values():
+                learned = learned.merge(s)  # equivalent values; the join keeps every tag
+            self._complete_query(req, learned, out)
+        elif req.phase == "preparing":
+            # the first quorum disagrees, as updates raced the prepare: wait
+            # for them to spread, then prepare again with everything gathered
+            req.phase = "backing-off"
+            self._arm_timer(req, out, backoff=req.retries)
 
     def on_timeout(self, event: TimerFire, out: StepOutput) -> None:
         request_id = event.request_id

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from crdtlin import checker
 from crdtlin.cli import main
 from crdtlin.history import HistoryFormatError, read_history, record_to_json, write_history
 from crdtlin.service import ClusterConfig, ReplicaDaemon, ReplicaEndpoint
@@ -141,6 +142,28 @@ def test_check_passing_history(tmp_path, capsys):
                       "update-stability", "update-visibility"):
         assert f"{condition}: pass" in out
     assert "linearizable: pass" in out
+
+
+def test_check_runs_each_safety_check_once(tmp_path, capsys, monkeypatch):
+    calls = dict.fromkeys(checker.GLA_CONDITIONS, 0)
+
+    def counted(name, check):
+        def run(history):
+            calls[name] += 1
+            return check(history)
+
+        return run
+
+    for name, check in list(checker._CHECKS.items()):
+        monkeypatch.setitem(checker._CHECKS, name, counted(name, check))
+    history = sim_run(SimConfig(n_clients=3, ops_per_client=10, seed=4)).history
+    path = _write_history(tmp_path, history)
+    assert run_cli("check", str(path)) == 0
+    assert "linearizable: pass" in capsys.readouterr().out
+    assert calls == dict.fromkeys(checker.GLA_CONDITIONS, 1)
+    # called alone, linearize still runs the checks itself
+    checker.linearize(history)
+    assert calls == dict.fromkeys(checker.GLA_CONDITIONS, 2)
 
 
 def test_check_gla_violation_exits_one_with_witness_json(tmp_path, capsys):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crdtlin.crdt import CausalTaggedState, GCounter, QueryCommand, ShapeError, UpdateCommand
+from crdtlin.crdt import (
+    CausalTaggedState,
+    GCounter,
+    GSet,
+    QueryCommand,
+    ShapeError,
+    UpdateCommand,
+)
 from crdtlin.messages import Ack, Merge, Merged, Prepare, Request, UpdateOp
 from crdtlin.protocol import (
     Acceptor,
@@ -273,6 +280,64 @@ def test_stale_ack_only_feeds_the_gathered_lub():
     assert out.replies == [] and out.timers == []
     assert r.requests[req_id].acks == {}
     assert r.requests[req_id].gathered == GCounter((5, 0, 0))
+
+
+def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
+    # a tagged set, so two equivalent acks can hold different tags: replica 2
+    # added x twice, and only A' has seen its second add
+    r = Replica(1, ProtocolConfig(n_replicas=3), CausalTaggedState.initial(GSet.empty(), 3))
+    out = r.step(Request(9, client_req_id(90), QueryCommand.set_elements()))
+    req_id = sends_by_type(out, Prepare)[0][1].request_id
+    a = CausalTaggedState(GSet(frozenset({b"x"})), (0, 1, 0))
+    b = CausalTaggedState(GSet(frozenset({b"y"})), (0, 0, 1))
+    a_prime = CausalTaggedState(GSet(frozenset({b"x"})), (0, 2, 0))
+    r.step(Ack(1, req_id, 1, a))
+    out = r.step(Ack(2, req_id, 1, b))
+    assert out.replies == [] and [t.backoff for t in out.timers] == [0]
+    out = r.step(Ack(3, req_id, 1, a_prime))
+    assert out.sends == [] and out.retries == []  # no second prepare
+    [(_, reply)] = out.replies
+    assert reply.ok and reply.result == (b"x",)
+    assert (reply.round_trips, reply.retries) == (1, 0)
+    # the join of A and A': the largest frontier of the agreeing acks, none of B's tags
+    assert reply.learned.frontier == (0, 2, 0)
+    assert req_id not in r.requests
+
+
+def test_agreeing_group_one_short_of_a_quorum_waits():
+    r = make_replica(rid=1, n=5)
+    req_id, _ = start_query(r)
+    a, b = GCounter((0, 1, 0, 0, 0)), GCounter((0, 0, 1, 0, 0))
+    for sender, state in ((1, a), (2, b), (3, a), (4, b)):
+        assert r.step(Ack(sender, req_id, 1, state)).replies == []
+    [(_, reply)] = r.step(Ack(5, req_id, 1, a)).replies
+    assert reply.ok and reply.result == 1 and reply.round_trips == 1
+
+
+def test_repeated_ack_never_counts_twice_toward_an_agreeing_group():
+    r = make_replica(rid=1, n=5)
+    req_id, _ = start_query(r)
+    a, b = GCounter((0, 1, 0, 0, 0)), GCounter((0, 0, 1, 0, 0))
+    r.step(Ack(2, req_id, 1, a))
+    r.step(Ack(3, req_id, 1, b))
+    out = r.step(Ack(4, req_id, 1, b))  # a quorum of 3 that disagrees
+    assert [t.backoff for t in out.timers] == [0]
+    for _ in range(3):
+        out = r.step(Ack(2, req_id, 1, a))  # duplicated by the network
+        assert out.replies == [] and out.timers == []
+    assert r.step(Ack(5, req_id, 1, a)).replies == []  # two of five agree on a
+    assert r.step(Ack(1, req_id, 1, b)).replies != []  # b's group reaches three
+
+
+def test_agreeing_acks_of_an_earlier_attempt_never_complete_the_query():
+    r = make_replica(rid=1, n=3)
+    req_id, _ = start_query(r)
+    disagree(r, req_id)  # A from replica 1, B from replica 2
+    r.step(TimerFire(req_id))  # attempt 2 begins
+    # replica 3's ack of attempt 1 agrees with A, but that attempt is over
+    out = r.step(Ack(3, req_id, 1, GCounter((1, 0, 0))))
+    assert out.replies == [] and out.sends == [] and out.timers == []
+    assert r.requests[req_id].acks == {}
 
 
 def test_round_ids_unique_and_increasing():

@@ -108,9 +108,9 @@ _GOLDEN = {
             crash_schedule=((3, 120),), seed=7,
         ),
         {
-            "history.jsonl": "996ea9b1d55da9e17d6da90d42204172e3d35a53e85f7cc0298e90dd846e0e76",
-            "trace.jsonl": "c54f89cb2cbcca1adf6061f5aedbe1a1c2be7dae15a17f3e9b3be69535f74a52",
-            "metrics.csv": "ffcff6b7338cff09dd78b50e06bc6475c6cf04f8386e7b49dfef9b85bca5e208",
+            "history.jsonl": "664919ee2aaf84d407a237fc45e897468128d2e88ab01109be99581686b73391",
+            "trace.jsonl": "fbdb7bb81285c53cf3e058ec2f81434e87ad4c94c7c866e0eb14dd509670486b",
+            "metrics.csv": "03097fa9b40888843a96c26b3e9bbd76b048ab97dcec94c3068fdd0fbcd85596",
         },
     ),
     "gset-faults-batching": (
@@ -121,9 +121,9 @@ _GOLDEN = {
             seed=11,
         ),
         {
-            "history.jsonl": "2e9fcafb108cf7a8d7feda68774543e80a18693c02858fb5122bade78aa1b980",
-            "trace.jsonl": "a4460e5348590862aef56d476d1db65bf1080e681ff126786c92aa01a94c86ac",
-            "metrics.csv": "19f88a416c80e1b63526d989ce46080d39e94fab4588f373f856a7e1fc42565b",
+            "history.jsonl": "a6b17ae6fb195acd69b891a34eff69d2e564439029e2cebc25d1a93ea977fa39",
+            "trace.jsonl": "dc38bd9fe5f5807774e0f7b9f4199e0a7b2558e1da174851ea257cfd9b1947ec",
+            "metrics.csv": "f0b875faed161573535c0f5deebd5a8372a52cb6037a00d999d25358c234d38e",
         },
     ),
     "fixed-delay-batching": (
@@ -132,9 +132,9 @@ _GOLDEN = {
             seed=1,
         ),
         {
-            "history.jsonl": "60920ca0efc9412f25a19fdbcbce63f6c3452113e602e7f1aa42e3fcd0f1eb04",
-            "trace.jsonl": "8963940bf93257a1e0a89d6ae02859ead26ddf07bb72aaf441c5a53f66de7138",
-            "metrics.csv": "98b2a1c3802bf969ee4f11df5e1bef2129d713fcce81fcff383cca3012a8faa2",
+            "history.jsonl": "738e94c11d37322ef8e843126520077e91d3a32e15dc893cfa79983894871f37",
+            "trace.jsonl": "844b77b331af3cf422c2bca13f4bc69d59797e4d085d3c3ea35b3e09d5dd7855",
+            "metrics.csv": "d85d21fddf324c3275f06d98b74aef5e218d7fa33a524077290c855e80410009",
         },
     ),
 }
