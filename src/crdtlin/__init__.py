@@ -26,7 +26,6 @@ from .crdt import (
     GSet,
     QueryCommand,
     SemilatticeValue,
-    UpdateCommand,
 )
 from .history import OpRecord, TraceEvent, read_history, write_history
 from .protocol import ProtocolConfig, Replica
@@ -62,7 +61,6 @@ __all__ = [
     "Simulation",
     "TraceEvent",
     "UnsupportedInput",
-    "UpdateCommand",
     "Verdict",
     "Witness",
     "check_all",

@@ -1,5 +1,8 @@
 """Join-semilattice values and the commands that read and inflate them.
 
+An update is the client's ``UpdateOp`` plus the causal tag its proposer
+gives it, ``apply_update(op, tag, state)``; a counter's slot is the tag's origin.
+
 The replication layer is generic over ``SemilatticeValue``: anything with a
 partial-order ``compare``, a least-upper-bound ``merge``, a canonical byte
 form and a ``frontier``. The grow-only counter and grow-only set shipped here
@@ -29,7 +32,6 @@ __all__ = [
     "SemilatticeValue",
     "SerializationError",
     "ShapeError",
-    "UpdateCommand",
     "UpdateOp",
     "apply_query",
     "apply_update",
@@ -283,7 +285,8 @@ def initial_state(crdt: str, n_replicas: int, tagged: bool) -> SemilatticeValue:
 
 @dataclass(frozen=True, slots=True)
 class UpdateOp:
-    """Client-side write request; the proposer binds slot and causal tag."""
+    """A client's write. Its proposer gives it the causal tag (proposer id,
+    next sequence number); a counter increments the slot of the tag's origin."""
 
     kind: str
     element: bytes | None = None
@@ -295,28 +298,6 @@ class UpdateOp:
     @classmethod
     def set_add(cls, element: bytes) -> "UpdateOp":
         return cls(kind="set_add", element=element)
-
-
-@dataclass(frozen=True, slots=True)
-class UpdateCommand:
-    """An inflationary write: incrementing a counter slot or adding a set element.
-
-    Every command carries a globally unique causal tag assigned by the
-    proposer that issued it.
-    """
-
-    kind: str
-    tag: CausalTag
-    slot: int = 0
-    element: bytes | None = None
-
-    @classmethod
-    def increment(cls, slot: int, tag: CausalTag) -> "UpdateCommand":
-        return cls(kind="increment", tag=tag, slot=slot)
-
-    @classmethod
-    def set_add(cls, element: bytes, tag: CausalTag) -> "UpdateCommand":
-        return cls(kind="set_add", tag=tag, element=element)
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,32 +335,34 @@ def workload_op(crdt: str, kind: str, element: bytes) -> UpdateOp | QueryCommand
     return UpdateOp.set_add(element) if kind == "update" else _SET_ELEMENTS
 
 
-def apply_update(cmd: UpdateCommand, state: SemilatticeValue) -> SemilatticeValue:
-    """Apply an update command, returning an inflated copy of ``state``."""
+def apply_update(op: UpdateOp, tag: CausalTag, state: SemilatticeValue) -> SemilatticeValue:
+    """Apply ``op`` under the causal ``tag`` its proposer gave it, returning an
+    inflated copy of ``state``; a counter increments the slot of the tag's
+    origin. Every check of an update's kind and element is made here."""
     if isinstance(state, CausalTaggedState):
         # the closure invariant behind the frontier: each origin's tags
         # arrive at its own payload in sequence, with no gap or repeat
-        origin, seq = cmd.tag
+        origin, seq = tag
         frontier = list(state.frontier)
         if not 1 <= origin <= len(frontier):
             raise CommandError(f"tag origin {origin} outside 1..{len(frontier)}")
         if seq != frontier[origin - 1] + 1:
             raise CommandError(
-                f"tag {cmd.tag} out of sequence: replica {origin} is at {frontier[origin - 1]}"
+                f"tag {tag} out of sequence: replica {origin} is at {frontier[origin - 1]}"
             )
         frontier[origin - 1] = seq
-        return CausalTaggedState(apply_update(cmd, state.value), tuple(frontier))
-    if cmd.kind == "increment":
+        return CausalTaggedState(apply_update(op, tag, state.value), tuple(frontier))
+    if op.kind == "increment":
         if not isinstance(state, GCounter):
             raise CommandError("increment targets a counter state")
-        return state.increment(cmd.slot)
-    if cmd.kind == "set_add":
+        return state.increment(tag[0] - 1)
+    if op.kind == "set_add":
         if not isinstance(state, GSet):
             raise CommandError("set_add targets a set state")
-        if cmd.element is None:
+        if op.element is None:
             raise CommandError("set_add without an element")
-        return state.add(cmd.element)
-    raise CommandError(f"unknown update kind {cmd.kind!r}")
+        return state.add(op.element)
+    raise CommandError(f"unknown update kind {op.kind!r}")
 
 
 def apply_query(cmd: QueryCommand, state: SemilatticeValue):

@@ -35,7 +35,6 @@ from .crdt import (
     CommandError,
     SemilatticeValue,
     ShapeError,
-    UpdateCommand,
     UpdateOp,
     apply_query,
     apply_update,
@@ -111,18 +110,15 @@ class StepOutput:
 
 
 class Acceptor:
-    """Holder of the replica's CRDT payload, which only ever grows: updates
-    inflate it, merges and prepares fold remote payloads in."""
+    """Holder of the replica's CRDT payload, which only ever grows: the
+    proposer applies local updates to it, merges and prepares fold remote
+    payloads in."""
 
     __slots__ = ("rid", "state")
 
     def __init__(self, rid: int, initial: SemilatticeValue):
         self.rid = rid
         self.state = initial
-
-    def apply_update(self, cmd: UpdateCommand) -> SemilatticeValue:
-        self.state = apply_update(cmd, self.state)
-        return self.state
 
     def on_merge(self, m: Merge) -> Merged:
         self.state = self.state.merge(m.state)
@@ -142,7 +138,7 @@ class ProposerRequest:
 
     request_id: bytes
     kind: str  # "update" | "query"
-    ops: list[tuple[bytes, object]]  # (client request id, command)
+    ops: list[tuple[bytes, object]]  # (client request id, an update's tag or the query command)
     phase: str  # "merging" | "preparing" | "backing-off"
     attempt: int = 1  # number of the live prepare
     acks: dict[int, SemilatticeValue] = field(default_factory=dict)  # of the live prepare
@@ -193,11 +189,6 @@ class Replica:
     def _new_request_id(self) -> bytes:
         self._request_counter += 1
         return _REQ_ID.pack(self.rid, self._request_counter)
-
-    def _next_tag(self) -> CausalTag:
-        # consumed by _start_update only once the update applies, so a
-        # rejected command leaves no gap in this replica's tag sequence
-        return (self.rid, self._update_seq + 1)
 
     def _peers(self) -> Iterable[int]:
         return (r for r in range(1, self.config.n_replicas + 1) if r != self.rid)
@@ -265,23 +256,25 @@ class Replica:
 
     def _start_update(self, items, out: StepOutput) -> ProposerRequest | None:
         request_id = self._new_request_id()
-        bound: list[tuple[bytes, UpdateCommand]] = []
+        tagged: list[tuple[bytes, CausalTag]] = []
         for client_request_id, op in items:
+            tag = (self.rid, self._update_seq + 1)
             try:
-                cmd = self._bind_update(op)
-                self.acceptor.apply_update(cmd)
+                self.acceptor.state = apply_update(op, tag, self.acceptor.state)
             except CommandError as exc:
                 reply = Reply(self.rid, client_request_id, False, reason=str(exc))
                 out.replies.append((request_id, reply))
                 continue
+            # the tag is taken only once the op applies, so a rejected op
+            # leaves no gap in this replica's tag sequence
             self._update_seq += 1
-            bound.append((client_request_id, cmd))
-        if not bound:
+            tagged.append((client_request_id, tag))
+        if not tagged:
             return None
         req = ProposerRequest(
             request_id=request_id,
             kind="update",
-            ops=bound,
+            ops=tagged,
             phase="merging",
             merged={self.rid},
             merge_state=self.acceptor.state,
@@ -293,15 +286,6 @@ class Replica:
         self._arm_timer(req, out)
         self._check_merge_quorum(req, out)
         return req
-
-    def _bind_update(self, op: UpdateOp) -> UpdateCommand:
-        if op.kind == "increment":
-            return UpdateCommand.increment(self.rid - 1, self._next_tag())
-        if op.kind == "set_add":
-            if op.element is None:
-                raise CommandError("set_add without an element")
-            return UpdateCommand.set_add(op.element, self._next_tag())
-        raise CommandError(f"unknown update kind {op.kind!r}")
 
     def _start_query(self, items, out: StepOutput) -> ProposerRequest:
         request_id = self._new_request_id()
@@ -333,8 +317,8 @@ class Replica:
     def _check_merge_quorum(self, req: ProposerRequest, out: StepOutput) -> None:
         if not self.is_quorum(req.merged):
             return
-        for client_request_id, cmd in req.ops:
-            self._reply(req, client_request_id, True, out, tag=cmd.tag)
+        for client_request_id, tag in req.ops:
+            self._reply(req, client_request_id, True, out, tag=tag)
         self._finish(req, out)
 
     def on_ack(self, m: Ack, out: StepOutput) -> None:
@@ -398,10 +382,10 @@ class Replica:
         limit = self.config.max_retries
         if limit is None or req.retries <= limit:
             return False
-        for client_request_id, cmd in req.ops:
+        for client_request_id, entry in req.ops:
             # a failed update may still take effect: its payload already merged
             # into the local acceptor, so surface the tentative tag
-            tag = cmd.tag if req.kind == "update" else None
+            tag = entry if req.kind == "update" else None
             self._reply(req, client_request_id, False, out, reason="max-retries", tag=tag)
         self._finish(req, out)
         return True

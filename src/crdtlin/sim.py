@@ -341,10 +341,10 @@ class Simulation:
             for req in replica.requests.values():
                 if req.kind != "update":
                     continue
-                for request_id, cmd in req.ops:
+                for request_id, tag in req.ops:
                     rec = self.records[request_id]
                     if rec.tag is None:
-                        rec.tag = cmd.tag
+                        rec.tag = tag
         history = list(self.records.values())
         return SimResult(self.config, self.trace, history, self.metrics)
 

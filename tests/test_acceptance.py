@@ -25,7 +25,7 @@ from crdtlin.checker import (
     linearizability_oracle,
     linearize,
 )
-from crdtlin.crdt import CausalTaggedState, GCounter, GSet, UpdateCommand, apply_update
+from crdtlin.crdt import CausalTaggedState, GCounter, GSet, UpdateOp, apply_update
 from crdtlin.history import merge_histories
 from crdtlin.service import ReplicaClient
 from crdtlin.sim import SimConfig, sim_run
@@ -422,7 +422,7 @@ def test_criterion_09_crdt_algebra():
         s = CausalTaggedState(counter(), frontier())
         origin = rng.randint(1, 3)
         tag = (origin, s.frontier[origin - 1] + 1)
-        grown = apply_update(UpdateCommand.increment(rng.randrange(3), tag), s)
+        grown = apply_update(UpdateOp.increment(), tag, s)
         assert s.compare(grown) and not grown.compare(s)  # strict inflation
         assert set(grown.tags) == set(s.tags) | {tag}
 

@@ -22,7 +22,7 @@ from crdtlin.crdt import (
     QueryCommand,
     SerializationError,
     ShapeError,
-    UpdateCommand,
+    UpdateOp,
     apply_query,
     apply_update,
     state_from_bytes,
@@ -97,7 +97,7 @@ def test_counter_value_replay_oracle():
         tag_seq = 0
         for s in slots:
             tag_seq += 1
-            state = apply_update(UpdateCommand.increment(s, (1, tag_seq)), state)
+            state = apply_update(UpdateOp.increment(), (s + 1, tag_seq), state)
         assert apply_query(QueryCommand.counter_value(), state) == oracle_counter_replay(
             width, slots
         ) == len(slots)
@@ -112,10 +112,10 @@ def test_increment_out_of_range():
 
 def test_set_examples():
     s = GSet.empty()
-    s1 = apply_update(UpdateCommand.set_add(b"a", (1, 1)), s)
+    s1 = apply_update(UpdateOp.set_add(b"a"), (1, 1), s)
     assert s1 == GSet.of(b"a")
     # adding the same element again is a no-op on the value
-    s2 = apply_update(UpdateCommand.set_add(b"a", (1, 2)), s1)
+    s2 = apply_update(UpdateOp.set_add(b"a"), (1, 2), s1)
     assert s2 == s1
     assert apply_query(QueryCommand.set_contains(b"a"), s2) is True
     assert apply_query(QueryCommand.set_contains(b"b"), s2) is False
@@ -134,7 +134,7 @@ def test_cross_type_operations_rejected():
     with pytest.raises(ShapeError):
         GSet.empty().compare(GCounter((0,)))
     with pytest.raises(CommandError):
-        apply_update(UpdateCommand.set_add(b"x", (1, 1)), GCounter.zero(2))
+        apply_update(UpdateOp.set_add(b"x"), (1, 1), GCounter.zero(2))
     with pytest.raises(CommandError):
         apply_query(QueryCommand.counter_value(), GSet.empty())
 
@@ -247,10 +247,15 @@ def test_counter_compare_antisymmetry_exhaustive():
 @given(counters, st.integers(min_value=0, max_value=5))
 def test_update_inflates(state, slot):
     slot = slot % len(state.counts)
-    cmd = UpdateCommand.increment(slot, (1, 1))
-    new = apply_update(cmd, state)
+    new = apply_update(UpdateOp.increment(), (slot + 1, 1), state)
     assert state.compare(new)
     assert not new.compare(state)
+
+
+def test_apply_update_inflates_the_payload():
+    # an increment lands in the slot of its tag's origin
+    assert apply_update(UpdateOp.increment(), (1, 1), GCounter((1, 0))) == GCounter((2, 0))
+    assert apply_update(UpdateOp.increment(), (2, 1), GCounter((1, 0))) == GCounter((1, 1))
 
 
 # ---------------------------------------------------------------- tagged states
@@ -264,10 +269,10 @@ def _random_run(rng: random.Random, n_updates: int):
     first merge a random other part's current payload.
     """
     width = 3
-    queues: list[list[UpdateCommand]] = [[] for _ in range(width)]
+    queues: list[list[tuple[int, int]]] = [[] for _ in range(width)]  # tags, by origin
     for _ in range(n_updates):
         pid = rng.randint(1, width)
-        queues[pid - 1].append(UpdateCommand.increment(pid - 1, (pid, len(queues[pid - 1]) + 1)))
+        queues[pid - 1].append((pid, len(queues[pid - 1]) + 1))
 
     def run():
         # slot increments stay on their owning part: max-merge is not additive
@@ -278,7 +283,7 @@ def _random_run(rng: random.Random, n_updates: int):
                 dst, src = rng.sample(range(width), 2)
                 parts[dst] = parts[dst].merge(parts[src])
             pid = rng.choice([i for i in range(width) if pending[i]])
-            parts[pid] = apply_update(pending[pid].pop(0), parts[pid])
+            parts[pid] = apply_update(UpdateOp.increment(), pending[pid].pop(0), parts[pid])
         order = rng.sample(range(width), width)
         out = parts[order[0]]
         for i in order[1:]:
@@ -299,8 +304,8 @@ def test_equal_tag_sets_imply_equivalent_values():
 
 def test_tagged_merge_unions_tags():
     base = CausalTaggedState.initial(GCounter.zero(2), 2)
-    a = apply_update(UpdateCommand.increment(0, (1, 1)), base)
-    b = apply_update(UpdateCommand.increment(1, (2, 1)), base)
+    a = apply_update(UpdateOp.increment(), (1, 1), base)
+    b = apply_update(UpdateOp.increment(), (2, 1), base)
     m = a.merge(b)
     assert m.frontier == (1, 1)
     assert m.tags == ((1, 1), (2, 1))
@@ -330,11 +335,11 @@ def test_tags_expand_the_frontier_in_order():
 
 def test_tagged_update_must_be_its_origins_next_tag():
     state = CausalTaggedState(GCounter.zero(3), (2, 0, 0))
-    grown = apply_update(UpdateCommand.increment(0, (1, 3)), state)
+    grown = apply_update(UpdateOp.increment(), (1, 3), state)
     assert grown.frontier == (3, 0, 0)
     for tag in ((1, 2), (1, 4), (2, 2), (2, 0), (4, 1), (0, 1)):
         with pytest.raises(CommandError):  # repeat, skip, or unknown origin
-            apply_update(UpdateCommand.increment(0, tag), state)
+            apply_update(UpdateOp.increment(), tag, state)
 
 
 # ---------------------------------------------------------------- serialization

@@ -17,7 +17,6 @@ from crdtlin.crdt import (
     GSet,
     QueryCommand,
     ShapeError,
-    UpdateCommand,
 )
 from crdtlin.messages import Ack, Merge, Merged, Prepare, Request, UpdateOp
 from crdtlin.protocol import (
@@ -47,12 +46,6 @@ def sends_by_type(out, cls):
 
 
 # ---------------------------------------------------------------- acceptor
-
-
-def test_apply_update_inflates_the_payload():
-    a = Acceptor(1, GCounter((1, 0)))
-    s = a.apply_update(UpdateCommand.increment(0, (1, 1)))
-    assert s == a.state == GCounter((2, 0))
 
 
 def test_merge_folds_the_payload():
@@ -484,16 +477,22 @@ def test_bad_command_against_cluster_type_fails_cleanly(batching):
 
 @pytest.mark.parametrize("tagged", [False, True])
 def test_rejected_update_burns_no_tag(tagged):
-    initial = GCounter.zero(3)
-    if tagged:
-        initial = CausalTaggedState.initial(initial, 3)
-    r = Replica(1, ProtocolConfig(n_replicas=3), initial)
-    failed = r.step(Request(1, client_req_id(1), UpdateOp.set_add(b"x")))
-    assert not failed.replies[0][1].ok
-    out = r.step(Request(1, client_req_id(2), UpdateOp.increment()))
-    req_id = sends_by_type(out, Merge)[0][1].request_id
-    reply = r.step(Merged(sender=2, request_id=req_id)).replies[0][1]
-    assert reply.ok and reply.tag == (1, 1)
+    # (empty value, an op that value rejects, an op it takes)
+    cases = [
+        (GCounter.zero(3), UpdateOp.set_add(b"x"), UpdateOp.increment()),  # wrong crdt
+        (GSet.empty(), UpdateOp("set_add", None), UpdateOp.set_add(b"x")),  # no element
+        (GCounter.zero(3), UpdateOp("decrement"), UpdateOp.increment()),  # unknown kind
+    ]
+    for initial, bad, good in cases:
+        if tagged:
+            initial = CausalTaggedState.initial(initial, 3)
+        r = Replica(1, ProtocolConfig(n_replicas=3), initial)
+        failed = r.step(Request(1, client_req_id(1), bad))
+        assert not failed.replies[0][1].ok, bad
+        out = r.step(Request(1, client_req_id(2), good))
+        req_id = sends_by_type(out, Merge)[0][1].request_id
+        reply = r.step(Merged(sender=2, request_id=req_id)).replies[0][1]
+        assert reply.ok and reply.tag == (1, 1), bad
 
 
 def test_payload_claiming_unissued_local_updates_is_refused():
