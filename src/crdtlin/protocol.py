@@ -265,8 +265,7 @@ class Replica:
                 reply = Reply(self.rid, client_request_id, False, reason=str(exc))
                 out.replies.append((request_id, reply))
                 continue
-            # the tag is taken only once the op applies, so a rejected op
-            # leaves no gap in this replica's tag sequence
+            # taken once the op applies: a rejected op leaves no gap in the tags
             self._update_seq += 1
             tagged.append((client_request_id, tag))
         if not tagged:

@@ -317,8 +317,9 @@ class Simulation:
 
         for rid, t in sorted(cfg.crash_schedule):
             self._push(t, self._process_crash, (rid,))
-        for cid in range(len(self.clients)):
-            self._push(0, self._process_invoke, (cid,))
+        for cid, client in enumerate(self.clients):
+            if client.script:
+                self._push(0, self._process_invoke, (cid,))
 
         horizon_hit = False
         heap = self._heap
@@ -388,8 +389,6 @@ class Simulation:
 
     def _process_invoke(self, t: int, cid: int) -> None:
         client = self.clients[cid]
-        if client.next_op >= len(client.script):
-            return
         if not self._alive:
             return  # nowhere to send: the client halts
         target = self._target_rng.choice(self._alive)
@@ -524,7 +523,9 @@ class Simulation:
                 "respond",
                 (("op_id", rec.op_id), ("outcome", rec.outcome), ("round_trips", reply.round_trips)),
             )
-        self._push(t + 1, self._process_invoke, (rec.client,))
+        client = self.clients[rec.client]
+        if client.next_op < len(client.script):  # a finished client schedules nothing
+            self._push(t + 1, self._process_invoke, (rec.client,))
 
     # -- execution invariants
 

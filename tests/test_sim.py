@@ -109,7 +109,7 @@ _GOLDEN = {
         ),
         {
             "history.jsonl": "664919ee2aaf84d407a237fc45e897468128d2e88ab01109be99581686b73391",
-            "trace.jsonl": "fbdb7bb81285c53cf3e058ec2f81434e87ad4c94c7c866e0eb14dd509670486b",
+            "trace.jsonl": "109a0f386ecd13c6e5ec54cba808ab0c3134be42e54434bca162cf41aa5fbd99",
             "metrics.csv": "03097fa9b40888843a96c26b3e9bbd76b048ab97dcec94c3068fdd0fbcd85596",
         },
     ),
@@ -122,8 +122,8 @@ _GOLDEN = {
         ),
         {
             "history.jsonl": "a6b17ae6fb195acd69b891a34eff69d2e564439029e2cebc25d1a93ea977fa39",
-            "trace.jsonl": "dc38bd9fe5f5807774e0f7b9f4199e0a7b2558e1da174851ea257cfd9b1947ec",
-            "metrics.csv": "f0b875faed161573535c0f5deebd5a8372a52cb6037a00d999d25358c234d38e",
+            "trace.jsonl": "bf1da87165a7bc92cb9f0869967ef035ca7e103349d3581a77d9f1ddd257b2b2",
+            "metrics.csv": "117961c62741729f79fd277eb3f0aba1025345247eabb635d37e356e2e0a3c3f",
         },
     ),
     "fixed-delay-batching": (
@@ -133,8 +133,8 @@ _GOLDEN = {
         ),
         {
             "history.jsonl": "738e94c11d37322ef8e843126520077e91d3a32e15dc893cfa79983894871f37",
-            "trace.jsonl": "844b77b331af3cf422c2bca13f4bc69d59797e4d085d3c3ea35b3e09d5dd7855",
-            "metrics.csv": "d85d21fddf324c3275f06d98b74aef5e218d7fa33a524077290c855e80410009",
+            "trace.jsonl": "a658e4a62e368a95301a3990c526289e66f6c62adaa1c4bb995e1fa5541ad98d",
+            "metrics.csv": "6a8950d8ed45e4c0fd84de1bcdcc42d1663ee36bf86c5d444679626a3688bce5",
         },
     ),
 }
@@ -200,6 +200,15 @@ def test_update_free_queries_take_one_round_trip():
     queries = [r for r in result.history if r.kind == "query"]
     assert len(queries) == 100
     assert all(r.outcome == "ok" and r.round_trips == 1 for r in queries)
+
+
+def test_a_finished_client_schedules_no_further_invoke():
+    # fault-free updates at a fixed delay: every Merged lands with the reply
+    # it completes, so the run ends at the last response, not a tick later
+    cfg = SimConfig(n_replicas=3, n_clients=2, ops_per_client=5, update_fraction=1.0, seed=1)
+    result = sim_run(cfg)
+    assert len(result.history) == 10
+    assert result.metrics.final_time == max(r.response_t for r in result.history)
 
 
 # ------------------------------------------------------------------- faults
