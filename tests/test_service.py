@@ -5,17 +5,19 @@ malformed-frame robustness, and client-side history recording."""
 import asyncio
 import json
 import logging
+import random
 import socket
 import struct
 import threading
 import time
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from crdtlin import service
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
-from crdtlin.history import merge_histories
+from crdtlin.history import merge_histories, read_history, write_history
 from crdtlin.messages import Merge, Merged, Reply, Request, UpdateOp
 from crdtlin.protocol import TimerFire, TimerRequest
 from crdtlin.service import (
@@ -697,6 +699,53 @@ def test_recorded_history_passes_the_checker(cluster):
     assert all(v.passed for v in verdicts.values()), verdicts
     witness = linearize(merged)
     assert len(witness.order) == len(merged)
+
+
+def test_benchmark_shaped_live_history_passes_every_check(cluster, tmp_path):
+    # the live benchmark's shape: 3 daemons without batching, and 2 recording
+    # clients on replicas 1 and 2, each a closed loop of seeded ops at 20%
+    # increments; its history must pass every check the benchmark applies
+    c = cluster(3, batching=False, timeout=0.5)
+    ops = 1000  # per client, as in the benchmark
+    clients = [c.client(rid, client_id=rid, record=True) for rid in (1, 2)]
+    errors: list[Exception] = []
+
+    def loop(client: ReplicaClient) -> None:
+        rng = random.Random(f"rehearsal:{client.client_id}")
+        try:
+            for _ in range(ops):
+                client.increment() if rng.random() < 0.2 else client.value()
+        except Exception as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=loop, args=(cl,)) for cl in clients]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        for cl in clients:
+            cl.close()
+    assert not errors
+    path = tmp_path / "history.jsonl"
+    with open(path, "w") as fp:
+        write_history(merge_histories(cl.history for cl in clients), fp)
+    with open(path) as fp:
+        history = read_history(fp)
+    assert len(history) == 2 * ops and all(r.outcome == "ok" for r in history)
+    verdicts = check_all(history)
+    assert all(v.passed for v in verdicts.values()), verdicts
+    assert len(linearize(history).order) == len(history)
+    # a query counts at least the increments answered before its invoke and
+    # at most those invoked before its response
+    updates = [r for r in history if r.kind == "update"]
+    answered = sorted(r.response_t for r in updates)
+    invoked = sorted(r.invoke_t for r in updates)
+    for q in history:
+        if q.kind == "query":
+            low, high = bisect_left(answered, q.invoke_t), bisect_right(invoked, q.response_t)
+            assert low <= q.result <= high, (q, low, high)
 
 
 def test_client_reports_request_failure(cluster):
