@@ -727,7 +727,7 @@ def test_benchmark_shaped_live_history_passes_every_check(cluster, tmp_path):
     finally:
         for cl in clients:
             cl.close()
-    assert not errors
+    assert not errors and not any(t.is_alive() for t in threads)
     path = tmp_path / "history.jsonl"
     with open(path, "w") as fp:
         write_history(merge_histories(cl.history for cl in clients), fp)
