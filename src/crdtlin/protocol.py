@@ -19,9 +19,9 @@ that finished before the query began sits at a merge quorum, which meets
 the agreeing one, so the learned state holds it.
 
 Handlers are pure state machines: no I/O, no clocks, no randomness. The
-same ``Replica`` runs under the simulator and the networked service; the
-runtime routes outbound messages, delivers timer expiries, and decides what
-a timer's duration means.
+same ``Replica`` runs under the simulator and the networked service, and
+both drive it through :class:`Runtime`, which states once how a step's
+timers, messages and replies are routed and how long a timer waits.
 """
 
 from __future__ import annotations
@@ -76,20 +76,6 @@ class TimerFire:
 
 
 @dataclass(slots=True)
-class TimerRequest:
-    """(Re)arm the request's one timer, replacing any armed before; the
-    runtime chooses the duration and cancels the timer when the request ends.
-
-    ``backoff`` is None for the loss timer. For the wait before a query
-    prepares again after a disagreeing quorum, it is the request's retries
-    so far, so a runtime may wait longer each time.
-    """
-
-    request_id: bytes
-    backoff: int | None = None
-
-
-@dataclass(slots=True)
 class RequestRetry:
     """Reported when a request starts another round; kinds: incremental,
     merge-resend."""
@@ -102,8 +88,43 @@ class RequestRetry:
 class StepOutput:
     sends: list[tuple[int, ReplicaMessage]] = field(default_factory=list)  # (destination, message)
     replies: list[tuple[bytes, Reply]] = field(default_factory=list)  # (proposer request id, reply)
-    timers: list[TimerRequest] = field(default_factory=list)
+    timers: list[tuple[bytes, int | None]] = field(default_factory=list)  # (request id, back-off)
     retries: list[RequestRetry] = field(default_factory=list)
+
+
+class Runtime:
+    """The one way to drive a :class:`Replica`, which the simulator and the
+    daemon inherit. :meth:`route` steps the replica, then applies its
+    timers, sends and replies, in that order. A request has one timer:
+    arming it again cancels the one before, and the request's end cancels
+    the last. A timer's back-off is None for the loss timer, which waits
+    ``timeout``; back-off ``r``, a query's retries so far as it waits to
+    prepare again after a disagreeing quorum, waits ``(r + 2) * round_trip``.
+    A runtime supplies those two, a ``timers`` dict (request id -> handle)
+    and four hooks: ``send(src, dst, msg)``, which delivers a message to
+    ``src`` itself back through ``route``, reliably and in order;
+    ``answer(request_id, reply)``; ``schedule(rid, delay, request_id)``,
+    which returns a handle and steps replica ``rid`` with
+    ``TimerFire(request_id)`` after ``delay``; and ``unschedule(handle)``.
+    """
+
+    def route(self, replica: Replica, event) -> StepOutput:
+        out = replica.step(event)
+        for request_id, backoff in out.timers:
+            self.cancel(request_id)
+            delay = self.timeout if backoff is None else (backoff + 2) * self.round_trip
+            self.timers[request_id] = self.schedule(replica.rid, delay, request_id)
+        for dst, msg in out.sends:
+            self.send(replica.rid, dst, msg)
+        for request_id, reply in out.replies:
+            self.answer(request_id, reply)
+            if request_id not in replica.requests:  # a batch answers a rejected op early
+                self.cancel(request_id)
+        return out
+
+    def cancel(self, request_id: bytes) -> None:
+        if (handle := self.timers.pop(request_id, None)) is not None:
+            self.unschedule(handle)
 
 
 # ------------------------------------------------------------------ acceptor
@@ -153,9 +174,8 @@ class Replica:
     """Protocol state machine for one replica: acceptor plus proposer.
 
     Feed it events through :meth:`step`; it answers with messages to send,
-    client replies, and timer requests. Messages addressed to the replica's
-    own id must be delivered back through ``step`` by the runtime (reliably,
-    it is a local hop). Handlers never block and never talk to a clock.
+    client replies, and timers to arm, which a :class:`Runtime` routes.
+    Handlers never block and never talk to a clock.
     """
 
     def __init__(self, rid: int, config: ProtocolConfig, initial: SemilatticeValue):
@@ -406,7 +426,7 @@ class Replica:
             self._flush(req.kind, out)
 
     def _arm_timer(self, req: ProposerRequest, out: StepOutput, backoff: int | None = None) -> None:
-        out.timers.append(TimerRequest(req.request_id, backoff))
+        out.timers.append((req.request_id, backoff))
 
     def _reply(self, req: ProposerRequest, request_id: bytes, ok: bool, out: StepOutput, **fields):
         """Answer ``req``'s op with client request id ``request_id``, at the cost so far."""

@@ -2,15 +2,15 @@
 
 One daemon hosts both protocol roles for its replica id. All protocol state
 lives on a single asyncio event loop: protocol callbacks feed each complete
-frame and each request's one timer (cancelled once the request ends) into
-the state machine synchronously, so no two handlers ever interleave inside
-it. A loss timer waits ``timeout`` seconds; a query's back-off after a
-disagreeing quorum fires on the loop's next turn, once the frames already
-received have been handled. Peer frames are written straight to the socket,
-or held while the link reconnects; past a byte cap a dead or slow peer's
-frames are dropped, which the protocol is built to absorb. A link that is
-down retries as soon as the daemon accepts a connection, since a peer that
-comes up connects to us, or else every 0.2 s.
+frame and each timer fire into the state machine synchronously, so no two
+handlers ever interleave inside it. As a :class:`~crdtlin.protocol.Runtime`
+the daemon takes the config's ``timeout`` seconds as its timeout and 0 as
+its round trip, so a query's back-off fires on the loop's next turn, once
+the frames already received have been handled. Peer frames are written
+straight to the socket, or held while the link reconnects; past a byte cap
+a dead or slow peer's frames are dropped, which the protocol is built to
+absorb. A link that is down retries as soon as the daemon accepts a
+connection, since a peer that comes up connects to us, or else every 0.2 s.
 
 Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
@@ -35,6 +35,7 @@ import os
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,13 +49,7 @@ from .crdt import (
 )
 from .history import OpRecord, op_dict, record_reply
 from .messages import Message, Reply, Request
-from .protocol import (
-    PayloadRejected,
-    ProtocolConfig,
-    Replica,
-    TimerFire,
-    TimerRequest,
-)
+from .protocol import PayloadRejected, ProtocolConfig, Replica, Runtime, TimerFire
 from .wire import FrameError, encode, try_decode
 
 __all__ = [
@@ -181,7 +176,7 @@ def _endpoint(entry) -> ReplicaEndpoint:
 # -------------------------------------------------------------------- daemon
 
 
-class ReplicaDaemon:
+class ReplicaDaemon(Runtime):
     """One replica process: listens for peers and clients, runs the protocol."""
 
     def __init__(self, config: ClusterConfig, replica_id: int):
@@ -194,7 +189,10 @@ class ReplicaDaemon:
         self.replica = Replica(replica_id, proto, config.initial_state())
         self._links = {p.id: _PeerLink() for p in config.replicas if p.id != replica_id}
         self._client_transports: dict[bytes, asyncio.Transport] = {}
-        self._timers: dict[bytes, asyncio.TimerHandle] = {}  # by request id
+        self.timeout = config.timeout
+        self.round_trip = 0  # a back-off waits only for the frames already received
+        self.timers: dict[bytes, asyncio.TimerHandle] = {}  # by request id
+        self._local: deque[Message] = deque()  # messages to this replica, in order
         self._framed: tuple[Message, bytes] | None = None  # last peer message and its frame
         self._connections: set[asyncio.Transport] = set()  # inbound, peers' and clients'
         self._stop = asyncio.Event()
@@ -223,7 +221,7 @@ class ReplicaDaemon:
             await asyncio.sleep(0)  # let just-accepted connections register
             for transport in self._connections:
                 transport.close()
-            for handle in self._timers.values():
+            for handle in self.timers.values():
                 handle.cancel()
             for task in tasks:
                 task.cancel()
@@ -244,32 +242,26 @@ class ReplicaDaemon:
     # -- protocol event routing; synchronous, so handlers never interleave
 
     def _dispatch(self, event) -> None:
-        pending = [event]
-        while pending:
-            out = self.replica.step(pending.pop(0))
-            for dst, msg in out.sends:
-                if dst == self.endpoint.id:
-                    pending.append(msg)  # local hop: delivered reliably, in order
-                else:
-                    self._enqueue_peer(dst, msg)
-            for timer in out.timers:
-                self._arm_timer(timer)
-            for request_id, reply in out.replies:
-                # a batch replies to a rejected op early; the timer goes when the request ends
-                if request_id not in self.replica.requests:
-                    if (handle := self._timers.pop(request_id, None)) is not None:
-                        handle.cancel()
-                self._answer_client(reply)
+        self._local.clear()  # a frame refused midway leaves nothing for the next one
+        self.route(self.replica, event)
+        while self._local:
+            self.route(self.replica, self._local.popleft())
 
-    def _arm_timer(self, timer: TimerRequest) -> None:
-        if (old := self._timers.get(timer.request_id)) is not None:
-            old.cancel()
-        delay = self.config.timeout if timer.backoff is None else 0
-        self._timers[timer.request_id] = self._loop.call_later(delay, self._fire, timer.request_id)
+    def schedule(self, rid: int, delay: float, request_id: bytes) -> asyncio.TimerHandle:
+        return self._loop.call_later(delay, self._fire, request_id)
+
+    def unschedule(self, handle: asyncio.TimerHandle) -> None:
+        handle.cancel()
 
     def _fire(self, request_id: bytes) -> None:
-        del self._timers[request_id]
+        del self.timers[request_id]
         self._dispatch(TimerFire(request_id))
+
+    def send(self, src: int, dst: int, msg) -> None:
+        if dst == src:
+            self._local.append(msg)  # local hop: delivered reliably, in order
+        else:
+            self._enqueue_peer(dst, msg)
 
     def _enqueue_peer(self, dst: int, msg) -> None:
         link = self._links[dst]
@@ -297,7 +289,7 @@ class ReplicaDaemon:
         else:
             transport.write(frame)
 
-    def _answer_client(self, reply: Reply) -> None:
+    def answer(self, request_id: bytes, reply: Reply) -> None:
         transport = self._client_transports.pop(reply.request_id, None)
         if transport is None:
             return  # the client went away; nothing to route

@@ -12,13 +12,11 @@ copy) inter-replica messages; replicas can crash-stop at scheduled times
 and groups can be partitioned for a window. Messages a replica addresses
 to itself take one reliable tick. Clients are closed-loop: each runs a
 generated script and issues the next operation one tick after the previous
-response. A request's loss timer fires ``effective_timeout()`` ticks after
-it is armed; a query that backs off after a disagreeing quorum prepares
-again ``(r + 2) * delay_max`` ticks later, where ``r`` is its retries so
-far. As in the daemon, a request has one timer: arming it again cancels
-the one before, and the request's end, or its replica's crash, cancels the
-last. A cancelled timer never fires, so it neither steps a replica nor
-appears in the trace.
+response. Replicas are driven through :class:`~crdtlin.protocol.Runtime`,
+whose timer rules hold here with ``effective_timeout()`` ticks as the
+timeout and ``delay_max`` ticks as the round trip; a replica's crash also
+cancels its timers. A cancelled timer neither steps a replica nor appears
+in the trace.
 
 While it runs, the simulator cross-checks execution invariants that the
 protocol promises: acceptor payloads only grow, each acceptor's
@@ -43,7 +41,7 @@ from pathlib import Path
 from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
 from .history import OpRecord, TraceEvent, op_dict, record_reply, write_history, write_trace
 from .messages import Ack, Reply, Request
-from .protocol import ProtocolConfig, Replica, TimerFire
+from .protocol import ProtocolConfig, Replica, Runtime, TimerFire
 
 __all__ = [
     "ConfigError",
@@ -268,7 +266,7 @@ class _ClientState:
     next_op: int = 0
 
 
-class Simulation:
+class Simulation(Runtime):
     """One configured run; faults come from the config's schedules."""
 
     def __init__(self, config: SimConfig):
@@ -307,10 +305,12 @@ class Simulation:
         self._next_op_id = 0
         self._seq = 0
         self._heap: list = []
-        self._timers: dict[bytes, list] = {}  # request id -> heap entry of its armed timer
+        self.timers: dict[bytes, list] = {}  # request id -> heap entry of its armed timer
+        self.timeout = cfg.effective_timeout()
+        self.round_trip = cfg.delay_max
+        self._sized = None  # the state sent last; states are immutable, so size it once
         self._now = 0
         self._tracing = cfg.record_trace
-        self._timeout = cfg.effective_timeout()
 
         # invariant monitor state
         self._last_acked: dict[int, SemilatticeValue] = {}
@@ -359,10 +359,11 @@ class Simulation:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def _cancel_timer(self, request_id: bytes) -> None:
-        entry = self._timers.pop(request_id, None)
-        if entry is not None:
-            entry[2] = None
+    def schedule(self, rid: int, delay: int, request_id: bytes) -> list:
+        return self._push(self._now + delay, self._process_timer, (rid, request_id))
+
+    def unschedule(self, entry: list) -> None:
+        entry[2] = None  # the run loop skips it
 
     def _trace(self, t: int, kind: str, detail: tuple[tuple[str, object], ...]) -> None:
         # callers test ``_tracing`` first, so an untraced run builds no detail
@@ -377,12 +378,12 @@ class Simulation:
         self.crashed.add(rid)
         self._alive.remove(rid)
         for request_id in self.replicas[rid].requests:
-            self._cancel_timer(request_id)  # a crashed replica's requests never end
+            self.cancel(request_id)  # a crashed replica's requests never end
         if self._tracing:
             self._trace(t, "crash", (("replica", rid),))
 
     def _process_timer(self, t: int, rid: int, request_id: bytes) -> None:
-        del self._timers[request_id]
+        del self.timers[request_id]
         if self._tracing:
             self._trace(t, "timer", (("replica", rid), ("request_id", request_id.hex()),))
         self._step_replica(t, rid, TimerFire(request_id))
@@ -454,37 +455,23 @@ class Simulation:
             return
         replica = self.replicas[rid]
         before_state = replica.acceptor.state
-        out = replica.step(event)
+        out = self.route(replica, event)
         if self.config.check_invariants:
             self._check_step_invariants(rid, replica, before_state, out)
-        for timer in out.timers:
-            if timer.backoff is None:
-                due = t + self._timeout
-            else:
-                due = t + (timer.backoff + 2) * self.config.delay_max
-            self._cancel_timer(timer.request_id)
-            self._timers[timer.request_id] = self._push(
-                due, self._process_timer, (rid, timer.request_id)
-            )
+        # recorded after routing: a step that retries a request never answers it
         for retry in out.retries:
             if retry.kind == "incremental":
                 self._incremental_times[retry.request_id].append(t)
-        sized = None  # a broadcast shares one state: size it once
-        for dst, msg in out.sends:
-            state = getattr(msg, "state", None)
-            if state is not None and state is not sized:
-                sized = state
-                size = state.canonical_size()
-                if size > self.metrics.max_payload_bytes:
-                    self.metrics.max_payload_bytes = size
-            self._send(t, rid, dst, msg)
-        for request_id, reply in out.replies:
-            self._deliver_reply(t, request_id, reply)
-            if request_id not in replica.requests:
-                self._cancel_timer(request_id)  # the request has ended
 
-    def _send(self, t: int, src: int, dst: int, msg) -> None:
+    def send(self, src: int, dst: int, msg) -> None:
         cfg = self.config
+        t = self._now
+        state = getattr(msg, "state", None)
+        if state is not None and state is not self._sized:
+            self._sized = state
+            size = state.canonical_size()
+            if size > self.metrics.max_payload_bytes:
+                self.metrics.max_payload_bytes = size
         mtype = type(msg).__name__
         self.metrics.messages_sent[mtype] += 1
         if dst == src:
@@ -511,7 +498,8 @@ class Simulation:
                 delay = self._delay_rng.randint(cfg.delay_min, cfg.delay_max)
             self._push(t + delay, self._process_deliver, (src, dst, msg))
 
-    def _deliver_reply(self, t: int, request_id: bytes, reply: Reply) -> None:
+    def answer(self, request_id: bytes, reply: Reply) -> None:
+        t = self._now
         rec = self.records[reply.request_id]
         record_reply(rec, reply, t)
         times = self._incremental_times.get(request_id)

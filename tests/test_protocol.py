@@ -2,15 +2,20 @@
 
 Each scenario drives a single replica (or a bare acceptor) with hand-built
 messages and checks the exact outputs. Expected states were worked out by
-hand on lattices small enough to eyeball.
+hand on lattices small enough to eyeball. The routing contract that both
+runtimes inherit is tested once, against a fake runtime that records its
+hooks.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crdtlin
 from crdtlin.crdt import (
     CausalTaggedState,
     GCounter,
@@ -25,8 +30,11 @@ from crdtlin.protocol import (
     ProtocolConfig,
     ProtocolError,
     Replica,
+    Runtime,
     TimerFire,
 )
+from crdtlin.service import ReplicaDaemon
+from crdtlin.sim import Simulation
 
 REQ = b"\x00" * 15 + b"\x01"
 
@@ -215,7 +223,7 @@ def test_disagreeing_quorum_backs_off_without_sending():
     out = disagree(r, req_id)
     assert out.sends == [] and out.replies == [] and out.retries == []
     # one back-off timer; no retries yet, so its count is 0
-    assert [t.backoff for t in out.timers] == [0]
+    assert [backoff for _, backoff in out.timers] == [0]
     assert r.requests[req_id].phase == "backing-off"
     assert r.requests[req_id].round_trips == 1
 
@@ -243,7 +251,7 @@ def test_backoff_fire_reprepares_with_gathered_as_one_retry():
     assert [retry.kind for retry in out.retries] == ["incremental"]
     req = r.requests[req_id]
     assert (req.phase, req.retries, req.round_trips) == ("preparing", 1, 2)
-    assert out.timers[0].backoff is None  # the loss timer again
+    assert out.timers[0][1] is None  # the loss timer again
     # a quorum of the new attempt that agrees ends the query
     s = GCounter((1, 1, 2))
     r.step(Ack(1, req_id, 2, s))
@@ -259,7 +267,7 @@ def test_second_backoff_counts_the_retries_so_far():
     r.step(TimerFire(req_id))
     r.step(Ack(1, req_id, 2, GCounter((1, 1, 0))))
     out = r.step(Ack(2, req_id, 2, GCounter((1, 2, 0))))
-    assert out.sends == [] and [t.backoff for t in out.timers] == [1]
+    assert out.sends == [] and [backoff for _, backoff in out.timers] == [1]
 
 
 def test_stale_ack_only_feeds_the_gathered_lub():
@@ -286,7 +294,7 @@ def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
     a_prime = CausalTaggedState(GSet(frozenset({b"x"})), (0, 2, 0))
     r.step(Ack(1, req_id, 1, a))
     out = r.step(Ack(2, req_id, 1, b))
-    assert out.replies == [] and [t.backoff for t in out.timers] == [0]
+    assert out.replies == [] and [backoff for _, backoff in out.timers] == [0]
     out = r.step(Ack(3, req_id, 1, a_prime))
     assert out.sends == [] and out.retries == []  # no second prepare
     [(_, reply)] = out.replies
@@ -314,7 +322,7 @@ def test_repeated_ack_never_counts_twice_toward_an_agreeing_group():
     r.step(Ack(2, req_id, 1, a))
     r.step(Ack(3, req_id, 1, b))
     out = r.step(Ack(4, req_id, 1, b))  # a quorum of 3 that disagrees
-    assert [t.backoff for t in out.timers] == [0]
+    assert [backoff for _, backoff in out.timers] == [0]
     for _ in range(3):
         out = r.step(Ack(2, req_id, 1, a))  # duplicated by the network
         assert out.replies == [] and out.timers == []
@@ -521,3 +529,102 @@ def test_unknown_event_is_a_protocol_error():
     for event in (UpdateOp.increment(), "merge", None):
         with pytest.raises(ProtocolError):
             r.step(event)
+
+
+# ---------------------------------------------------------------- runtime contract
+
+
+class _Handle:
+    def __init__(self, delay):
+        self.delay = delay
+        self.cancelled = False
+
+
+class _FakeRuntime(Runtime):
+    """Records each hook call in order; its timers never fire on their own."""
+
+    timeout = 7
+    round_trip = 3
+
+    def __init__(self):
+        self.timers = {}
+        self.calls = []
+
+    def schedule(self, rid, delay, request_id):
+        handle = _Handle(delay)
+        self.calls.append(("schedule", request_id, handle))
+        return handle
+
+    def unschedule(self, handle):
+        handle.cancelled = True
+        self.calls.append(("unschedule", handle))
+
+    def send(self, src, dst, msg):
+        self.calls.append(("send", src, dst, msg))
+
+    def answer(self, request_id, reply):
+        self.calls.append(("answer", request_id, reply))
+
+    def fire(self, replica, request_id):
+        del self.timers[request_id]
+        return self.route(replica, TimerFire(request_id))
+
+
+def test_runtime_rearming_a_timer_cancels_the_one_before_and_sizes_it():
+    rt, r = _FakeRuntime(), make_replica(rid=1, n=3)
+    rt.route(r, Request(9, client_req_id(90), QueryCommand.counter_value()))
+    [(req_id, loss)] = rt.timers.items()
+    assert loss.delay == rt.timeout
+    rt.route(r, Ack(1, req_id, 1, GCounter((1, 0, 0))))
+    rt.route(r, Ack(2, req_id, 1, GCounter((0, 1, 0))))  # a disagreeing quorum
+    backoff = rt.timers[req_id]
+    assert loss.cancelled and not backoff.cancelled
+    assert backoff.delay == (0 + 2) * rt.round_trip
+    rt.fire(r, req_id)  # prepares again under a fresh loss timer
+    assert rt.timers[req_id].delay == rt.timeout and not backoff.cancelled
+    rt.route(r, Ack(1, req_id, 2, GCounter((1, 1, 0))))
+    rt.route(r, Ack(2, req_id, 2, GCounter((1, 2, 0))))
+    assert rt.timers[req_id].delay == (1 + 2) * rt.round_trip  # back-off 1
+
+
+def test_runtime_cancels_a_timer_when_a_reply_ends_its_request():
+    rt, r = _FakeRuntime(), make_replica(rid=1, n=3)
+    rt.route(r, Request(9, client_req_id(90), QueryCommand.counter_value()))
+    [(req_id, loss)] = rt.timers.items()
+    rt.route(r, Ack(1, req_id, 1, GCounter((1, 0, 0))))
+    rt.route(r, Ack(2, req_id, 1, GCounter((1, 0, 0))))
+    assert loss.cancelled and rt.timers == {} and r.requests == {}
+    # a one-replica update ends within its first step, timer and all
+    rt, r = _FakeRuntime(), make_replica(rid=1, n=1)
+    rt.route(r, Request(1, client_req_id(1), UpdateOp.increment()))
+    assert [call[0] for call in rt.calls] == ["schedule", "answer", "unschedule"]
+    assert rt.calls[0][2].cancelled and rt.timers == {} and r.requests == {}
+
+
+def test_runtime_applies_timers_then_sends_then_replies():
+    # a finished batch hands over to the next in one step, whose first op a
+    # set rejects: the step replies to both batches but only the first ends
+    rt = _FakeRuntime()
+    r = Replica(1, ProtocolConfig(n_replicas=3, batching=True), GSet.empty())
+    rt.route(r, Request(1, client_req_id(1), UpdateOp.set_add(b"a")))
+    [(first, first_timer)] = rt.timers.items()
+    rt.route(r, Request(1, client_req_id(2), UpdateOp.increment()))
+    rt.route(r, Request(1, client_req_id(3), UpdateOp.set_add(b"c")))
+    rt.calls.clear()
+    out = rt.route(r, Merged(2, first))
+    assert [dst for dst, _ in out.sends] == [2, 3] and len(out.replies) == 2
+    [second] = r.requests
+    assert [call[0] for call in rt.calls] == [
+        "schedule", "send", "send", "answer", "unschedule", "answer"
+    ]
+    assert rt.calls[4] == ("unschedule", first_timer) and first_timer.cancelled
+    assert rt.calls[5][1] == second and not rt.timers[second].cancelled
+    assert [call[1] for call in rt.calls if call[0] == "answer"] == [first, second]
+
+
+def test_both_runtimes_route_through_the_one_contract():
+    assert Simulation.route is Runtime.route and ReplicaDaemon.route is Runtime.route
+    # so the timer-duration rule lives in protocol.py alone
+    src = Path(crdtlin.__file__).parent
+    naming = sorted(p.name for p in src.glob("*.py") if "backoff" in p.read_text())
+    assert naming == ["protocol.py"]

@@ -11,6 +11,7 @@ import struct
 import threading
 import time
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.history import merge_histories, read_history, write_history
 from crdtlin.messages import Merge, Merged, Reply, Request, UpdateOp
-from crdtlin.protocol import TimerFire, TimerRequest
+from crdtlin.protocol import PayloadRejected, TimerFire
 from crdtlin.service import (
     ClusterConfig,
     ClusterConfigError,
@@ -55,8 +56,8 @@ class Cluster:
         self.daemons: dict[int, ReplicaDaemon] = {}
         self.threads: dict[int, threading.Thread] = {}
 
-    def start(self, replica_id: int) -> None:
-        daemon = ReplicaDaemon(self.config, replica_id)
+    def start(self, replica_id: int, config: ClusterConfig | None = None) -> None:
+        daemon = ReplicaDaemon(config or self.config, replica_id)
         thread = threading.Thread(
             target=asyncio.run, args=(daemon.serve(),), daemon=True
         )
@@ -86,9 +87,10 @@ class Cluster:
 def cluster(caplog):
     started: list[Cluster] = []
 
-    def factory(n: int = 3, **config_kw) -> Cluster:
+    def factory(n: int = 3, *, start: bool = True, **config_kw) -> Cluster:
         c = Cluster(n, **config_kw)
-        c.start_all()
+        if start:
+            c.start_all()
         started.append(c)
         return c
 
@@ -344,46 +346,7 @@ def test_idle_daemon_fires_no_timers(cluster):
             alice.increment() if i % 4 == 0 else alice.value()
     time.sleep(0.5)  # more than twice the timeout
     assert fires == []  # every request's timer was cancelled once it was answered
-    assert all(not daemon._timers for daemon in c.daemons.values())
-
-
-class _RecordingHandle:
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _RecordingLoop:
-    """Stands in for a daemon's event loop: records each timer, runs none."""
-
-    def __init__(self):
-        self.handles: list[_RecordingHandle] = []
-
-    def call_later(self, delay, callback, *args) -> _RecordingHandle:
-        self.handles.append(_RecordingHandle())
-        return self.handles[-1]
-
-
-def test_daemon_rearming_a_request_timer_cancels_the_one_before():
-    daemon = ReplicaDaemon(Cluster(3).config, 1)
-    daemon._loop = _RecordingLoop()
-    rid = bytes(15) + b"\x05"
-    daemon._arm_timer(TimerRequest(rid))
-    daemon._arm_timer(TimerRequest(rid, backoff=0))
-    first, second = daemon._loop.handles
-    assert first.cancelled and not second.cancelled
-    assert daemon._timers == {rid: second}
-
-
-def test_daemon_update_in_a_one_replica_cluster_leaves_no_timer_armed():
-    daemon = ReplicaDaemon(Cluster(1).config, 1)
-    daemon._loop = _RecordingLoop()
-    daemon._dispatch(Request(0, bytes(16), UpdateOp.increment()))
-    (handle,) = daemon._loop.handles
-    assert handle.cancelled and daemon._timers == {}
-    assert daemon.replica.requests == {}
+    assert all(not daemon.timers for daemon in c.daemons.values())
 
 
 def test_batch_with_a_rejected_op_resends_its_lost_merge(cluster):
@@ -629,6 +592,13 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert any("holds 5 updates of replica 1" in w for w in warnings), warnings
     assert any("width 2" in w for w in warnings), warnings
+    # each frame starts with an empty local-hop queue, so what a frame refused
+    # midway left queued never reaches the replica with the next frame
+    idle = ReplicaDaemon(c.config, 1)
+    idle._local.append(Merged(1, rid_b))
+    with pytest.raises(PayloadRejected):
+        idle._dispatch(Merge(2, rid_a, forged))
+    assert not idle._local
     assert not [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
 
@@ -728,12 +698,105 @@ def test_benchmark_shaped_live_history_passes_every_check(cluster, tmp_path):
         for cl in clients:
             cl.close()
     assert not errors and not any(t.is_alive() for t in threads)
-    path = tmp_path / "history.jsonl"
+    history = _passes_the_live_checks(clients, tmp_path / "history.jsonl")
+    assert len(history) == 2 * ops
+
+
+class _DelayingForwarder:
+    """A loopback TCP forwarder to ``port`` on its own event loop: each chunk
+    leaves at least ``delay`` seconds after it arrives, in order."""
+
+    def __init__(self, port: int, delay: float = 0.005):
+        self.target, self.delay = port, delay
+        self.writers: set[asyncio.StreamWriter] = set()
+        self.loop = asyncio.new_event_loop()
+        self.server = self.loop.run_until_complete(
+            asyncio.start_server(self._forward, "127.0.0.1", 0)
+        )
+        self.port = self.server.sockets[0].getsockname()[1]
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.thread.start()
+
+    async def _forward(self, reader, writer) -> None:
+        self.writers.add(writer)
+        try:
+            up_reader, up_writer = await asyncio.open_connection("127.0.0.1", self.target)
+            self.writers.add(up_writer)
+            await asyncio.gather(self._pipe(reader, up_writer), self._pipe(up_reader, writer))
+        except OSError:
+            writer.close()
+
+    async def _pipe(self, reader, writer) -> None:
+        while chunk := await reader.read(65536):
+            await asyncio.sleep(self.delay)
+            writer.write(chunk)
+        writer.close()
+
+    def close(self) -> None:
+        async def stop() -> None:
+            self.server.close()
+            for writer in self.writers:
+                writer.close()
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=5)
+            await self.server.wait_closed()
+
+        asyncio.run_coroutine_threadsafe(stop(), self.loop).result(10)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(5)
+        self.loop.close()
+
+
+@pytest.mark.parametrize("batching", [False, True])
+def test_a_read_through_a_lagging_replica_sees_the_write_before_it(cluster, tmp_path, batching):
+    # replicas 1 and 2 reach replica 3 only through a 5 ms forwarder, so an
+    # increment through replica 1 completes on a quorum of 1 and 2 before
+    # replica 3 holds it; a read through replica 3 must still count it
+    c = cluster(3, start=False, batching=batching)
+    c.start(3)
+    forwarder = _DelayingForwarder(c.config.endpoint(3).port)
+    try:
+        lagging = ReplicaEndpoint(3, "127.0.0.1", forwarder.port)
+        detour = replace(c.config, replicas=c.config.replicas[:2] + (lagging,))
+        c.start(1, detour)
+        c.start(2, detour)
+        clients = [c.client(rid, client_id=rid, record=True) for rid in (1, 3)]
+        errors: list[Exception] = []
+
+        def pairs() -> None:
+            try:
+                for _ in range(30):
+                    clients[0].increment()
+                    clients[1].value()
+            except Exception as exc:  # surfaced after join
+                errors.append(exc)
+
+        thread = threading.Thread(target=pairs)
+        try:
+            thread.start()
+            thread.join(30)
+        finally:
+            for cl in clients:
+                cl.close()
+        assert not errors and not thread.is_alive()
+        history = _passes_the_live_checks(clients, tmp_path / "history.jsonl")
+        assert len(history) == 60
+    finally:
+        c.stop(1)
+        c.stop(2)
+        forwarder.close()
+
+
+def _passes_the_live_checks(clients: list[ReplicaClient], path) -> list:
+    """Apply the live benchmark's checks to the clients' merged history and
+    return it: a file round trip, every ok, the five checks, ``linearize``,
+    and the counter bound."""
     with open(path, "w") as fp:
         write_history(merge_histories(cl.history for cl in clients), fp)
     with open(path) as fp:
         history = read_history(fp)
-    assert len(history) == 2 * ops and all(r.outcome == "ok" for r in history)
+    assert all(r.outcome == "ok" for r in history)
     verdicts = check_all(history)
     assert all(v.passed for v in verdicts.values()), verdicts
     assert len(linearize(history).order) == len(history)
@@ -746,6 +809,7 @@ def test_benchmark_shaped_live_history_passes_every_check(cluster, tmp_path):
         if q.kind == "query":
             low, high = bisect_left(answered, q.invoke_t), bisect_right(invoked, q.response_t)
             assert low <= q.result <= high, (q, low, high)
+    return history
 
 
 def test_client_reports_request_failure(cluster):
