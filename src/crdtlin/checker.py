@@ -64,7 +64,6 @@ __all__ = [
     "check_validity",
     "linearize",
     "linearizability_oracle",
-    "subhistory",
 ]
 
 Frontier = tuple[int, ...]
@@ -114,11 +113,6 @@ class SequentialWitness:
 
     order: tuple[int, ...]
     levels: tuple[Frontier, ...]
-
-
-def subhistory(history: list[OpRecord], op_ids) -> list[OpRecord]:
-    wanted = set(op_ids)
-    return [rec for rec in history if rec.op_id in wanted]
 
 
 # --------------------------------------------------------------- extraction

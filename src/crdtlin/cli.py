@@ -89,13 +89,13 @@ def _parse_partition(text: str) -> tuple[tuple[tuple[int, ...], ...], int, int]:
 
 def _parse_seeds(text: str) -> range:
     try:
-        if ".." in text:
-            first, last = text.split("..")
-            return range(int(first), int(last) + 1)
-        single = int(text)
-        return range(single, single + 1)
+        first, last = text.split("..") if ".." in text else (text, text)
+        seeds = range(int(first), int(last) + 1)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"seed range {text!r} is not A..B") from exc
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} is empty: A must not exceed B")
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -159,10 +159,6 @@ class GSet(SemilatticeValue):
     def empty(cls) -> "GSet":
         return cls(frozenset())
 
-    @classmethod
-    def of(cls, *elements: bytes) -> "GSet":
-        return cls(frozenset(elements))
-
     def _check(self, other: "SemilatticeValue") -> "GSet":
         if not isinstance(other, GSet):
             raise ShapeError(f"cannot combine GSet with {type(other).__name__}")
@@ -227,13 +223,6 @@ class CausalTaggedState(SemilatticeValue):
         if n_replicas < 1:
             raise ShapeError(f"frontier needs at least one replica, got {n_replicas}")
         return cls(value, (0,) * n_replicas)
-
-    @property
-    def tags(self) -> tuple[CausalTag, ...]:
-        """Every tag folded in, expanded from the frontier, in sorted order."""
-        return tuple(
-            (r, k) for r, top in enumerate(self.frontier, 1) for k in range(1, top + 1)
-        )
 
     def _check(self, other: "SemilatticeValue") -> "CausalTaggedState":
         if not isinstance(other, CausalTaggedState):

@@ -1,16 +1,19 @@
 """Proposer and acceptor handlers for quorum-replicated CRDT state.
 
-Every replica runs both roles. Updates apply at the proposer's co-located
-acceptor and spread through a single merge round. A query broadcasts a
-prepare; every acceptor folds its payload in and acks with its own. As soon
-as a quorum of the live attempt's acks hold equivalent payloads, the query
-learns their join. When the attempt's first quorum disagrees (updates raced
-the prepare), the proposer sends nothing and asks for a back-off timer; it
-keeps counting the attempt's acks meanwhile, and folds every ack into
-everything gathered so far. If no agreeing quorum forms before the timer
-fires, it prepares again with that least upper bound. A lost prepare or ack
-retries the same way when the loss timer fires. Once writes quiesce, a
-retry carrying everything gathered ends the query.
+Every replica runs both roles. Its acceptor is its payload,
+``Replica.state``, which only grows, and every peer message first passes
+one gate, ``Replica._admit``. Updates apply at the proposer's own payload
+and spread through a single merge round; a query broadcasts a prepare. One
+handler answers a merge and a prepare alike: it folds the payload in and
+answers with a ``Merged``, or with an ``Ack`` carrying the merged state. As
+soon as a quorum of the live attempt's acks hold equivalent payloads, the
+query learns their join. When the attempt's first quorum disagrees (updates
+raced the prepare), the proposer sends nothing and asks for a back-off
+timer; it keeps counting the attempt's acks meanwhile, and folds every ack
+into everything gathered so far. If no agreeing quorum forms before the
+timer fires, it prepares again with that least upper bound. A lost prepare
+or ack retries the same way when the loss timer fires. Once writes quiesce,
+a retry carrying everything gathered ends the query.
 
 Learning from any agreeing quorum is safe. Each ack is its acceptor's
 payload right after it merged the prepare, and payloads only grow; two
@@ -127,29 +130,6 @@ class Runtime:
             self.unschedule(handle)
 
 
-# ------------------------------------------------------------------ acceptor
-
-
-class Acceptor:
-    """Holder of the replica's CRDT payload, which only ever grows: the
-    proposer applies local updates to it, merges and prepares fold remote
-    payloads in."""
-
-    __slots__ = ("rid", "state")
-
-    def __init__(self, rid: int, initial: SemilatticeValue):
-        self.rid = rid
-        self.state = initial
-
-    def on_merge(self, m: Merge) -> Merged:
-        self.state = self.state.merge(m.state)
-        return Merged(sender=self.rid, request_id=m.request_id)
-
-    def on_prepare(self, m: Prepare) -> Ack:
-        self.state = self.state.merge(m.state)
-        return Ack(self.rid, m.request_id, m.attempt, self.state)
-
-
 # ------------------------------------------------------------------ proposer
 
 
@@ -160,8 +140,8 @@ class ProposerRequest:
     request_id: bytes
     kind: str  # "update" | "query"
     ops: list[tuple[bytes, object]]  # (client request id, an update's tag or the query command)
-    phase: str  # "merging" | "preparing" | "backing-off"
     attempt: int = 1  # number of the live prepare
+    backing_off: bool = False  # a query whose live attempt's first quorum disagreed
     acks: dict[int, SemilatticeValue] = field(default_factory=dict)  # of the live prepare
     merged: set[int] = field(default_factory=set)
     gathered: SemilatticeValue | None = None  # LUB of every payload seen so far
@@ -183,19 +163,19 @@ class Replica:
             raise ProtocolError(f"replica id {rid} outside 1..{config.n_replicas}")
         self.rid = rid
         self.config = config
-        self.acceptor = Acceptor(rid, initial)
+        self.state = initial  # the acceptor: this replica's payload
         self.requests: dict[bytes, ProposerRequest] = {}
         self._request_counter = 0
         self._update_seq = 0
         # by request kind: ops waiting for the next batch, and the batch in flight
         self._pending: dict[str, list[tuple[bytes, object]]] = {"update": [], "query": []}
         self._inflight: dict[str, bytes | None] = {"update": None, "query": None}
-        # one handler per event type; peer payloads pass _admit before any state changes
+        # one handler per event type; every peer message passes _admit first
         self._handlers = {
             Request: self._submit,
             TimerFire: self.on_timeout,
-            Merge: self._on_acceptor_message,
-            Prepare: self._on_acceptor_message,
+            Merge: self._accept,
+            Prepare: self._accept,
             Merged: self.on_merged,
             Ack: self.on_ack,
         }
@@ -227,10 +207,13 @@ class Replica:
         handler(event, out)
         return out
 
-    def _admit(self, m) -> None:
-        frontier = m.state.frontier
-        if frontier is None:
-            return  # a mismatched shape raises ShapeError in the merge itself
+    def _admit(self, m) -> bool:
+        """The gate every peer message passes first. False drops a sender
+        outside the cluster; a forged or misshapen payload raises."""
+        if not 1 <= m.sender <= self.config.n_replicas:
+            return False
+        if type(m) is Merged or (frontier := m.state.frontier) is None:
+            return True  # a mismatched shape raises ShapeError in the merge itself
         if len(frontier) != self.config.n_replicas:
             raise ShapeError(
                 f"frontier of width {len(frontier)} in a {self.config.n_replicas}-replica cluster"
@@ -244,15 +227,19 @@ class Replica:
                 f"{type(m).__name__} from replica {m.sender} holds {claimed} updates "
                 f"of replica {self.rid}, which has issued {self._update_seq}"
             )
+        return True
 
-    def _on_acceptor_message(self, m, out: StepOutput) -> None:
-        self._admit(m)
-        if not 1 <= m.sender <= self.config.n_replicas:
+    # -- acceptor
+
+    def _accept(self, m: Merge | Prepare, out: StepOutput) -> None:
+        """Fold a merge's or a prepare's payload in and answer it."""
+        if not self._admit(m):
             return
-        if isinstance(m, Merge):
-            reply = self.acceptor.on_merge(m)
+        self.state = self.state.merge(m.state)
+        if type(m) is Merge:
+            reply = Merged(self.rid, m.request_id)
         else:
-            reply = self.acceptor.on_prepare(m)
+            reply = Ack(self.rid, m.request_id, m.attempt, self.state)
         out.sends.append((m.sender, reply))
 
     # -- client operations and batching
@@ -280,7 +267,7 @@ class Replica:
         for client_request_id, op in items:
             tag = (self.rid, self._update_seq + 1)
             try:
-                self.acceptor.state = apply_update(op, tag, self.acceptor.state)
+                self.state = apply_update(op, tag, self.state)
             except CommandError as exc:
                 reply = Reply(self.rid, client_request_id, False, reason=str(exc))
                 out.replies.append((request_id, reply))
@@ -294,9 +281,8 @@ class Replica:
             request_id=request_id,
             kind="update",
             ops=tagged,
-            phase="merging",
             merged={self.rid},
-            merge_state=self.acceptor.state,
+            merge_state=self.state,
             round_trips=1,
         )
         self.requests[request_id] = req
@@ -308,12 +294,11 @@ class Replica:
 
     def _start_query(self, items, out: StepOutput) -> ProposerRequest:
         request_id = self._new_request_id()
-        payload = self.acceptor.state  # start from the local payload, not bottom
+        payload = self.state  # start from the local payload, not bottom
         req = ProposerRequest(
             request_id=request_id,
             kind="query",
             ops=items,
-            phase="preparing",
             gathered=payload,
             round_trips=1,
         )
@@ -325,10 +310,10 @@ class Replica:
     # -- proposer message handlers
 
     def on_merged(self, m: Merged, out: StepOutput) -> None:
+        if not self._admit(m):
+            return
         req = self.requests.get(m.request_id)
         if req is None or req.kind != "update":
-            return
-        if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.merged.add(m.sender)
         self._check_merge_quorum(req, out)
@@ -341,11 +326,10 @@ class Replica:
         self._finish(req, out)
 
     def on_ack(self, m: Ack, out: StepOutput) -> None:
-        self._admit(m)
+        if not self._admit(m):
+            return
         req = self.requests.get(m.request_id)
         if req is None or req.kind != "query":
-            return
-        if not 1 <= m.sender <= self.config.n_replicas:
             return
         req.gathered = req.gathered.merge(m.state)
         if m.attempt != req.attempt or m.sender in req.acks:
@@ -362,10 +346,10 @@ class Replica:
             for s in agreeing.values():
                 learned = learned.merge(s)  # equivalent values; the join keeps every tag
             self._complete_query(req, learned, out)
-        elif req.phase == "preparing":
+        elif not req.backing_off:
             # the first quorum disagrees, as updates raced the prepare: wait
             # for them to spread, then prepare again with everything gathered
-            req.phase = "backing-off"
+            req.backing_off = True
             self._arm_timer(req, out, backoff=req.retries)
 
     def on_timeout(self, event: TimerFire, out: StepOutput) -> None:
@@ -389,7 +373,7 @@ class Replica:
         req.retries += 1
         if self._retries_exhausted(req, out):
             return
-        req.phase = "preparing"
+        req.backing_off = False
         req.attempt += 1
         req.acks = {}
         req.round_trips += 1
@@ -403,7 +387,7 @@ class Replica:
             return False
         for client_request_id, entry in req.ops:
             # a failed update may still take effect: its payload already merged
-            # into the local acceptor, so surface the tentative tag
+            # into the local payload, so surface the tentative tag
             tag = entry if req.kind == "update" else None
             self._reply(req, client_request_id, False, out, reason="max-retries", tag=tag)
         self._finish(req, out)

@@ -454,7 +454,7 @@ class Simulation(Runtime):
         if rid in self.crashed:
             return
         replica = self.replicas[rid]
-        before_state = replica.acceptor.state
+        before_state = replica.state
         out = self.route(replica, event)
         if self.config.check_invariants:
             self._check_step_invariants(rid, replica, before_state, out)
@@ -518,7 +518,7 @@ class Simulation(Runtime):
     # -- execution invariants
 
     def _check_step_invariants(self, rid, replica, before_state, out) -> None:
-        after = replica.acceptor.state
+        after = replica.state
         if not before_state.compare(after):
             raise InvariantViolation(f"replica {rid} acceptor payload shrank")
         for _dst, msg in out.sends:
@@ -534,7 +534,7 @@ class Simulation(Runtime):
                 continue
             checked = learned
             dominating = {
-                r for r, rep in self.replicas.items() if learned.compare(rep.acceptor.state)
+                r for r, rep in self.replicas.items() if learned.compare(rep.state)
             }
             if not replica.is_quorum(dominating):
                 raise InvariantViolation(

@@ -115,6 +115,14 @@ def test_sim_rejects_bad_config(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sim_rejects_an_empty_seed_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sim", "--seeds", "5..3")
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert "is empty" in err.err and err.out == ""
+
+
 def test_sim_metrics_to_stdout_without_out(capsys):
     assert run_cli("sim", "--clients", "1", "--ops", "3", "--no-trace") == 0
     out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 """Handler-level protocol tests.
 
-Each scenario drives a single replica (or a bare acceptor) with hand-built
+Each scenario drives a single replica through ``Replica.step`` with hand-built
 messages and checks the exact outputs. Expected states were worked out by
 hand on lattices small enough to eyeball. The routing contract that both
 runtimes inherit is tested once, against a fake runtime that records its
@@ -25,7 +25,6 @@ from crdtlin.crdt import (
 )
 from crdtlin.messages import Ack, Merge, Merged, Prepare, Request, UpdateOp
 from crdtlin.protocol import (
-    Acceptor,
     PayloadRejected,
     ProtocolConfig,
     ProtocolError,
@@ -56,28 +55,33 @@ def sends_by_type(out, cls):
 # ---------------------------------------------------------------- acceptor
 
 
+def acceptor(rid, state):
+    """A replica holding ``state`` with no request of its own: its acceptor alone."""
+    return Replica(rid, ProtocolConfig(n_replicas=len(state.counts)), state)
+
+
 def test_merge_folds_the_payload():
-    a = Acceptor(2, GCounter((1, 0, 2)))
-    reply = a.on_merge(Merge(sender=1, request_id=REQ, state=GCounter((0, 3, 2))))
+    a = acceptor(2, GCounter((1, 0, 2)))
+    [(dst, reply)] = a.step(Merge(sender=1, request_id=REQ, state=GCounter((0, 3, 2)))).sends
     assert a.state == GCounter((1, 3, 2))
-    assert reply == Merged(sender=2, request_id=REQ)
+    assert dst == 1 and reply == Merged(sender=2, request_id=REQ)
 
 
 def test_duplicate_merge_is_idempotent_but_still_answered():
-    a = Acceptor(2, GCounter.zero(3))
+    a = acceptor(2, GCounter.zero(3))
     m = Merge(sender=1, request_id=REQ, state=GCounter((1, 0, 0)))
-    first = a.on_merge(m)
+    first = a.step(m).sends
     state_after = a.state
-    second = a.on_merge(m)
+    second = a.step(m).sends
     assert a.state == state_after
-    assert first == second == Merged(sender=2, request_id=REQ)
+    assert first == second == [(1, Merged(sender=2, request_id=REQ))]
 
 
 def test_incremental_prepare_always_accepted():
-    a = Acceptor(1, GCounter((1, 0)))
-    reply = a.on_prepare(Prepare(2, REQ, 3, GCounter((0, 1))))
+    a = acceptor(1, GCounter((1, 0)))
+    [(dst, reply)] = a.step(Prepare(2, REQ, 3, GCounter((0, 1)))).sends
     assert a.state == GCounter((1, 1))
-    assert reply == Ack(1, REQ, 3, GCounter((1, 1)))  # answers the prepare's attempt
+    assert dst == 2 and reply == Ack(1, REQ, 3, GCounter((1, 1)))  # answers the prepare's attempt
 
 
 _counters = st.lists(st.integers(0, 5), min_size=3, max_size=3).map(
@@ -87,8 +91,8 @@ _counters = st.lists(st.integers(0, 5), min_size=3, max_size=3).map(
 
 @given(_counters, _counters, st.integers(1, 60))
 def test_prepare_always_acks_with_a_state_at_least_the_prepares(held, sent, attempt):
-    a = Acceptor(1, held)
-    reply = a.on_prepare(Prepare(2, REQ, attempt, sent))
+    a = acceptor(1, held)
+    [(_, reply)] = a.step(Prepare(2, REQ, attempt, sent)).sends
     assert isinstance(reply, Ack) and reply.attempt == attempt
     assert sent.compare(reply.state) and held.compare(reply.state)
     assert reply.state == a.state
@@ -117,7 +121,7 @@ def test_round_ids_distinct_across_processes():
 def test_client_update_applies_locally_then_merges():
     r = make_replica(rid=1, n=3)
     out = r.step(Request(7, client_req_id(70), UpdateOp.increment()))
-    assert r.acceptor.state == GCounter((1, 0, 0))
+    assert r.state == GCounter((1, 0, 0))
     merges = sends_by_type(out, Merge)
     assert [dst for dst, _ in merges] == [2, 3]
     assert all(m.state == GCounter((1, 0, 0)) for _, m in merges)
@@ -192,7 +196,7 @@ def disagree(r, req_id):
 
 def test_query_prepare_carries_local_payload():
     r = make_replica(rid=2, n=3)
-    r.acceptor.state = GCounter((0, 4, 0))
+    r.state = GCounter((0, 4, 0))
     _, out = start_query(r)
     assert all(m.state == GCounter((0, 4, 0)) for _, m in sends_by_type(out, Prepare))
 
@@ -224,7 +228,7 @@ def test_disagreeing_quorum_backs_off_without_sending():
     assert out.sends == [] and out.replies == [] and out.retries == []
     # one back-off timer; no retries yet, so its count is 0
     assert [backoff for _, backoff in out.timers] == [0]
-    assert r.requests[req_id].phase == "backing-off"
+    assert r.requests[req_id].backing_off
     assert r.requests[req_id].round_trips == 1
 
 
@@ -250,7 +254,7 @@ def test_backoff_fire_reprepares_with_gathered_as_one_retry():
     assert msg.state == GCounter((1, 1, 2))  # LUB of everything received
     assert [retry.kind for retry in out.retries] == ["incremental"]
     req = r.requests[req_id]
-    assert (req.phase, req.retries, req.round_trips) == ("preparing", 1, 2)
+    assert (req.backing_off, req.retries, req.round_trips) == (False, 1, 2)
     assert out.timers[0][1] is None  # the loss timer again
     # a quorum of the new attempt that agrees ends the query
     s = GCounter((1, 1, 2))
@@ -381,17 +385,28 @@ def test_replies_to_unknown_request_ids_dropped():
     assert r.step(Merged(2, ghost)).replies == []
 
 
-def test_senders_outside_the_cluster_ignored():
-    r = make_replica(rid=1, n=3)
-    req_id, _ = start_query(r)
-    out = r.step(Ack(17, req_id, 1, GCounter((0, 0, 5))))
-    assert out.sends == [] and out.timers == []
-    # an ack from outside the cluster neither counts toward a quorum nor feeds the LUB
-    assert r.requests[req_id].acks == {}
-    assert r.requests[req_id].gathered == GCounter.zero(3)
-    # nor is a prepare from outside answered or merged
-    assert r.step(Prepare(17, REQ, 1, GCounter((0, 0, 5)))).sends == []
-    assert r.acceptor.state == GCounter.zero(3)
+@pytest.mark.parametrize("kind", ["Merge", "Prepare", "Merged", "Ack"])
+def test_senders_outside_the_cluster_ignored(kind):
+    for sender in (0, 4, 17):
+        r = make_replica(rid=1, n=3)
+        out = r.step(Request(1, client_req_id(1), UpdateOp.increment()))
+        update_id = sends_by_type(out, Merge)[0][1].request_id
+        query_id, _ = start_query(r)
+        before = r.state
+        payload = GCounter((0, 0, 5))
+        msg = {
+            "Merge": Merge(sender, REQ, payload),
+            "Prepare": Prepare(sender, REQ, 1, payload),
+            "Merged": Merged(sender, update_id),  # with the proposer's own, a quorum of 2
+            "Ack": Ack(sender, query_id, 1, payload),
+        }[kind]
+        out = r.step(msg)
+        assert out.sends == [] and out.replies == [] and out.timers == []
+        # nothing is merged, and nothing counts toward a quorum or feeds the LUB
+        assert r.state == before
+        assert r.requests[update_id].merged == {1}
+        assert r.requests[query_id].acks == {}
+        assert r.requests[query_id].gathered == before
 
 
 def test_learned_state_attached_only_when_exposed():
@@ -465,7 +480,7 @@ def test_single_replica_batch_does_not_wedge():
     assert out.replies and out.replies[0][1].ok
     out2 = r.step(Request(0, client_req_id(1), UpdateOp.increment()))
     assert out2.replies and out2.replies[0][1].ok
-    assert r.acceptor.state == GCounter((2,))
+    assert r.state == GCounter((2,))
 
 
 # ---------------------------------------------------------------- invariants
@@ -506,7 +521,7 @@ def test_rejected_update_burns_no_tag(tagged):
 def test_payload_claiming_unissued_local_updates_is_refused():
     config = ProtocolConfig(n_replicas=3)
     r = Replica(2, config, CausalTaggedState.initial(GCounter.zero(3), 3))
-    before = r.acceptor.state
+    before = r.state
     forged = CausalTaggedState(GCounter((0, 1, 0)), (0, 1, 0))  # (2, 1) was never issued
     for msg in (
         Merge(1, REQ, forged),
@@ -517,11 +532,13 @@ def test_payload_claiming_unissued_local_updates_is_refused():
             r.step(msg)
     with pytest.raises(ShapeError):
         r.step(Merge(1, REQ, CausalTaggedState.initial(GCounter.zero(3), 2)))
-    assert r.acceptor.state == before
+    assert r.state == before
     # once (2, 1) is issued here, the same payload is an ordinary merge
     out = r.step(Request(1, client_req_id(1), UpdateOp.increment()))
     assert sends_by_type(out, Merge)
     assert r.step(Merge(1, REQ, forged)).sends == [(1, Merged(2, REQ))]
+    # from outside the cluster, a forged payload is dropped before it is read
+    assert r.step(Merge(17, REQ, CausalTaggedState(GCounter((0, 0, 0)), (0, 9, 0)))).sends == []
 
 
 def test_unknown_event_is_a_protocol_error():

@@ -475,7 +475,7 @@ def test_a_replica_links_to_a_peer_as_soon_as_it_connects(monkeypatch):
 
 def test_link_to_a_down_peer_holds_no_more_than_the_byte_cap(caplog):
     caplog.set_level(logging.DEBUG, logger="crdtlin.service")
-    element = GSet.of(b"x" * 65536)
+    element = GSet(frozenset({b"x" * 65536}))
     c = Cluster(2, crdt="gset")
     c.start(1)  # replica 2 never starts
     daemon = c.daemons[1]
@@ -520,7 +520,7 @@ def test_malformed_frame_drops_connection_but_not_daemon(cluster):
 
 def test_oversized_frame_to_a_peer_is_dropped_and_the_link_kept(caplog):
     rid_a, rid_b = bytes(15) + b"\x01", bytes(15) + b"\x02"
-    huge = GSet.of(b"a" * (MAX_FRAME // 2), b"b" * (MAX_FRAME // 2))
+    huge = GSet(frozenset({b"a" * (MAX_FRAME // 2), b"b" * (MAX_FRAME // 2)}))
     c = Cluster(2, crdt="gset")
     # a bare listener stands in for replica 2 and reads what replica 1 sends it
     with socket.create_server(("127.0.0.1", c.config.endpoint(2).port)) as peer:

@@ -18,8 +18,8 @@ from crdtlin.history import (
     record_to_json,
     write_trace,
 )
-from crdtlin.messages import Merged, Reply
-from crdtlin.protocol import Acceptor, Replica, TimerFire
+from crdtlin.messages import Merge, Merged, Reply
+from crdtlin.protocol import Replica, TimerFire
 from crdtlin.sim import (
     ConfigError,
     InvariantViolation,
@@ -446,7 +446,7 @@ def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
     elements = [b"element-%04d" % i for i in range(1000)]
     reply = Reply(
         0, bytes(16), True, result=False,
-        learned=CausalTaggedState(GSet.of(*elements), (400, 300, 300)), round_trips=1,
+        learned=CausalTaggedState(GSet(frozenset(elements)), (400, 300, 300)), round_trips=1,
     )
     rec = OpRecord(op_id=1, client=0, replica=1, kind="query",
                    op=op_dict(QueryCommand.set_contains(b"absent")), invoke_t=0)
@@ -480,11 +480,15 @@ def test_metrics_csv_and_bench_summary_share_one_percentile():
 
 
 def test_monitor_catches_an_acceptor_that_overwrites_instead_of_merging(monkeypatch):
-    def overwrite(self, m):
-        self.state = m.state
-        return Merged(sender=self.rid, request_id=m.request_id)
+    accept = Replica._accept
 
-    monkeypatch.setattr(Acceptor, "on_merge", overwrite)
+    def overwrite(self, m, out):
+        if type(m) is not Merge:
+            return accept(self, m, out)  # a prepare still merges
+        self.state = m.state
+        out.sends.append((m.sender, Merged(sender=self.rid, request_id=m.request_id)))
+
+    monkeypatch.setattr(Replica, "_accept", overwrite)
     config = SimConfig(n_replicas=3, n_clients=4, update_fraction=0.8, ops_per_client=20,
                        delay_max=3, seed=1)
     with pytest.raises(InvariantViolation, match="payload shrank"):

@@ -227,7 +227,7 @@ def test_hundred_thousand_random_valid_messages_round_trip():
         assert decode_payload(encode(msg)[4:]) == msg
 
 
-_TAGGED_SET = CausalTaggedState(GSet.of(b"e1", b"e22"), (2, 0, 1))
+_TAGGED_SET = CausalTaggedState(GSet(frozenset({b"e1", b"e22"})), (2, 0, 1))
 _HEAD = "000102030405060708090a0b0c0d0e0f"  # RID
 _TAGGED_HEX = (
     "0000003a5443000000030000000000000003000000000000000000000000000000070000000300"

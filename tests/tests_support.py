@@ -1,6 +1,17 @@
-"""Record builders shared by the CLI and acceptance tests."""
+"""Builders shared by the tests: history records, sets, and a tagged
+state's tags."""
 
+from crdtlin.crdt import GSet
 from crdtlin.history import OpRecord
+
+
+def gset(*elements: bytes) -> GSet:
+    return GSet(frozenset(elements))
+
+
+def tags(state) -> tuple:
+    """Every tag folded into a tagged state, expanded from its frontier, in sorted order."""
+    return tuple((r, k) for r, top in enumerate(state.frontier, 1) for k in range(1, top + 1))
 
 
 def make_update(op_id, inv, resp, tag, outcome="ok", client=0):
