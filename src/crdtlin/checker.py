@@ -4,7 +4,7 @@ The checks work on causal tags rather than replicated payloads. Replica
 ``r`` tags its updates ``(r, 1), (r, 2), ...`` and every payload holds a
 prefix of each replica's sequence, so a learned state is a downward-closed
 tag set, recorded as its per-replica frontier: tag ``(r, k)`` is learned
-iff ``k <= frontier[r - 1]``. Two instrumented states have the same
+iff ``k <= frontier[r - 1]``. Two payloads have the same
 frontier exactly when they are the join of the same updates, so the
 pointwise order on frontiers is a faithful, payload-agnostic stand-in for
 the lattice order, and it stays exact even when a query response only

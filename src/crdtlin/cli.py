@@ -132,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout-ticks", type=int, default=None)
     p.add_argument("--max-retries", type=int, default=50)
     p.add_argument("--batching", action="store_true")
-    p.add_argument("--no-instrument", action="store_true")
+    p.add_argument("--no-instrument", action="store_true",
+                   help="record no learned frontiers, so crdtlin check cannot verify the history")
     p.add_argument("--no-invariants", action="store_true")
     p.add_argument("--no-trace", action="store_true")
     p.add_argument("--horizon", type=int, default=1_000_000, help="virtual time limit")

@@ -5,12 +5,12 @@ gives it, ``apply_update(op, tag, state)``; a counter's slot is the tag's origin
 
 The replication layer is generic over ``SemilatticeValue``: anything with a
 partial-order ``compare``, a least-upper-bound ``merge``, a canonical byte
-form and a ``frontier``. The grow-only counter and grow-only set shipped here
-carry no update tags, so their frontier is None; ``CausalTaggedState`` wraps
-any value with the tags that produced it. Each replica applies its own tags
-in sequence, so that tag set is summarised by a per-replica frontier (a
-version vector); instrumented runs record the frontier each query learned
-and the checker works on it directly, so instrumentation costs O(replicas)
+form and a ``frontier``. Each replica applies its own tags in sequence, so
+the tags in a payload are summarised by a per-replica frontier (a version
+vector). Each CRDT has one payload form, which ``initial_state`` picks: a
+``GCounter`` is its own frontier, since each slot counts its own replica's
+tags, and a ``GSet`` travels inside a ``CausalTaggedState`` that carries one.
+The checker works on learned frontiers directly, so they cost O(replicas)
 per payload and per recorded query, however long the history.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from operator import le
+from operator import attrgetter, le
 
 __all__ = [
     "CRDT_KINDS",
@@ -98,7 +98,7 @@ class GCounter(SemilatticeValue):
     """
 
     counts: tuple[int, ...]
-    frontier = None  # carries no tags; a class attribute, not a field
+    frontier = property(attrgetter("counts"))  # slot r - 1 counts replica r's tags
 
     @classmethod
     def zero(cls, width: int) -> "GCounter":
@@ -153,7 +153,7 @@ class GSet(SemilatticeValue):
     """Grow-only set of opaque byte strings."""
 
     elements: frozenset[bytes]
-    frontier = None  # carries no tags; a class attribute, not a field
+    frontier = None  # its payload's CausalTaggedState has one; a class attribute, not a field
 
     @classmethod
     def empty(cls) -> "GSet":
@@ -201,18 +201,14 @@ class GSet(SemilatticeValue):
 
 @dataclass(frozen=True, slots=True)
 class CausalTaggedState(SemilatticeValue):
-    """A value plus the tags of every update folded into it.
+    """A value plus the tags of every update folded into it: a set's payload.
 
     Replica ``r`` issues tags ``(r, 1), (r, 2), ...`` and applies them to its
     own payload in that order, so every payload holds a prefix of each
     replica's sequence. ``frontier[r - 1]`` is the length of replica ``r``'s
     prefix: tag ``(r, k)`` is present iff ``frontier[r - 1] >= k``. The width
-    is fixed at cluster creation, like ``GCounter``'s, and a tagged payload
-    costs 8 bytes per replica whatever the history length.
-
-    Ordering is driven by the wrapped value alone so that tagged runs behave
-    exactly like untagged ones; the frontier rides along as bookkeeping and
-    merges by pointwise max.
+    is fixed at cluster creation and the frontier merges by pointwise max, but
+    payloads are ordered by the wrapped value alone, as counters are.
     """
 
     value: SemilatticeValue
@@ -260,16 +256,15 @@ class CausalTaggedState(SemilatticeValue):
         return 1 + self.value.canonical_size() + 4 + 8 * len(self.frontier)
 
 
-def initial_state(crdt: str, n_replicas: int, tagged: bool) -> SemilatticeValue:
-    """The empty state of a ``crdt`` cluster of ``n_replicas``; with ``tagged``,
-    wrapped in a ``CausalTaggedState`` whose frontier records no update yet."""
+def initial_state(crdt: str, n_replicas: int) -> SemilatticeValue:
+    """The empty payload of a ``crdt`` cluster of ``n_replicas``, in the one
+    form that CRDT has: a zero counter, or an empty set in a
+    ``CausalTaggedState`` whose frontier records no update yet."""
     if crdt == "gcounter":
-        base: SemilatticeValue = GCounter.zero(n_replicas)
-    elif crdt == "gset":
-        base = GSet.empty()
-    else:
-        raise ValueError(f"unknown crdt {crdt!r}, expected one of {', '.join(CRDT_KINDS)}")
-    return CausalTaggedState.initial(base, n_replicas) if tagged else base
+        return GCounter.zero(n_replicas)
+    if crdt == "gset":
+        return CausalTaggedState.initial(GSet.empty(), n_replicas)
+    raise ValueError(f"unknown crdt {crdt!r}, expected one of {', '.join(CRDT_KINDS)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,19 +323,20 @@ def apply_update(op: UpdateOp, tag: CausalTag, state: SemilatticeValue) -> Semil
     """Apply ``op`` under the causal ``tag`` its proposer gave it, returning an
     inflated copy of ``state``; a counter increments the slot of the tag's
     origin. Every check of an update's kind and element is made here."""
-    if isinstance(state, CausalTaggedState):
+    frontier = state.frontier
+    if frontier is not None:
         # the closure invariant behind the frontier: each origin's tags
         # arrive at its own payload in sequence, with no gap or repeat
         origin, seq = tag
-        frontier = list(state.frontier)
         if not 1 <= origin <= len(frontier):
             raise CommandError(f"tag origin {origin} outside 1..{len(frontier)}")
         if seq != frontier[origin - 1] + 1:
             raise CommandError(
                 f"tag {tag} out of sequence: replica {origin} is at {frontier[origin - 1]}"
             )
-        frontier[origin - 1] = seq
-        return CausalTaggedState(apply_update(op, tag, state.value), tuple(frontier))
+        if isinstance(state, CausalTaggedState):
+            frontier = frontier[: origin - 1] + (seq,) + frontier[origin:]
+            return CausalTaggedState(apply_update(op, tag, state.value), frontier)
     if op.kind == "increment":
         if not isinstance(state, GCounter):
             raise CommandError("increment targets a counter state")

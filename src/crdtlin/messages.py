@@ -62,8 +62,8 @@ class Reply:
     client already holds the request it answers. ``tag`` is an update's
     causal tag, kept on a failure whose payload already merged locally (the
     tag may still surface); ``result`` and ``learned`` answer an ok query
-    (the daemon sends ``learned`` only when it is tagged); ``reason`` says
-    why an op failed."""
+    (the daemon sends ``learned`` only when ``instrument`` is on);
+    ``reason`` says why an op failed."""
 
     sender: int
     request_id: bytes

@@ -20,10 +20,11 @@ Clients speak the same framed protocol over a plain TCP connection: each
 update or query is one ``Request`` frame with a client-chosen 16-byte
 request id, and the one ``Reply`` frame that answers it echoes the id but
 not the kind, which the client already knows. The replica itself takes the
-``Request`` and returns the ``Reply``, which goes out less any untagged
-learned state. :class:`ReplicaClient` wraps that in a blocking API: each
-call returns the operation's :class:`OpRecord`, and with ``record=True``
-the client also keeps them all as a history for the offline checker.
+``Request`` and returns the ``Reply``, which goes out without its learned
+state when the cluster's ``instrument`` is off. :class:`ReplicaClient`
+wraps that in a blocking API: each call returns the operation's
+:class:`OpRecord`, and with ``record=True`` the client also keeps them all
+as a history for the offline checker.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class ClusterConfig:
         raise ClusterConfigError(f"no replica with id {replica_id} in the cluster")
 
     def initial_state(self) -> SemilatticeValue:
-        return initial_state(self.crdt, len(self.replicas), self.instrument)
+        return initial_state(self.crdt, len(self.replicas))
 
 
 # the JSON types each optional config key takes; type() rather than isinstance(),
@@ -293,8 +294,8 @@ class ReplicaDaemon(Runtime):
         transport = self._client_transports.pop(reply.request_id, None)
         if transport is None:
             return  # the client went away; nothing to route
-        if reply.learned is not None and reply.learned.frontier is None:
-            reply = replace(reply, learned=None)  # only a tagged state means anything to a client
+        if reply.learned is not None and not self.config.instrument:
+            reply = replace(reply, learned=None)
         try:
             transport.write(encode(reply))
         except Exception:

@@ -81,7 +81,7 @@ class SimConfig:
     timeout_ticks: int | None = None  # default: 4x the round-trip upper bound
     max_retries: int | None = 50
     batching: bool = False
-    instrument: bool = True
+    instrument: bool = True  # record each query's learned frontier in the history
     check_invariants: bool = True
     record_trace: bool = True
     seed: int = 0
@@ -291,7 +291,7 @@ class Simulation(Runtime):
             n_replicas=cfg.n_replicas, batching=cfg.batching, max_retries=cfg.max_retries
         )
         self.replicas = {
-            rid: Replica(rid, proto, initial_state(cfg.crdt, cfg.n_replicas, cfg.instrument))
+            rid: Replica(rid, proto, initial_state(cfg.crdt, cfg.n_replicas))
             for rid in range(1, cfg.n_replicas + 1)
         }
         self.crashed: set[int] = set()
@@ -502,6 +502,8 @@ class Simulation(Runtime):
         t = self._now
         rec = self.records[reply.request_id]
         record_reply(rec, reply, t)
+        if not self.config.instrument:
+            rec.learned_frontier = None  # the reply keeps it for the invariant monitor
         times = self._incremental_times.get(request_id)
         if times:
             rec.incremental_retry_times = tuple(times)

@@ -420,12 +420,16 @@ def test_criterion_09_crdt_algebra():
         return tuple(rng.randrange(6) for _ in range(3))
 
     for _ in range(cases):
-        s = CausalTaggedState(counter(), frontier())
-        origin = rng.randint(1, 3)
-        tag = (origin, s.frontier[origin - 1] + 1)
-        grown = apply_update(UpdateOp.increment(), tag, s)
-        assert s.compare(grown) and not grown.compare(s)  # strict inflation
-        assert set(tags(grown)) == set(tags(s)) | {tag}
+        # each CRDT's payload form: a counter is its own frontier, a set carries one
+        for s, op in (
+            (counter(), UpdateOp.increment()),
+            (CausalTaggedState(gset(), frontier()), UpdateOp.set_add(b"new")),
+        ):
+            origin = rng.randint(1, 3)
+            tag = (origin, s.frontier[origin - 1] + 1)
+            grown = apply_update(op, tag, s)
+            assert s.compare(grown) and not grown.compare(s)  # strict inflation
+            assert set(tags(grown)) == set(tags(s)) | {tag}
 
     for _ in range(cases):
         a = CausalTaggedState(counter(), frontier())

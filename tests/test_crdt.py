@@ -95,10 +95,10 @@ def test_counter_value_replay_oracle():
         width = rng.randint(1, 5)
         slots = [rng.randrange(width) for _ in range(rng.randint(0, 40))]
         state = GCounter.zero(width)
-        tag_seq = 0
         for s in slots:
-            tag_seq += 1
-            state = apply_update(UpdateOp.increment(), (s + 1, tag_seq), state)
+            # a counter is its own frontier: each origin's tags come in sequence
+            tag = (s + 1, state.counts[s] + 1)
+            state = apply_update(UpdateOp.increment(), tag, state)
         assert apply_query(QueryCommand.counter_value(), state) == oracle_counter_replay(
             width, slots
         ) == len(slots)
@@ -248,14 +248,14 @@ def test_counter_compare_antisymmetry_exhaustive():
 @given(counters, st.integers(min_value=0, max_value=5))
 def test_update_inflates(state, slot):
     slot = slot % len(state.counts)
-    new = apply_update(UpdateOp.increment(), (slot + 1, 1), state)
+    new = apply_update(UpdateOp.increment(), (slot + 1, state.counts[slot] + 1), state)
     assert state.compare(new)
     assert not new.compare(state)
 
 
 def test_apply_update_inflates_the_payload():
     # an increment lands in the slot of its tag's origin
-    assert apply_update(UpdateOp.increment(), (1, 1), GCounter((1, 0))) == GCounter((2, 0))
+    assert apply_update(UpdateOp.increment(), (1, 2), GCounter((1, 0))) == GCounter((2, 0))
     assert apply_update(UpdateOp.increment(), (2, 1), GCounter((1, 0))) == GCounter((1, 1))
 
 
@@ -335,12 +335,16 @@ def test_tags_expand_the_frontier_in_order():
 
 
 def test_tagged_update_must_be_its_origins_next_tag():
-    state = CausalTaggedState(GCounter.zero(3), (2, 0, 0))
-    grown = apply_update(UpdateOp.increment(), (1, 3), state)
-    assert grown.frontier == (3, 0, 0)
-    for tag in ((1, 2), (1, 4), (2, 2), (2, 0), (4, 1), (0, 1)):
-        with pytest.raises(CommandError):  # repeat, skip, or unknown origin
-            apply_update(UpdateOp.increment(), tag, state)
+    # both payload forms: a counter is its own frontier, a set carries one
+    for state, op in (
+        (GCounter((2, 0, 0)), UpdateOp.increment()),
+        (CausalTaggedState(GSet.empty(), (2, 0, 0)), UpdateOp.set_add(b"x")),
+    ):
+        grown = apply_update(op, (1, 3), state)
+        assert grown.frontier == (3, 0, 0)
+        for tag in ((1, 2), (1, 4), (2, 2), (2, 0), (4, 1), (0, 1)):
+            with pytest.raises(CommandError):  # repeat, skip, or unknown origin
+                apply_update(op, tag, state)
 
 
 # ---------------------------------------------------------------- serialization
@@ -406,8 +410,9 @@ def test_malformed_tagged_bytes_rejected():
 
 
 def test_untagged_values_answer_no_frontier():
-    assert GCounter.zero(3).frontier is None and gset(b"a").frontier is None
-    # the attribute lives on the untagged types, so the wrapper still needs its frontier
+    # a counter's slots count its replicas' tags, so it is its own frontier
+    assert GCounter((1, 0, 2)).frontier == (1, 0, 2) and gset(b"a").frontier is None
+    # the attribute lives on the value types, so the wrapper still needs its frontier
     with pytest.raises(TypeError):
         CausalTaggedState(GCounter.zero(3))
 

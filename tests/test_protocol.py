@@ -43,9 +43,15 @@ def client_req_id(n: int) -> bytes:
     return n.to_bytes(16, "big")
 
 
-def make_replica(rid=1, n=3, batching=False, max_retries=50, width=None):
+def make_replica(rid=1, n=3, batching=False, max_retries=50, width=None, issued=0):
+    """A replica with a zero counter that has issued and merged ``issued``
+    updates of its own, so that a peer's payload may hold that many."""
     config = ProtocolConfig(n_replicas=n, batching=batching, max_retries=max_retries)
-    return Replica(rid, config, GCounter.zero(width or n))
+    r = Replica(rid, config, GCounter.zero(width or n))
+    for i in range(issued):
+        out = r.step(Request(0, client_req_id(1000 + i), UpdateOp.increment()))
+        r.step(Merged(rid % n + 1, sends_by_type(out, Merge)[0][1].request_id))
+    return r
 
 
 def sends_by_type(out, cls):
@@ -62,8 +68,8 @@ def acceptor(rid, state):
 
 def test_merge_folds_the_payload():
     a = acceptor(2, GCounter((1, 0, 2)))
-    [(dst, reply)] = a.step(Merge(sender=1, request_id=REQ, state=GCounter((0, 3, 2)))).sends
-    assert a.state == GCounter((1, 3, 2))
+    [(dst, reply)] = a.step(Merge(sender=1, request_id=REQ, state=GCounter((0, 0, 3)))).sends
+    assert a.state == GCounter((1, 0, 3))
     assert dst == 1 and reply == Merged(sender=2, request_id=REQ)
 
 
@@ -91,6 +97,7 @@ _counters = st.lists(st.integers(0, 5), min_size=3, max_size=3).map(
 
 @given(_counters, _counters, st.integers(1, 60))
 def test_prepare_always_acks_with_a_state_at_least_the_prepares(held, sent, attempt):
+    sent = GCounter((0,) + sent.counts[1:])  # replica 1 has issued no update
     a = acceptor(1, held)
     [(_, reply)] = a.step(Prepare(2, REQ, attempt, sent)).sends
     assert isinstance(reply, Ack) and reply.attempt == attempt
@@ -211,7 +218,7 @@ def test_concurrent_queries_use_distinct_round_ids():
 
 
 def test_consistent_quorum_completes_in_one_round():
-    r = make_replica(rid=1, n=3)
+    r = make_replica(rid=1, n=3, issued=1)
     req_id, _ = start_query(r)
     s = GCounter((1, 1, 0))
     assert r.step(Ack(1, req_id, 1, s)).replies == []
@@ -222,7 +229,7 @@ def test_consistent_quorum_completes_in_one_round():
 
 
 def test_disagreeing_quorum_backs_off_without_sending():
-    r = make_replica(rid=1, n=3)
+    r = make_replica(rid=1, n=3, issued=1)
     req_id, _ = start_query(r)
     out = disagree(r, req_id)
     assert out.sends == [] and out.replies == [] and out.retries == []
@@ -233,7 +240,7 @@ def test_disagreeing_quorum_backs_off_without_sending():
 
 
 def test_ack_during_backoff_joins_gathered_and_sends_nothing():
-    r = make_replica(rid=1, n=3)
+    r = make_replica(rid=1, n=3, issued=1)
     req_id, _ = start_query(r)
     disagree(r, req_id)
     out = r.step(Ack(3, req_id, 1, GCounter((0, 0, 4))))
@@ -242,7 +249,7 @@ def test_ack_during_backoff_joins_gathered_and_sends_nothing():
 
 
 def test_backoff_fire_reprepares_with_gathered_as_one_retry():
-    r = make_replica(rid=1, n=3)
+    r = make_replica(rid=1, n=3, issued=1)
     req_id, _ = start_query(r)
     disagree(r, req_id)
     r.step(Ack(3, req_id, 1, GCounter((0, 0, 2))))  # late, during the back-off
@@ -265,7 +272,7 @@ def test_backoff_fire_reprepares_with_gathered_as_one_retry():
 
 
 def test_second_backoff_counts_the_retries_so_far():
-    r = make_replica(rid=1, n=3)
+    r = make_replica(rid=1, n=3, issued=1)
     req_id, _ = start_query(r)
     disagree(r, req_id)
     r.step(TimerFire(req_id))
@@ -280,11 +287,11 @@ def test_stale_ack_only_feeds_the_gathered_lub():
     r.step(TimerFire(req_id))  # attempt 2 begins
     assert r.requests[req_id].attempt == 2
     # ack for the abandoned attempt: remembered as payload, not toward a quorum
-    r.step(Ack(1, req_id, 1, GCounter((5, 0, 0))))
-    out = r.step(Ack(2, req_id, 1, GCounter((5, 0, 0))))
+    r.step(Ack(1, req_id, 1, GCounter((0, 5, 0))))
+    out = r.step(Ack(2, req_id, 1, GCounter((0, 5, 0))))
     assert out.replies == [] and out.timers == []
     assert r.requests[req_id].acks == {}
-    assert r.requests[req_id].gathered == GCounter((5, 0, 0))
+    assert r.requests[req_id].gathered == GCounter((0, 5, 0))
 
 
 def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
@@ -335,7 +342,7 @@ def test_repeated_ack_never_counts_twice_toward_an_agreeing_group():
 
 
 def test_agreeing_acks_of_an_earlier_attempt_never_complete_the_query():
-    r = make_replica(rid=1, n=3)
+    r = make_replica(rid=1, n=3, issued=1)
     req_id, _ = start_query(r)
     disagree(r, req_id)  # A from replica 1, B from replica 2
     r.step(TimerFire(req_id))  # attempt 2 begins
@@ -411,10 +418,10 @@ def test_senders_outside_the_cluster_ignored(kind):
 
 def test_learned_state_attached_only_when_exposed():
     # every query reply carries its learned state; the daemon decides what
-    # reaches the client (a tagged state only)
+    # reaches the client (nothing when the cluster is not instrumented)
     r = make_replica(rid=1, n=3)
     req_id, _ = start_query(r)
-    s = GCounter((2, 0, 0))
+    s = GCounter((0, 2, 0))
     r.step(Ack(1, req_id, 1, s))
     out = r.step(Ack(2, req_id, 1, s))
     assert out.replies[0][1].learned == s
@@ -451,7 +458,7 @@ def test_queries_batch_and_share_one_learned_state():
     first_req = sends_by_type(out, Prepare)[0][1].request_id
     for i in range(1, 4):
         assert r.step(Request(i, client_req_id(i), QueryCommand.counter_value())).sends == []
-    s = GCounter((3, 0, 0))
+    s = GCounter((0, 3, 0))
     r.step(Ack(1, first_req, 1, s))
     out_done = r.step(Ack(2, first_req, 1, s))
     assert [rep.request_id for _, rep in out_done.replies] == [client_req_id(0)]
@@ -588,7 +595,7 @@ class _FakeRuntime(Runtime):
 
 
 def test_runtime_rearming_a_timer_cancels_the_one_before_and_sizes_it():
-    rt, r = _FakeRuntime(), make_replica(rid=1, n=3)
+    rt, r = _FakeRuntime(), make_replica(rid=1, n=3, issued=1)
     rt.route(r, Request(9, client_req_id(90), QueryCommand.counter_value()))
     [(req_id, loss)] = rt.timers.items()
     assert loss.delay == rt.timeout
@@ -608,8 +615,8 @@ def test_runtime_cancels_a_timer_when_a_reply_ends_its_request():
     rt, r = _FakeRuntime(), make_replica(rid=1, n=3)
     rt.route(r, Request(9, client_req_id(90), QueryCommand.counter_value()))
     [(req_id, loss)] = rt.timers.items()
-    rt.route(r, Ack(1, req_id, 1, GCounter((1, 0, 0))))
-    rt.route(r, Ack(2, req_id, 1, GCounter((1, 0, 0))))
+    rt.route(r, Ack(1, req_id, 1, GCounter((0, 1, 0))))
+    rt.route(r, Ack(2, req_id, 1, GCounter((0, 1, 0))))
     assert loss.cancelled and rt.timers == {} and r.requests == {}
     # a one-replica update ends within its first step, timer and all
     rt, r = _FakeRuntime(), make_replica(rid=1, n=1)

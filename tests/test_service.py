@@ -17,9 +17,17 @@ import pytest
 
 from crdtlin import service
 from crdtlin.checker import check_all, linearize
-from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.crdt import (
+    CRDT_KINDS,
+    CausalTaggedState,
+    GCounter,
+    GSet,
+    QueryCommand,
+    apply_update,
+    workload_op,
+)
 from crdtlin.history import merge_histories, read_history, write_history
-from crdtlin.messages import Merge, Merged, Reply, Request, UpdateOp
+from crdtlin.messages import Merge, Merged, Prepare, Reply, Request, UpdateOp
 from crdtlin.protocol import PayloadRejected, TimerFire
 from crdtlin.service import (
     ClusterConfig,
@@ -270,6 +278,21 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
     reply = decoded[0]
     assert isinstance(reply, Reply) and reply.ok and reply.tag is None
     assert reply.result == 1 and reply.learned is None
+
+
+@pytest.mark.parametrize("crdt", CRDT_KINDS)
+def test_uninstrumented_replica_refuses_payloads_claiming_its_unissued_updates(crdt):
+    # instrument only decides what replies carry: every payload form has a
+    # frontier, so a claim on the receiver's own slot is checked in any mode
+    config = Cluster(3, crdt=crdt, instrument=False).config
+    replica = ReplicaDaemon(config, 1).replica
+    update = workload_op(crdt, "update", b"x")
+    forged = apply_update(update, (1, 1), config.initial_state())  # replica 1 issued none
+    before = replica.state
+    for msg in (Merge(2, bytes(16), forged), Prepare(2, bytes(16), 1, forged)):
+        with pytest.raises(PayloadRejected, match="holds 1 updates of replica 1"):
+            replica.step(msg)
+    assert replica.state is before
 
 
 def test_concurrent_clients_agree_on_the_total(cluster):
@@ -547,8 +570,8 @@ def test_oversized_frame_to_a_peer_is_dropped_and_the_link_kept(caplog):
 
 def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
     rid_a, rid_b, rid_c = (bytes(15) + bytes([i]) for i in (1, 2, 3))
-    forged = CausalTaggedState(GCounter((5, 0, 0)), (5, 0, 0))  # 5 updates replica 1 never issued
-    narrow = CausalTaggedState.initial(GCounter.zero(2), 2)  # width 2 in a 3-replica cluster
+    forged = GCounter((5, 0, 0))  # 5 updates replica 1 never issued
+    narrow = GCounter.zero(2)  # width 2 in a 3-replica cluster
     c = Cluster(3)
     # a bare listener stands in for replica 2 and reads what replica 1 sends it;
     # replica 3 starts only once that link is read, so the listener cannot
@@ -583,7 +606,7 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
             # refuses a learned frontier that claims more updates than any
             # recordable session holds
             with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
-                raw.sendall(encode(Merge(2, rid_a, CausalTaggedState(GCounter((2, 0, 0)), (2, 2**63, 0)))))
+                raw.sendall(encode(Merge(2, rid_a, GCounter((2, 2**21, 0)))))
             with c.client(1) as alice:
                 with pytest.raises(RequestFailed):
                     alice.value()
@@ -632,7 +655,7 @@ def _reply_once(learned) -> tuple[int, threading.Thread]:
 
 
 def test_client_keeps_an_untagged_learned_state_out_of_its_record():
-    port, thread = _reply_once(GCounter((3, 0, 0)))
+    port, thread = _reply_once(GSet(frozenset({b"x"})))  # a set's payload always carries one
     with ReplicaClient("127.0.0.1", port, timeout=5) as cl:
         rec = cl.value()
     thread.join(5)
@@ -748,17 +771,30 @@ class _DelayingForwarder:
         self.loop.close()
 
 
-@pytest.mark.parametrize("batching", [False, True])
-def test_a_read_through_a_lagging_replica_sees_the_write_before_it(cluster, tmp_path, batching):
-    # replicas 1 and 2 reach replica 3 only through a 5 ms forwarder, so an
-    # increment through replica 1 completes on a quorum of 1 and 2 before
-    # replica 3 holds it; a read through replica 3 must still count it
+@pytest.mark.parametrize(
+    "batching, forwarded",
+    [
+        pytest.param(False, True, id="False"),
+        pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="False-direct"),
+        pytest.param(True, False, id="True-direct"),
+    ],
+)
+def test_a_read_through_a_lagging_replica_sees_the_write_before_it(
+    cluster, tmp_path, batching, forwarded
+):
+    # forwarded, replicas 1 and 2 reach replica 3 only through a 5 ms
+    # forwarder, so an increment through replica 1 completes on a quorum of
+    # 1 and 2 before replica 3 holds it; a read through replica 3 must still
+    # count it. Direct, replica 3 lags only by its share of the loopback.
     c = cluster(3, start=False, batching=batching)
     c.start(3)
-    forwarder = _DelayingForwarder(c.config.endpoint(3).port)
+    forwarder = _DelayingForwarder(c.config.endpoint(3).port) if forwarded else None
     try:
-        lagging = ReplicaEndpoint(3, "127.0.0.1", forwarder.port)
-        detour = replace(c.config, replicas=c.config.replicas[:2] + (lagging,))
+        detour = c.config
+        if forwarded:
+            lagging = ReplicaEndpoint(3, "127.0.0.1", forwarder.port)
+            detour = replace(c.config, replicas=c.config.replicas[:2] + (lagging,))
         c.start(1, detour)
         c.start(2, detour)
         clients = [c.client(rid, client_id=rid, record=True) for rid in (1, 3)]
@@ -785,7 +821,8 @@ def test_a_read_through_a_lagging_replica_sees_the_write_before_it(cluster, tmp_
     finally:
         c.stop(1)
         c.stop(2)
-        forwarder.close()
+        if forwarded:
+            forwarder.close()
 
 
 def _passes_the_live_checks(clients: list[ReplicaClient], path) -> list:

@@ -96,10 +96,10 @@ def test_same_config_and_seed_give_identical_trace_bytes():
     assert len(first.trace) > 500
 
 
-# sha256 of each output file of three runs, recorded from a tree whose
+# sha256 of each output file of four runs, recorded from a tree whose
 # histories pass every `crdtlin check`: a refactor that keeps these keeps
-# every simulated event, reply and metric. The third run is fault-free with
-# a fixed delay, so the simulator takes no drop, duplicate or delay draw.
+# every simulated event, reply and metric. The last two runs are fault-free
+# with a fixed delay, so the simulator takes no drop, duplicate or delay draw.
 _GOLDEN = {
     "quick-start": (
         SimConfig(
@@ -110,7 +110,7 @@ _GOLDEN = {
         {
             "history.jsonl": "664919ee2aaf84d407a237fc45e897468128d2e88ab01109be99581686b73391",
             "trace.jsonl": "109a0f386ecd13c6e5ec54cba808ab0c3134be42e54434bca162cf41aa5fbd99",
-            "metrics.csv": "03097fa9b40888843a96c26b3e9bbd76b048ab97dcec94c3068fdd0fbcd85596",
+            "metrics.csv": "1f635c40ee4432a614cc97ea174c5f7e869338acd1fb5ea659eb2fc0d2e2ef2a",
         },
     ),
     "gset-faults-batching": (
@@ -134,7 +134,19 @@ _GOLDEN = {
         {
             "history.jsonl": "738e94c11d37322ef8e843126520077e91d3a32e15dc893cfa79983894871f37",
             "trace.jsonl": "a658e4a62e368a95301a3990c526289e66f6c62adaa1c4bb995e1fa5541ad98d",
-            "metrics.csv": "6a8950d8ed45e4c0fd84de1bcdcc42d1663ee36bf86c5d444679626a3688bce5",
+            "metrics.csv": "e1dd1832a40dbf7827276a49af19e3a9820faf296b5101146b38659a5697b1a3",
+        },
+    ),
+    # sim-contention's kind of run: a batched counter that records no learned frontiers
+    "fixed-delay-batching-uninstrumented": (
+        SimConfig(
+            n_replicas=3, n_clients=16, ops_per_client=20, update_fraction=0.1, batching=True,
+            instrument=False, seed=1,
+        ),
+        {
+            "history.jsonl": "fde4bbbcc4cc13ed186704c95dc44cb59dbf2eb4805ddf86ec389446b62d715b",
+            "trace.jsonl": "a658e4a62e368a95301a3990c526289e66f6c62adaa1c4bb995e1fa5541ad98d",
+            "metrics.csv": "e1dd1832a40dbf7827276a49af19e3a9820faf296b5101146b38659a5697b1a3",
         },
     ),
 }
@@ -421,7 +433,7 @@ def test_tagged_payload_size_does_not_grow_with_the_history():
     after_first = run(1, 1).metrics.max_payload_bytes
     long_run = run(4, 250)
     assert sum(r.kind == "update" and r.outcome == "ok" for r in long_run.history) == 1000
-    assert long_run.metrics.max_payload_bytes == after_first == 58  # 3-replica counter + frontier
+    assert long_run.metrics.max_payload_bytes == after_first == 29  # a 3-replica counter
 
 
 def test_query_records_do_not_grow_with_the_history():
@@ -505,8 +517,7 @@ def test_monitor_catches_a_batch_learning_an_inflated_state(monkeypatch):
         # whose replies all share one learned state
         if len(req.ops) >= 2:
             batch_sizes.append(len(req.ops))
-            counts = tuple(c + 1000 for c in learned.value.counts)
-            learned = CausalTaggedState(GCounter(counts), learned.frontier)
+            learned = GCounter(tuple(c + 1000 for c in learned.counts))
         complete(self, req, learned, out)
 
     monkeypatch.setattr(Replica, "_complete_query", inflate)
