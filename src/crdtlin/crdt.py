@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from operator import attrgetter, le
 
 __all__ = [
+    "COMMANDS",
     "CRDT_KINDS",
     "CausalTag",
     "CausalTaggedState",
@@ -277,7 +278,7 @@ class UpdateOp:
 
     @classmethod
     def increment(cls) -> "UpdateOp":
-        return cls(kind="increment")
+        return _INCREMENT
 
     @classmethod
     def set_add(cls, element: bytes) -> "UpdateOp":
@@ -293,7 +294,7 @@ class QueryCommand:
 
     @classmethod
     def counter_value(cls) -> "QueryCommand":
-        return cls(kind="counter_value")
+        return _COUNTER_VALUE
 
     @classmethod
     def set_contains(cls, element: bytes) -> "QueryCommand":
@@ -301,13 +302,23 @@ class QueryCommand:
 
     @classmethod
     def set_elements(cls) -> "QueryCommand":
-        return cls(kind="set_elements")
+        return _SET_ELEMENTS
 
 
-# commands are frozen, so every generated op of one kind can share one object
-_INCREMENT = UpdateOp.increment()
-_COUNTER_VALUE = QueryCommand.counter_value()
-_SET_ELEMENTS = QueryCommand.set_elements()
+# commands are frozen, so every op of a kind without an element shares one
+# object: a history of counter ops holds two commands however long it is
+_INCREMENT = UpdateOp("increment")
+_COUNTER_VALUE = QueryCommand("counter_value")
+_SET_ELEMENTS = QueryCommand("set_elements")
+
+# every command kind: its class, and its shared object if it takes no element
+COMMANDS: dict[str, tuple[type, UpdateOp | QueryCommand | None]] = {
+    "increment": (UpdateOp, _INCREMENT),
+    "set_add": (UpdateOp, None),
+    "counter_value": (QueryCommand, _COUNTER_VALUE),
+    "set_contains": (QueryCommand, None),
+    "set_elements": (QueryCommand, _SET_ELEMENTS),
+}
 
 
 def workload_op(crdt: str, kind: str, element: bytes) -> UpdateOp | QueryCommand:

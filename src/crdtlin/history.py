@@ -3,7 +3,10 @@
 Histories are line-delimited JSON, one operation per line; traces are
 line-delimited JSON, one event per line. Both carry a schema version so
 tooling can refuse files it does not understand. Byte strings (set
-elements) are base64 in JSON.
+elements) are base64 in JSON. In memory a record's ``op`` is the
+operation's own command; the file keeps it as ``{"kind", "element"}``, and
+the reader maps that back through ``crdt.COMMANDS``, so every record of an
+element-less kind shares one command object again.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
-from .crdt import CausalTag, QueryCommand, UpdateOp
+from .crdt import COMMANDS, CausalTag, QueryCommand, UpdateOp
 from .messages import Reply
 
 SCHEMA_VERSION = 2
@@ -31,7 +34,9 @@ class OpRecord:
     """One client operation: its invocation, and its response if any.
 
     ``outcome`` is "ok", "failed", or None while the operation is still
-    pending (no response was ever observed). ``learned_frontier`` is set for
+    pending (no response was ever observed). ``op`` is the frozen command the
+    client issued, shared by every record of an element-less kind, so a
+    record holds no copy of it. ``learned_frontier`` is set for
     instrumented query responses only: entry ``r - 1`` is the highest
     sequence number of replica ``r`` folded into the learned state, so the
     learned tags are ``(r, 1..frontier[r - 1])`` and a record costs
@@ -42,7 +47,7 @@ class OpRecord:
     client: int
     replica: int
     kind: str  # "update" | "query"
-    op: dict
+    op: UpdateOp | QueryCommand
     invoke_t: int
     tag: CausalTag | None = None
     response_t: int | None = None
@@ -63,10 +68,11 @@ class TraceEvent:
 
 
 def op_dict(cmd: UpdateOp | QueryCommand) -> dict:
-    """A record's ``op`` field: the command's kind, and its element if it has one."""
+    """A record's ``op`` as the file keeps it: the command's kind, and its
+    element in base64 if it has one."""
     if cmd.element is None:
         return {"kind": cmd.kind}
-    return {"kind": cmd.kind, "element": cmd.element}
+    return {"kind": cmd.kind, "element": base64.b64encode(cmd.element).decode("ascii")}
 
 
 def record_reply(rec: OpRecord, reply: Reply, response_t: int) -> None:
@@ -99,24 +105,37 @@ def _b64(value, name: str) -> bytes:
 
 
 def _decode_result(obj) -> object:
-    if isinstance(obj, dict) and "elements" in obj:
-        return tuple(_b64(e, "result element") for e in obj["elements"])
-    return obj
-
-
-def _encode_op(op: dict) -> dict:
-    element = op.get("element")
-    if not isinstance(element, bytes):
-        return op
-    return {**op, "element": base64.b64encode(element).decode("ascii")}
-
-
-def _decode_op(obj) -> dict:
-    if type(obj) is not dict:
-        raise HistoryFormatError(f"bad history record: op {obj!r} is not an object")
-    if obj.get("element") is None:
+    if obj is None or type(obj) is bool or type(obj) is int:
         return obj
-    return {**obj, "element": _b64(obj["element"], "op element")}
+    if type(obj) is dict and obj.keys() == {"elements"} and type(obj["elements"]) is list:
+        return tuple(_b64(e, "result element") for e in obj["elements"])
+    raise HistoryFormatError(
+        f'bad history record: result {obj!r} is not null, a bool, an int or {{"elements": [...]}}'
+    )
+
+
+_COMMAND_CLASSES = {"update": UpdateOp, "query": QueryCommand}
+
+
+def _decode_op(obj, kind: str) -> UpdateOp | QueryCommand:
+    """The command of a ``kind`` record's ``op``: the shared object of an
+    element-less command kind, else a new command holding its element."""
+    if type(obj) is not dict or obj.keys() not in ({"kind"}, {"kind", "element"}):
+        raise HistoryFormatError(
+            f'bad history record: op {obj!r} is not {{"kind"}} or {{"kind", "element"}}'
+        )
+    entry = COMMANDS.get(obj["kind"]) if type(obj["kind"]) is str else None
+    if entry is None or entry[0] is not _COMMAND_CLASSES[kind]:
+        raise HistoryFormatError(f"bad history record: op kind {obj['kind']!r} is no {kind}")
+    cls, shared = entry
+    if ("element" in obj) == (shared is not None):
+        raise HistoryFormatError(
+            f"bad history record: op {obj['kind']!r} "
+            + ("takes no element" if shared is not None else "needs an element")
+        )
+    if shared is not None:
+        return shared
+    return cls(obj["kind"], _b64(obj["element"], "op element"))
 
 
 def record_to_json(rec: OpRecord) -> str:
@@ -126,7 +145,7 @@ def record_to_json(rec: OpRecord) -> str:
         "client": rec.client,
         "replica": rec.replica,
         "kind": rec.kind,
-        "op": _encode_op(rec.op),
+        "op": op_dict(rec.op),
         "invoke_t": rec.invoke_t,
         "tag": list(rec.tag) if rec.tag is not None else None,
         "response_t": rec.response_t,
@@ -177,12 +196,13 @@ def record_from_json(line: str) -> OpRecord:
     if obj.get("v") != SCHEMA_VERSION:
         raise HistoryFormatError(f"unsupported history schema: {obj.get('v')!r}")
     try:
+        kind = _choice(obj["kind"], "kind", _KINDS)
         rec = OpRecord(
             op_id=_int(obj["op_id"], "op_id"),
             client=_int(obj["client"], "client"),
             replica=_int(obj["replica"], "replica"),
-            kind=_choice(obj["kind"], "kind", _KINDS),
-            op=_decode_op(obj["op"]),
+            kind=kind,
+            op=_decode_op(obj["op"], kind),
             invoke_t=_int(obj["invoke_t"], "invoke_t"),
             tag=_int_tuple(obj.get("tag"), "tag", optional=True),
             response_t=_int(obj.get("response_t"), "response_t", optional=True),

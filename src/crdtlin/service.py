@@ -48,7 +48,7 @@ from .crdt import (
     UpdateOp,
     initial_state,
 )
-from .history import OpRecord, op_dict, record_reply
+from .history import OpRecord, record_reply
 from .messages import Message, Reply, Request
 from .protocol import PayloadRejected, ProtocolConfig, Replica, Runtime, TimerFire
 from .wire import FrameError, encode, try_decode
@@ -297,7 +297,16 @@ class ReplicaDaemon(Runtime):
         if reply.learned is not None and not self.config.instrument:
             reply = replace(reply, learned=None)
         try:
-            transport.write(encode(reply))
+            frame = encode(reply)
+        except FrameError as exc:
+            # such as a sum of forged counter slots past i64: the client
+            # gets a failed reply that says why, not a silent wait
+            log.warning("replica %d: failing a reply with no wire form: %s", self.endpoint.id, exc)
+            reply = replace(reply, ok=False, result=None, learned=None,
+                            reason=f"reply has no wire form: {exc}")
+            frame = encode(reply)
+        try:
+            transport.write(frame)
         except Exception:
             log.debug("replica %d: client reply write failed", self.endpoint.id, exc_info=True)
 
@@ -473,7 +482,7 @@ class ReplicaClient:
             client=self.client_id,
             replica=self._replica_hint,
             kind=kind,
-            op=op_dict(command),
+            op=command,
             invoke_t=time.monotonic_ns(),
         )
         if self.record:

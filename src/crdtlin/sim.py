@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
-from .history import OpRecord, TraceEvent, op_dict, record_reply, write_history, write_trace
+from .history import OpRecord, TraceEvent, record_reply, write_history, write_trace
 from .messages import Ack, Reply, Request
 from .protocol import ProtocolConfig, Replica, Runtime, TimerFire
 
@@ -401,7 +401,7 @@ class Simulation(Runtime):
         cmd = workload_op(self.config.crdt, kind, f"e{op_id}".encode())
         event = Request(cid, op_id.to_bytes(16, "big"), cmd)
         self.records[event.request_id] = OpRecord(
-            op_id=op_id, client=cid, replica=target, kind=kind, op=op_dict(cmd), invoke_t=t
+            op_id=op_id, client=cid, replica=target, kind=kind, op=cmd, invoke_t=t
         )
         if self._tracing:
             self._trace(

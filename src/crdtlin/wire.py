@@ -99,6 +99,8 @@ def _result_slot(result) -> bytes:
     if isinstance(result, bool):  # before int: bool is an int subclass
         return b"B" + (b"\x01" if result else b"\x00")
     if isinstance(result, int):
+        if not -(2**63) <= result < 2**63:
+            raise FrameError(f"result {result} does not fit an i64")
         return b"I" + _I64.pack(result)
     if isinstance(result, (tuple, list)):
         parts = [b"L", _U32.pack(len(result))]

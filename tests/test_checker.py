@@ -31,6 +31,7 @@ from crdtlin.checker import (
     linearize,
     linearizability_oracle,
 )
+from crdtlin.crdt import QueryCommand, UpdateOp
 from crdtlin.history import OpRecord
 from crdtlin.sim import SimConfig, sim_run
 
@@ -38,7 +39,7 @@ from crdtlin.sim import SimConfig, sim_run
 def u(op_id, inv, resp, tag, outcome="ok", client=0):
     return OpRecord(
         op_id=op_id, client=client, replica=1, kind="update",
-        op={"kind": "increment"}, invoke_t=inv, tag=tag,
+        op=UpdateOp.increment(), invoke_t=inv, tag=tag,
         response_t=resp, outcome=outcome,
     )
 
@@ -46,7 +47,7 @@ def u(op_id, inv, resp, tag, outcome="ok", client=0):
 def q(op_id, inv, resp, frontier, outcome="ok", client=0):
     return OpRecord(
         op_id=op_id, client=client, replica=1, kind="query",
-        op={"kind": "counter_value"}, invoke_t=inv, response_t=resp,
+        op=QueryCommand.counter_value(), invoke_t=inv, response_t=resp,
         outcome=outcome, learned_frontier=frontier,
     )
 

@@ -220,14 +220,24 @@ def test_check_malformed_history_is_a_usage_error(tmp_path, capsys):
      ("tag", [7]), ("tag", []), ("tag", [1, 2, 3]),
      ("op", {"kind": "set_contains", "element": "!!"}),
      ("op", {"kind": "set_contains", "element": "a?b"}),
-     ("result", {"elements": ["!!"]})],
+     ("result", {"elements": ["!!"]}),
+     ("op", {"element": "ZQ=="}), ("op", {"kind": "counter_value", "x": 1}),
+     ("op", {"kind": "decrement"}), ("op", {"kind": ["counter_value"]}),
+     ("op", {"kind": "increment"}), ("op", {"kind": "counter_value", "element": "ZQ=="}),
+     ("op", {"kind": "set_contains"}), ("op", {"kind": "set_contains", "element": None}),
+     ("result", "3"), ("result", 2.5), ("result", [1]), ("result", {"value": 3}),
+     ("result", {"elements": ["ZQ=="], "x": 1}), ("result", {"elements": "ZQ=="})],
     ids=["not-an-object", "frontier-string", "tag-float",
          "op_id-list", "client-string", "replica-float", "invoke_t-string",
          "response_t-string", "round_trips-bool", "retries-float", "retry-times-null",
          "op-string", "kind-unknown", "outcome-unknown", "outcome-without-response_t",
          "response_t-without-outcome", "response_t-before-invoke_t",
          "tag-one-int", "tag-empty", "tag-three-ints",
-         "element-not-base64", "element-bad-base64-char", "result-element-not-base64"],
+         "element-not-base64", "element-bad-base64-char", "result-element-not-base64",
+         "op-without-kind", "op-extra-key", "op-kind-unknown", "op-kind-not-a-string",
+         "op-update-in-a-query", "op-element-where-none-is-taken", "op-element-missing",
+         "op-element-null", "result-string", "result-float", "result-list",
+         "result-object-without-elements", "result-elements-extra-key", "result-elements-string"],
 )
 def test_check_mistyped_history_line_is_a_usage_error(tmp_path, capsys, field, value):
     from tests_support import make_query

@@ -3,6 +3,7 @@ validation, end-to-end counter and set operations, crash tolerance,
 malformed-frame robustness, and client-side history recording."""
 
 import asyncio
+import io
 import json
 import logging
 import random
@@ -625,6 +626,32 @@ def test_forged_payloads_are_dropped_and_updates_keep_working(caplog):
     assert not [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
 
+def test_a_query_result_past_i64_fails_its_request_at_once(cluster, caplog):
+    c = cluster(3)
+    endpoint = c.config.endpoint(1)
+    # slot 2 is replica 2's own, so replica 1 admits the claim, and a query's
+    # sum of the slots no longer fits a reply's i64 result
+    forged = Merge(2, bytes(16), GCounter((0, 2**63, 0)))
+    query = Request(9, bytes(15) + b"\x01", QueryCommand.counter_value())
+    with socket.create_connection((endpoint.host, endpoint.port), timeout=2) as raw:
+        raw.sendall(encode(forged) + encode(query))  # one connection keeps them in order
+        buf = bytearray()
+        while (decoded := try_decode(buf)) is None:
+            chunk = raw.recv(65536)
+            assert chunk, "replica closed the connection"
+            buf += chunk
+    reply = decoded[0]
+    assert reply.request_id == query.request_id
+    assert not reply.ok and reply.result is None and "i64" in reply.reason
+    with c.client(1, timeout=5) as alice:
+        started = time.monotonic()
+        with pytest.raises(RequestFailed, match="i64"):
+            alice.value()
+        assert time.monotonic() - started < 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("no wire form" in w and "i64" in w for w in warnings), warnings
+
+
 def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
     c = cluster(3)
     endpoint = c.config.endpoint(2)
@@ -692,6 +719,21 @@ def test_recorded_history_passes_the_checker(cluster):
     assert all(v.passed for v in verdicts.values()), verdicts
     witness = linearize(merged)
     assert len(witness.order) == len(merged)
+
+
+def test_a_client_recorded_history_reads_back_equal(cluster):
+    c = cluster(3, crdt="gset")
+    with c.client(1, record=True) as alice:
+        alice.add(b"wren")
+        alice.contains(b"wren")
+        alice.elements()
+        alice.elements()
+    buf = io.StringIO()
+    write_history(alice.history, buf)
+    back = read_history(io.StringIO(buf.getvalue()))
+    assert back == alice.history
+    assert [r.result for r in back] == [None, True, (b"wren",), (b"wren",)]
+    assert back[2].op is back[3].op is QueryCommand.set_elements()
 
 
 def test_benchmark_shaped_live_history_passes_every_check(cluster, tmp_path):

@@ -9,13 +9,13 @@ from dataclasses import replace
 
 import pytest
 
-from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.crdt import CRDT_KINDS, CausalTaggedState, GCounter, GSet, QueryCommand
 from crdtlin.history import (
     OpRecord,
-    op_dict,
     read_history,
     record_reply,
     record_to_json,
+    write_history,
     write_trace,
 )
 from crdtlin.messages import Merge, Merged, Reply
@@ -330,7 +330,7 @@ def test_workload_pure_extremes():
 def test_gset_updates_use_distinct_elements():
     cfg = SimConfig(crdt="gset", n_clients=4, ops_per_client=20, update_fraction=1.0, seed=5)
     result = sim_run(cfg)
-    elements = [r.op["element"] for r in result.history]
+    elements = [r.op.element for r in result.history]
     assert len(set(elements)) == len(elements)
     final = max(
         (r for r in result.history if r.outcome == "ok"), key=lambda r: r.response_t
@@ -394,6 +394,31 @@ def test_write_outputs_round_trips(tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0] == "metric,value"
     assert any(line.startswith("final_time,") for line in lines)
+
+
+def test_records_of_counter_ops_share_their_two_commands(tmp_path):
+    result = sim_run(SimConfig(n_clients=3, ops_per_client=10, update_fraction=0.5, seed=2))
+    result.write_outputs(tmp_path)
+    with open(tmp_path / "history.jsonl") as fp:
+        back = read_history(fp)
+    for history in (result.history, back):
+        assert len(history) == 30
+        # one increment and one counter_value object, however long the history
+        assert len({id(r.op) for r in history}) == 2
+
+
+@pytest.mark.parametrize("crdt", CRDT_KINDS)
+def test_a_history_read_back_equals_the_one_written(crdt):
+    cfg = SimConfig(crdt=crdt, n_clients=3, ops_per_client=10, update_fraction=0.5,
+                    drop_probability=0.1, seed=4)
+    history = sim_run(cfg).history
+    buf = io.StringIO()
+    write_history(history, buf)
+    back = read_history(io.StringIO(buf.getvalue()))
+    assert back == history
+    assert [type(r.op) for r in back] == [type(r.op) for r in history]
+    queries = {id(r.op) for r in back if r.kind == "query"}
+    assert len(queries) == 1  # every query reads the whole value through one shared command
 
 
 def test_metrics_track_message_flow():
@@ -461,7 +486,7 @@ def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
         learned=CausalTaggedState(GSet(frozenset(elements)), (400, 300, 300)), round_trips=1,
     )
     rec = OpRecord(op_id=1, client=0, replica=1, kind="query",
-                   op=op_dict(QueryCommand.set_contains(b"absent")), invoke_t=0)
+                   op=QueryCommand.set_contains(b"absent"), invoke_t=0)
     record_reply(rec, reply, 5)
     line = record_to_json(rec)
     assert rec.learned_frontier == (400, 300, 300)
@@ -471,7 +496,7 @@ def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
 
 def test_metrics_csv_and_bench_summary_share_one_percentile():
     def query(op_id, latency):
-        return OpRecord(op_id=op_id, client=0, replica=1, kind="query", op={}, invoke_t=10,
+        return OpRecord(op_id=op_id, client=0, replica=1, kind="query", op=QueryCommand.counter_value(), invoke_t=10,
                         response_t=10 + latency, outcome="ok", round_trips=1)
 
     # even lengths put the p50 rank on a half, where rounding rules differ

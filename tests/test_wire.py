@@ -39,6 +39,8 @@ SAMPLES = [
     Reply(1, RID, False, round_trips=52, retries=51, reason="max-retries"),
     Reply(1, RID, False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
     Reply(1, RID, False, None, reason="ожидание истекло"),
+    Reply(1, RID, True, None, 2**63 - 1, None, 1, 0),  # the ends of a result's i64
+    Reply(1, RID, True, None, -(2**63), None, 1, 0),
 ]
 
 
@@ -70,6 +72,12 @@ def test_booleans_survive_the_int_overlap():
     frame = encode(Reply(1, RID, True, result=1))
     result = decode_payload(frame[4:]).result
     assert result == 1 and not isinstance(result, bool)
+
+
+@pytest.mark.parametrize("result", [2**63, -(2**63) - 1])
+def test_an_int_result_outside_i64_is_a_frame_error(result):
+    with pytest.raises(FrameError, match="i64"):
+        encode(Reply(1, RID, True, result=result))
 
 
 def test_try_decode_waits_for_a_full_frame():

@@ -1,7 +1,7 @@
 """Builders shared by the tests: history records, sets, and a tagged
 state's tags."""
 
-from crdtlin.crdt import GSet
+from crdtlin.crdt import GSet, QueryCommand, UpdateOp
 from crdtlin.history import OpRecord
 
 
@@ -17,7 +17,7 @@ def tags(state) -> tuple:
 def make_update(op_id, inv, resp, tag, outcome="ok", client=0):
     return OpRecord(
         op_id=op_id, client=client, replica=1, kind="update",
-        op={"kind": "increment"}, invoke_t=inv, tag=tag,
+        op=UpdateOp.increment(), invoke_t=inv, tag=tag,
         response_t=resp, outcome=outcome,
     )
 
@@ -25,6 +25,6 @@ def make_update(op_id, inv, resp, tag, outcome="ok", client=0):
 def make_query(op_id, inv, resp, frontier, outcome="ok", client=0):
     return OpRecord(
         op_id=op_id, client=client, replica=1, kind="query",
-        op={"kind": "counter_value"}, invoke_t=inv, response_t=resp,
+        op=QueryCommand.counter_value(), invoke_t=inv, response_t=resp,
         outcome=outcome, learned_frontier=frontier,
     )
