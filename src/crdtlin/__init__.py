@@ -21,7 +21,6 @@ from .checker import (
     linearize,
 )
 from .crdt import (
-    CausalTaggedState,
     GCounter,
     GSet,
     QueryCommand,
@@ -40,8 +39,11 @@ from .sim import SimConfig, SimResult, Simulation, sim_run
 
 __version__ = "0.1.0"
 
+# a set's old wrapper name, for perfbench/layers.py alone; the benchmark change
+# that deletes `instrument` (ROADMAP item 2) deletes it too
+CausalTaggedState = GSet
+
 __all__ = [
-    "CausalTaggedState",
     "ClusterConfig",
     "GCounter",
     "GLA_CONDITIONS",

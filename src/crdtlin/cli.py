@@ -7,8 +7,8 @@ history), and ``bench`` (load a live cluster and record its history). ``sim``
 and ``bench`` write the same ``history.jsonl`` and ``metrics.csv``.
 
 Exit codes: 0 success, 1 a check or operation failed, 2 usage or
-configuration problem, 3 cannot reach the cluster, 141 standard output was
-closed early, as by ``| head``.
+configuration problem, 3 cannot reach the cluster or cannot read its reply,
+141 standard output was closed early, as by ``| head``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .sim import (
     summarize,
     write_metrics_csv,
 )
+from .wire import FrameError
 
 log = logging.getLogger(__name__)
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     except RequestFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CHECK_FAILED
-    except (ConnectionError, TimeoutError) as exc:
+    except (ConnectionError, TimeoutError, FrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONNECT_ERROR
 

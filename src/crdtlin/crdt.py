@@ -1,17 +1,17 @@
 """Join-semilattice values and the commands that read and inflate them.
 
 An update is the client's ``UpdateOp`` plus the causal tag its proposer
-gives it, ``apply_update(op, tag, state)``; a counter's slot is the tag's origin.
+gives it, ``apply_update(op, tag, state)``; it advances the tag's origin.
 
 The replication layer is generic over ``SemilatticeValue``: anything with a
 partial-order ``compare``, a least-upper-bound ``merge``, a canonical byte
 form and a ``frontier``. Each replica applies its own tags in sequence, so
 the tags in a payload are summarised by a per-replica frontier (a version
-vector). Each CRDT has one payload form, which ``initial_state`` picks: a
-``GCounter`` is its own frontier, since each slot counts its own replica's
-tags, and a ``GSet`` travels inside a ``CausalTaggedState`` that carries one.
-The checker works on learned frontiers directly, so they cost O(replicas)
-per payload and per recorded query, however long the history.
+vector). Each CRDT is its one payload form, which ``initial_state`` builds:
+a ``GCounter`` is its own frontier, since each slot counts its own replica's
+tags, and a ``GSet`` carries one next to its elements. The checker works on
+learned frontiers directly, so they cost O(replicas) per payload and per
+recorded query, however long the history.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "COMMANDS",
     "CRDT_KINDS",
     "CausalTag",
-    "CausalTaggedState",
     "CommandError",
     "CrdtError",
     "GCounter",
@@ -37,6 +36,7 @@ __all__ = [
     "apply_query",
     "apply_update",
     "initial_state",
+    "make_command",
     "state_from_bytes",
     "workload_op",
 ]
@@ -48,7 +48,6 @@ CausalTag = tuple[int, int]
 CRDT_KINDS = ("gcounter", "gset")
 
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 
 
 class CrdtError(Exception):
@@ -81,7 +80,7 @@ class SemilatticeValue:
       equal for equal values;
     - ``canonical_size() -> int``: the length of ``canonical_bytes()``
       without building it;
-    - ``frontier``: the per-replica frontier of its update tags, or None.
+    - ``frontier``: the per-replica frontier of its update tags.
     """
 
     __slots__ = ()
@@ -151,18 +150,33 @@ class GCounter(SemilatticeValue):
 
 @dataclass(frozen=True, slots=True)
 class GSet(SemilatticeValue):
-    """Grow-only set of opaque byte strings."""
+    """Grow-only set of opaque byte strings, with the frontier of its tags.
+
+    Replica ``r`` issues tags ``(r, 1), (r, 2), ...`` and applies them to its
+    own payload in that order, so every payload holds a prefix of each
+    replica's sequence. ``frontier[r - 1]`` is the length of replica ``r``'s
+    prefix: tag ``(r, k)`` is present iff ``frontier[r - 1] >= k``. A duplicate
+    add advances the frontier but adds no element, so the frontier is not the
+    set's value. Its width is fixed at cluster creation and it merges by
+    pointwise max, but sets are ordered by their elements alone.
+    """
 
     elements: frozenset[bytes]
-    frontier = None  # its payload's CausalTaggedState has one; a class attribute, not a field
+    frontier: tuple[int, ...]
 
     @classmethod
-    def empty(cls) -> "GSet":
-        return cls(frozenset())
+    def empty(cls, width: int) -> "GSet":
+        if width < 1:
+            raise ShapeError(f"frontier needs at least one replica, got {width}")
+        return cls(frozenset(), (0,) * width)
 
     def _check(self, other: "SemilatticeValue") -> "GSet":
         if not isinstance(other, GSet):
             raise ShapeError(f"cannot combine GSet with {type(other).__name__}")
+        if len(other.frontier) != len(self.frontier):
+            raise ShapeError(
+                f"frontier width mismatch: {len(self.frontier)} vs {len(other.frontier)}"
+            )
         return other
 
     def compare(self, other: "SemilatticeValue") -> bool:
@@ -172,16 +186,25 @@ class GSet(SemilatticeValue):
         if other is self:
             return self
         other = self._check(other)
-        if other.elements <= self.elements:
+        frontier = tuple(map(max, self.frontier, other.frontier))
+        mine = other.elements <= self.elements
+        theirs = self.elements <= other.elements
+        if mine and frontier == self.frontier:
             return self
-        if self.elements <= other.elements:
+        if theirs and frontier == other.frontier:
             return other
-        return GSet(self.elements | other.elements)
+        if mine or theirs:
+            return GSet(self.elements if mine else other.elements, frontier)
+        return GSet(self.elements | other.elements, frontier)
 
-    def add(self, element: bytes) -> "GSet":
+    def add(self, element: bytes, slot: int) -> "GSet":
+        """Add ``element`` under the next tag of replica ``slot + 1``, whose
+        range and sequence ``apply_update`` checks."""
         if not isinstance(element, bytes):
             raise CommandError(f"set elements are bytes, got {type(element).__name__}")
-        return GSet(self.elements | {element})
+        frontier = list(self.frontier)
+        frontier[slot] += 1
+        return GSet(self.elements | {element}, tuple(frontier))
 
     def contains(self, element: bytes) -> bool:
         return element in self.elements
@@ -194,77 +217,21 @@ class GSet(SemilatticeValue):
         for el in sorted(self.elements):
             parts.append(_U32.pack(len(el)))
             parts.append(el)
+        width = len(self.frontier)
+        parts.append(struct.pack(f">I{width}Q", width, *self.frontier))
         return b"".join(parts)
 
     def canonical_size(self) -> int:
-        return 5 + sum(4 + len(el) for el in self.elements)
-
-
-@dataclass(frozen=True, slots=True)
-class CausalTaggedState(SemilatticeValue):
-    """A value plus the tags of every update folded into it: a set's payload.
-
-    Replica ``r`` issues tags ``(r, 1), (r, 2), ...`` and applies them to its
-    own payload in that order, so every payload holds a prefix of each
-    replica's sequence. ``frontier[r - 1]`` is the length of replica ``r``'s
-    prefix: tag ``(r, k)`` is present iff ``frontier[r - 1] >= k``. The width
-    is fixed at cluster creation and the frontier merges by pointwise max, but
-    payloads are ordered by the wrapped value alone, as counters are.
-    """
-
-    value: SemilatticeValue
-    frontier: tuple[int, ...]
-
-    @classmethod
-    def initial(cls, value: SemilatticeValue, n_replicas: int) -> "CausalTaggedState":
-        if n_replicas < 1:
-            raise ShapeError(f"frontier needs at least one replica, got {n_replicas}")
-        return cls(value, (0,) * n_replicas)
-
-    def _check(self, other: "SemilatticeValue") -> "CausalTaggedState":
-        if not isinstance(other, CausalTaggedState):
-            raise ShapeError("cannot combine tagged state with an untagged value")
-        if len(other.frontier) != len(self.frontier):
-            raise ShapeError(
-                f"frontier width mismatch: {len(self.frontier)} vs {len(other.frontier)}"
-            )
-        return other
-
-    def compare(self, other: "SemilatticeValue") -> bool:
-        return other is self or self.value.compare(self._check(other).value)
-
-    def merge(self, other: "SemilatticeValue") -> "CausalTaggedState":
-        if other is self:
-            return self
-        other = self._check(other)
-        value = self.value.merge(other.value)
-        frontier = tuple(map(max, self.frontier, other.frontier))
-        if frontier == self.frontier and value == self.value:
-            return self
-        if frontier == other.frontier and value == other.value:
-            return other
-        return CausalTaggedState(value, frontier)
-
-    def canonical_bytes(self) -> bytes:
-        width = len(self.frontier)
-        return (
-            b"T"
-            + self.value.canonical_bytes()
-            + struct.pack(f">I{width}Q", width, *self.frontier)
-        )
-
-    def canonical_size(self) -> int:
-        return 1 + self.value.canonical_size() + 4 + 8 * len(self.frontier)
+        return 9 + sum(4 + len(el) for el in self.elements) + 8 * len(self.frontier)
 
 
 def initial_state(crdt: str, n_replicas: int) -> SemilatticeValue:
-    """The empty payload of a ``crdt`` cluster of ``n_replicas``, in the one
-    form that CRDT has: a zero counter, or an empty set in a
-    ``CausalTaggedState`` whose frontier records no update yet."""
+    """The empty payload of a ``crdt`` cluster of ``n_replicas``: a zero
+    counter, or an empty set whose frontier records no update yet."""
     if crdt == "gcounter":
         return GCounter.zero(n_replicas)
     if crdt == "gset":
-        return CausalTaggedState.initial(GSet.empty(), n_replicas)
+        return GSet.empty(n_replicas)
     raise ValueError(f"unknown crdt {crdt!r}, expected one of {', '.join(CRDT_KINDS)}")
 
 
@@ -321,6 +288,19 @@ COMMANDS: dict[str, tuple[type, UpdateOp | QueryCommand | None]] = {
 }
 
 
+def make_command(kind: str, element: bytes | None = None) -> UpdateOp | QueryCommand:
+    """The command of ``kind`` holding ``element``, shared if it takes none: the
+    rule every decoder of commands follows. An unknown kind, or an element
+    given exactly when the kind takes none, raises CommandError."""
+    entry = COMMANDS.get(kind)
+    if entry is None:
+        raise CommandError(f"unknown command kind {kind!r}")
+    cls, shared = entry
+    if (element is None) == (shared is None):
+        raise CommandError(f"{kind} {'needs an' if shared is None else 'takes no'} element")
+    return cls(kind, element) if shared is None else shared
+
+
 def workload_op(crdt: str, kind: str, element: bytes) -> UpdateOp | QueryCommand:
     """The op a generated workload issues on a CRDT of kind ``crdt``: for an
     ``"update"`` an increment or an add of ``element``, for a ``"query"`` a
@@ -332,39 +312,33 @@ def workload_op(crdt: str, kind: str, element: bytes) -> UpdateOp | QueryCommand
 
 def apply_update(op: UpdateOp, tag: CausalTag, state: SemilatticeValue) -> SemilatticeValue:
     """Apply ``op`` under the causal ``tag`` its proposer gave it, returning an
-    inflated copy of ``state``; a counter increments the slot of the tag's
-    origin. Every check of an update's kind and element is made here."""
+    inflated copy of ``state`` whose frontier holds the tag. Every check of
+    an update's kind and element is made here."""
+    # the closure invariant behind the frontier: each origin's tags arrive
+    # at its own payload in sequence, with no gap or repeat
     frontier = state.frontier
-    if frontier is not None:
-        # the closure invariant behind the frontier: each origin's tags
-        # arrive at its own payload in sequence, with no gap or repeat
-        origin, seq = tag
-        if not 1 <= origin <= len(frontier):
-            raise CommandError(f"tag origin {origin} outside 1..{len(frontier)}")
-        if seq != frontier[origin - 1] + 1:
-            raise CommandError(
-                f"tag {tag} out of sequence: replica {origin} is at {frontier[origin - 1]}"
-            )
-        if isinstance(state, CausalTaggedState):
-            frontier = frontier[: origin - 1] + (seq,) + frontier[origin:]
-            return CausalTaggedState(apply_update(op, tag, state.value), frontier)
+    origin, seq = tag
+    if not 1 <= origin <= len(frontier):
+        raise CommandError(f"tag origin {origin} outside 1..{len(frontier)}")
+    if seq != frontier[origin - 1] + 1:
+        raise CommandError(
+            f"tag {tag} out of sequence: replica {origin} is at {frontier[origin - 1]}"
+        )
     if op.kind == "increment":
         if not isinstance(state, GCounter):
             raise CommandError("increment targets a counter state")
-        return state.increment(tag[0] - 1)
+        return state.increment(origin - 1)
     if op.kind == "set_add":
         if not isinstance(state, GSet):
             raise CommandError("set_add targets a set state")
         if op.element is None:
             raise CommandError("set_add without an element")
-        return state.add(op.element)
+        return state.add(op.element, origin - 1)
     raise CommandError(f"unknown update kind {op.kind!r}")
 
 
 def apply_query(cmd: QueryCommand, state: SemilatticeValue):
-    """Evaluate a query command against a (possibly tagged) state."""
-    if isinstance(state, CausalTaggedState):
-        return apply_query(cmd, state.value)
+    """Evaluate a query command against a state."""
     if cmd.kind == "counter_value":
         if not isinstance(state, GCounter):
             raise CommandError("counter_value targets a counter state")
@@ -390,56 +364,45 @@ def state_from_bytes(data: bytes, pos: int = 0, end: int | None = None) -> Semil
     """
     if end is None:
         end = len(data)
-    tagged = data[pos : pos + 1] == b"T"
-    state, pos = _parse_value(data, pos + 1 if tagged else pos, end)
-    if tagged:
+    lead = data[pos : pos + 1]
+    if lead == b"C":
+        counts, pos = _read_u64s(data, pos + 1, end)
+        state = GCounter(counts)
+    elif lead == b"S":
+        count, pos = _read_count(data, pos + 1, end, 4)
+        elements = []
+        for _ in range(count):
+            if pos + 4 > end:
+                raise SerializationError("truncated state encoding")
+            (length,) = _U32.unpack_from(data, pos)
+            pos += 4
+            stop = pos + length
+            if stop > end:
+                raise SerializationError("truncated state encoding")
+            elements.append(data[pos:stop])
+            pos = stop
         frontier, pos = _read_u64s(data, pos, end)
         if not frontier:
-            raise SerializationError("tagged state with an empty frontier")
-        state = CausalTaggedState(state, frontier)
+            raise SerializationError("set with an empty frontier")
+        state = GSet(frozenset(elements), frontier)
+    else:
+        raise SerializationError(f"unknown state lead byte {lead!r}")
     if pos != end:
         raise SerializationError(f"{end - pos} trailing bytes after state")
     return state
 
 
-def _read_u64s(data: bytes, pos: int, end: int) -> tuple[tuple[int, ...], int]:
-    """A u32 count and that many u64s, and the offset just past them."""
+def _read_count(data: bytes, pos: int, end: int, item_size: int) -> tuple[int, int]:
+    """A u32 count whose items of ``item_size`` bytes fit before ``end``, and the offset past it."""
     if pos + 4 > end:
         raise SerializationError("truncated state encoding")
     (count,) = _U32.unpack_from(data, pos)
-    stop = pos + 4 + 8 * count
-    if stop > end:
+    if pos + 4 + item_size * count > end:
         raise SerializationError("truncated state encoding")
-    return struct.unpack_from(f">{count}Q", data, pos + 4), stop
+    return count, pos + 4
 
 
-def _parse_value(data: bytes, pos: int, end: int) -> tuple[SemilatticeValue, int]:
-    """An untagged value from ``data[pos:end]`` and the offset just past it."""
-    if pos >= end:
-        raise SerializationError("truncated state encoding")
-    lead = data[pos : pos + 1]
-    if lead == b"C":
-        counts, pos = _read_u64s(data, pos + 1, end)
-        return GCounter(counts), pos
-    if lead == b"T":
-        raise SerializationError("nested tagged state")
-    if lead != b"S":
-        raise SerializationError(f"unknown state lead byte {lead!r}")
-    if pos + 5 > end:
-        raise SerializationError("truncated state encoding")
-    (count,) = _U32.unpack_from(data, pos + 1)
-    pos += 5
-    if pos + 4 * count > end:
-        raise SerializationError("truncated state encoding")
-    elements = []
-    for _ in range(count):
-        if pos + 4 > end:
-            raise SerializationError("truncated state encoding")
-        (length,) = _U32.unpack_from(data, pos)
-        pos += 4
-        stop = pos + length
-        if stop > end:
-            raise SerializationError("truncated state encoding")
-        elements.append(data[pos:stop])
-        pos = stop
-    return GSet(frozenset(elements)), pos
+def _read_u64s(data: bytes, pos: int, end: int) -> tuple[tuple[int, ...], int]:
+    """A u32 count and that many u64s, and the offset just past them."""
+    count, pos = _read_count(data, pos, end, 8)
+    return struct.unpack_from(f">{count}Q", data, pos), pos + 8 * count

@@ -5,8 +5,8 @@ line-delimited JSON, one event per line. Both carry a schema version so
 tooling can refuse files it does not understand. Byte strings (set
 elements) are base64 in JSON. In memory a record's ``op`` is the
 operation's own command; the file keeps it as ``{"kind", "element"}``, and
-the reader maps that back through ``crdt.COMMANDS``, so every record of an
-element-less kind shares one command object again.
+the reader maps that back through ``crdt.make_command``, so every record
+of an element-less kind shares one command object again.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
-from .crdt import COMMANDS, CausalTag, QueryCommand, UpdateOp
+from .crdt import CausalTag, CommandError, QueryCommand, UpdateOp, make_command
 from .messages import Reply
 
 SCHEMA_VERSION = 2
@@ -118,24 +118,19 @@ _COMMAND_CLASSES = {"update": UpdateOp, "query": QueryCommand}
 
 
 def _decode_op(obj, kind: str) -> UpdateOp | QueryCommand:
-    """The command of a ``kind`` record's ``op``: the shared object of an
-    element-less command kind, else a new command holding its element."""
+    """The command of a ``kind`` record's ``op``, by ``crdt.make_command``'s rule."""
     if type(obj) is not dict or obj.keys() not in ({"kind"}, {"kind", "element"}):
         raise HistoryFormatError(
             f'bad history record: op {obj!r} is not {{"kind"}} or {{"kind", "element"}}'
         )
-    entry = COMMANDS.get(obj["kind"]) if type(obj["kind"]) is str else None
-    if entry is None or entry[0] is not _COMMAND_CLASSES[kind]:
+    element = _b64(obj["element"], "op element") if "element" in obj else None
+    try:
+        command = make_command(obj["kind"], element)
+    except CommandError as exc:
+        raise HistoryFormatError(f"bad history record: op {exc}") from exc
+    if type(command) is not _COMMAND_CLASSES[kind]:
         raise HistoryFormatError(f"bad history record: op kind {obj['kind']!r} is no {kind}")
-    cls, shared = entry
-    if ("element" in obj) == (shared is not None):
-        raise HistoryFormatError(
-            f"bad history record: op {obj['kind']!r} "
-            + ("takes no element" if shared is not None else "needs an element")
-        )
-    if shared is not None:
-        return shared
-    return cls(obj["kind"], _b64(obj["element"], "op element"))
+    return command
 
 
 def record_to_json(rec: OpRecord) -> str:

@@ -212,9 +212,9 @@ class Replica:
         outside the cluster; a forged or misshapen payload raises."""
         if not 1 <= m.sender <= self.config.n_replicas:
             return False
-        if type(m) is Merged or (frontier := m.state.frontier) is None:
-            return True  # a mismatched shape raises ShapeError in the merge itself
-        if len(frontier) != self.config.n_replicas:
+        if type(m) is Merged:
+            return True
+        if len(frontier := m.state.frontier) != self.config.n_replicas:
             raise ShapeError(
                 f"frontier of width {len(frontier)} in a {self.config.n_replicas}-replica cluster"
             )

@@ -494,7 +494,7 @@ class ReplicaClient:
             reply = self._next_frame()  # a stray frame for someone else's request
         response_t = time.monotonic_ns()
         rec.replica = self._replica_hint = reply.sender
-        if reply.learned is not None and reply.learned.frontier is not None:
+        if reply.learned is not None:
             n_tags = sum(reply.learned.frontier)
             if n_tags > _MAX_LEARNED_TAGS:
                 reply = replace(

@@ -8,7 +8,8 @@ itself) followed by a fixed header and a type-specific body:
     u32  sender (0 for clients)
     ...  body
 
-Replicated states travel in their canonical byte form inside a
+Replicated states travel in their canonical byte form (a counter is "C"
+and its slots; a set is "S", its elements, then its frontier) inside a
 length-prefixed slot (length zero means absent). Between replicas, Merge
 (type 5) is one state slot and Merged (type 6) has no body; Prepare (type
 7) and Ack (type 8) are a u32 attempt number and then a state slot.
@@ -19,9 +20,10 @@ Clients send every operation as one Request (type 1): a command kind
 byte, then the command's element (presence byte, then u32 length and the
 bytes). The kind byte names the command's class as well: updates are "i"
 increment and "a" set_add, queries "v" counter_value, "c" set_contains and
-"e" set_elements. Every answer, ok or failed, update or query, is one
-Reply (type 2); it does not repeat the kind, which the client's request
-already says:
+"e" set_elements. Only "a" and "c" carry an element, by
+``crdt.make_command``'s rule, on encode and decode alike. Every answer, ok
+or failed, update or query, is one Reply (type 2); it does not repeat the
+kind, which the client's request already says:
 
     u8   ok (0 or 1)
     u32  round trips, u32 retries
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 import struct
 
-from .crdt import QueryCommand, SemilatticeValue, SerializationError, UpdateOp, state_from_bytes
+from .crdt import CrdtError, QueryCommand, SemilatticeValue, UpdateOp
+from .crdt import make_command, state_from_bytes
 from .messages import Ack, Merge, Merged, Message, Prepare, Reply, Request
 
 __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
@@ -49,15 +52,15 @@ MAX_FRAME = 16 * 1024 * 1024  # total frame size cap, length prefix included
 _TYPES: dict[type, int] = {Request: 1, Reply: 2, Merge: 5, Merged: 6, Prepare: 7, Ack: 8}
 _BY_NUMBER = {number: cls for cls, number in _TYPES.items()}
 
-# no two kinds share a byte, so decoding looks the class up with the kind
-_COMMAND_KINDS = {
-    (UpdateOp, "increment"): b"i",
-    (UpdateOp, "set_add"): b"a",
-    (QueryCommand, "counter_value"): b"v",
-    (QueryCommand, "set_contains"): b"c",
-    (QueryCommand, "set_elements"): b"e",
+# one byte per command kind; the kind names the command's class as well
+_KIND_BYTES = {
+    "increment": b"i",
+    "set_add": b"a",
+    "counter_value": b"v",
+    "set_contains": b"c",
+    "set_elements": b"e",
 }
-_COMMAND_KINDS_BACK = {v[0]: k for k, v in _COMMAND_KINDS.items()}
+_KINDS_BY_BYTE = {byte[0]: kind for kind, byte in _KIND_BYTES.items()}
 
 _HEADER = struct.Struct(">B16sI")
 _PREFIXED_HEADER = struct.Struct(">IB16sI")
@@ -111,10 +114,9 @@ def _result_slot(result) -> bytes:
 
 
 def _command_slot(command: UpdateOp | QueryCommand) -> bytes:
-    kind = _COMMAND_KINDS.get((type(command), command.kind))
-    if kind is None:
+    if type(make_command(command.kind, command.element)) is not type(command):
         raise FrameError(f"{type(command).__name__} kind {command.kind!r} has no wire form")
-    return kind + _bytes_slot(command.element)
+    return _KIND_BYTES[command.kind] + _bytes_slot(command.element)
 
 
 def _body(msg: Message) -> bytes:
@@ -146,7 +148,10 @@ def encode(msg: Message) -> bytes:
         raise FrameError(f"{type(msg).__name__} has no wire form")
     if len(msg.request_id) != 16:
         raise FrameError(f"request id must be 16 bytes, got {len(msg.request_id)}")
-    body = _body(msg)
+    try:
+        body = _body(msg)
+    except CrdtError as exc:  # a command that breaks the element rule
+        raise FrameError(str(exc)) from exc
     length = _HEADER.size + len(body)
     if 4 + length > MAX_FRAME:
         raise FrameError(f"frame of {4 + length} bytes exceeds the {MAX_FRAME} cap")
@@ -168,10 +173,7 @@ def _read_state(p: bytes, pos: int) -> tuple[SemilatticeValue | None, int]:
     end = pos + n
     if end > len(p):
         raise FrameError("frame ends mid-field")
-    try:
-        return state_from_bytes(p, pos, end), end
-    except SerializationError as exc:
-        raise FrameError(f"state slot does not decode: {exc}") from exc
+    return state_from_bytes(p, pos, end), end
 
 
 def _require_state(p: bytes, pos: int, mtype: int) -> tuple[SemilatticeValue, int]:
@@ -237,6 +239,8 @@ def decode_payload(payload: bytes) -> Message:
         msg, pos = _decode(payload)
     except (struct.error, IndexError) as exc:
         raise FrameError("frame ends mid-field") from exc
+    except CrdtError as exc:  # a state slot or a command that does not decode
+        raise FrameError(f"frame does not decode: {exc}") from exc
     if pos != len(payload):
         raise FrameError(f"{len(payload) - pos} trailing bytes after the body")
     return msg
@@ -257,12 +261,11 @@ def _decode(p: bytes) -> tuple[Message, int]:
     if mtype == 6:
         return Merged(sender, request_id), pos
     if mtype == 1:
-        command = _COMMAND_KINDS_BACK.get(p[pos])
-        if command is None:
+        kind = _KINDS_BY_BYTE.get(p[pos])
+        if kind is None:
             raise FrameError("unknown command kind")
-        cls, kind = command
         element, pos = _read_bytes_slot(p, pos + 1)
-        return Request(sender, request_id, cls(kind, element)), pos
+        return Request(sender, request_id, make_command(kind, element)), pos
     ok = _read_flag(p, pos, "ok")
     round_trips, retries = _II.unpack_from(p, pos + 1)
     tag, pos = _read_tag(p, pos + 9)

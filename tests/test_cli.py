@@ -3,6 +3,7 @@
 import asyncio
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -11,9 +12,12 @@ import pytest
 
 from crdtlin import checker
 from crdtlin.cli import main
+from crdtlin.messages import Reply
 from crdtlin.history import HistoryFormatError, read_history, record_to_json, write_history
 from crdtlin.service import ClusterConfig, ReplicaDaemon, ReplicaEndpoint
 from crdtlin.sim import SimConfig, sim_run
+from crdtlin.wire import encode
+from tests_support import answer_once, reply_learning_bytes
 
 
 def run_cli(*argv) -> int:
@@ -403,6 +407,37 @@ def test_client_against_downed_replica_is_connection_error(capsys):
     s.close()
     assert run_cli("client", f"127.0.0.1:{port}", "get") == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _unknown_type_frame(rid: bytes) -> bytes:
+    frame = bytearray(encode(Reply(1, rid, True, None, 3, None, 1, 0)))
+    frame[4] = 99  # no message type has this number
+    return bytes(frame)
+
+
+def _wrapped_set_frame(rid: bytes) -> bytes:
+    # the retired "T" wrapper around a frontier-less set, as a daemon of the
+    # wrapper's days sent it
+    blob = b"T" + b"S" + struct.pack(">II", 1, 1) + b"x" + struct.pack(">IQ", 1, 1)
+    return reply_learning_bytes(rid, blob)
+
+
+@pytest.mark.parametrize("frame", [_unknown_type_frame, _wrapped_set_frame],
+                         ids=["unknown-type", "wrapped-set"])
+@pytest.mark.parametrize("command", ["client", "bench"])
+def test_a_malformed_reply_is_a_clean_error(frame, command, tmp_path, capsys):
+    port, thread = answer_once(frame)
+    if command == "client":
+        argv = ["client", f"127.0.0.1:{port}", "get", "--timeout", "5"]
+    else:
+        config = tmp_path / "cluster.json"
+        config.write_text(json.dumps({"replicas": [{"id": 1, "host": "127.0.0.1", "port": port}]}))
+        argv = ["bench", "--config", str(config), "--clients", "1", "--ops", "1", "--mix", "0",
+                "--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 3
+    thread.join(5)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bench_live_cluster_then_check(live_cluster, tmp_path, capsys):

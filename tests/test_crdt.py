@@ -7,6 +7,7 @@ the top of this file (naive recomputation / replay), then frozen.
 from __future__ import annotations
 
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 import crdtlin
 from crdtlin.crdt import (
-    CausalTaggedState,
     CommandError,
     GCounter,
     GSet,
@@ -25,6 +25,7 @@ from crdtlin.crdt import (
     UpdateOp,
     apply_query,
     apply_update,
+    make_command,
     state_from_bytes,
 )
 from tests_support import gset, tags
@@ -60,7 +61,8 @@ counter_pairs = st.integers(min_value=2, max_value=6).flatmap(
     )
 )
 elements = st.binary(min_size=0, max_size=6)
-gsets = st.frozensets(elements, max_size=8).map(GSet)
+frontiers = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(tuple)
+gsets = st.builds(GSet, st.frozensets(elements, max_size=8), st.tuples(*[st.integers(0, 3)] * 2))
 
 
 # ---------------------------------------------------------------- examples
@@ -112,12 +114,12 @@ def test_increment_out_of_range():
 
 
 def test_set_examples():
-    s = GSet.empty()
+    s = GSet.empty(1)
     s1 = apply_update(UpdateOp.set_add(b"a"), (1, 1), s)
-    assert s1 == gset(b"a")
-    # adding the same element again is a no-op on the value
+    assert s1 == gset(b"a", frontier=(1,))
+    # adding the same element again only advances the frontier
     s2 = apply_update(UpdateOp.set_add(b"a"), (1, 2), s1)
-    assert s2 == s1
+    assert s2 == gset(b"a", frontier=(2,)) and s2.equivalent(s1)
     assert apply_query(QueryCommand.set_contains(b"a"), s2) is True
     assert apply_query(QueryCommand.set_contains(b"b"), s2) is False
     assert apply_query(QueryCommand.set_elements(), gset(b"b", b"a")) == (b"a", b"b")
@@ -131,13 +133,27 @@ def test_set_merge_is_union():
 
 def test_cross_type_operations_rejected():
     with pytest.raises(ShapeError):
-        GCounter((0,)).merge(GSet.empty())
+        GCounter((0,)).merge(GSet.empty(1))
     with pytest.raises(ShapeError):
-        GSet.empty().compare(GCounter((0,)))
+        GSet.empty(1).compare(GCounter((0,)))
     with pytest.raises(CommandError):
         apply_update(UpdateOp.set_add(b"x"), (1, 1), GCounter.zero(2))
     with pytest.raises(CommandError):
-        apply_query(QueryCommand.counter_value(), GSet.empty())
+        apply_update(UpdateOp.increment(), (1, 1), GSet.empty(2))
+    with pytest.raises(CommandError):
+        apply_query(QueryCommand.counter_value(), GSet.empty(1))
+
+
+def test_make_command_shares_element_less_commands_and_checks_elements():
+    assert make_command("increment") is UpdateOp.increment()
+    assert make_command("counter_value") is QueryCommand.counter_value()
+    assert make_command("set_elements") is QueryCommand.set_elements()
+    assert make_command("set_add", b"x") == UpdateOp.set_add(b"x")
+    assert make_command("set_contains", b"") == QueryCommand.set_contains(b"")
+    for kind, element in (("increment", b"x"), ("set_elements", b""), ("set_add", None),
+                          ("set_contains", None), ("decrement", None)):
+        with pytest.raises(CommandError):
+            make_command(kind, element)
 
 
 # ---------------------------------------------------------------- lattice laws
@@ -171,37 +187,29 @@ def test_set_merge_laws(a, b, c):
 
 def _join(a, b):
     """The least upper bound by the pointwise and set definitions, built afresh."""
-    if isinstance(a, CausalTaggedState):
-        frontier = tuple(x if x > y else y for x, y in zip(a.frontier, b.frontier))
-        return CausalTaggedState(_join(a.value, b.value), frontier)
     if isinstance(a, GCounter):
         return GCounter(tuple(oracle_counter_merge(list(a.counts), list(b.counts))))
-    return GSet(frozenset([*a.elements, *b.elements]))
+    frontier = tuple(oracle_counter_merge(list(a.frontier), list(b.frontier)))
+    return GSet(frozenset([*a.elements, *b.elements]), frontier)
 
 
 def _leq(a, b) -> bool:
-    if isinstance(a, CausalTaggedState):
-        return _leq(a.value, b.value)  # the frontier rides along
     if isinstance(a, GCounter):
         return oracle_counter_leq(list(a.counts), list(b.counts))
-    return all(e in b.elements for e in a.elements)
+    return all(e in b.elements for e in a.elements)  # the frontier rides along
 
 
 @st.composite
 def lattice_pairs(draw):
     """Two operands of one shape: random, equal, one dominated, or the same object."""
     counter = draw(st.booleans())
-    tagged = draw(st.booleans())
     width = draw(st.integers(min_value=1, max_value=4))
 
     def operand():
+        slots = tuple(draw(st.integers(0, 3)) for _ in range(width))
         if counter:
-            value = GCounter(tuple(draw(st.integers(0, 3)) for _ in range(width)))
-        else:
-            value = GSet(draw(st.frozensets(st.binary(max_size=2), max_size=4)))
-        if tagged:
-            return CausalTaggedState(value, tuple(draw(st.integers(0, 3)) for _ in range(width)))
-        return value
+            return GCounter(slots)
+        return GSet(draw(st.frozensets(st.binary(max_size=2), max_size=4)), slots)
 
     a = operand()
     relation = draw(st.sampled_from(["random", "equal", "dominated", "identical"]))
@@ -265,26 +273,28 @@ def test_apply_update_inflates_the_payload():
 def _random_run(rng: random.Random, n_updates: int):
     """Reach the same tags twice through different merge histories.
 
-    Each part owns one slot and applies its own tags in sequence; the two
+    Each part owns one slot and applies its own tags in sequence, each
+    adding an element drawn from a small alphabet, so adds repeat; the two
     runs interleave the parts differently, and before each step a part may
     first merge a random other part's current payload.
     """
     width = 3
-    queues: list[list[tuple[int, int]]] = [[] for _ in range(width)]  # tags, by origin
+    queues: list[list[tuple[tuple[int, int], bytes]]] = [[] for _ in range(width)]  # by origin
     for _ in range(n_updates):
         pid = rng.randint(1, width)
-        queues[pid - 1].append((pid, len(queues[pid - 1]) + 1))
+        queues[pid - 1].append(((pid, len(queues[pid - 1]) + 1), bytes([rng.randrange(4)])))
 
     def run():
-        # slot increments stay on their owning part: max-merge is not additive
-        parts = [CausalTaggedState.initial(GCounter.zero(width), width) for _ in range(width)]
+        # a tag goes to its owning part only: each origin's tags arrive in sequence
+        parts = [GSet.empty(width) for _ in range(width)]
         pending = [list(q) for q in queues]
         while any(pending):
             if rng.random() < 0.5:
                 dst, src = rng.sample(range(width), 2)
                 parts[dst] = parts[dst].merge(parts[src])
             pid = rng.choice([i for i in range(width) if pending[i]])
-            parts[pid] = apply_update(UpdateOp.increment(), pending[pid].pop(0), parts[pid])
+            tag, element = pending[pid].pop(0)
+            parts[pid] = apply_update(UpdateOp.set_add(element), tag, parts[pid])
         order = rng.sample(range(width), width)
         out = parts[order[0]]
         for i in order[1:]:
@@ -300,37 +310,41 @@ def test_equal_tag_sets_imply_equivalent_values():
         a, b = _random_run(rng, rng.randint(0, 12))
         assert tags(a) == tags(b)
         assert a.equivalent(b)
-        assert a.value == b.value
+        assert a.elements == b.elements
 
 
 def test_tagged_merge_unions_tags():
-    base = CausalTaggedState.initial(GCounter.zero(2), 2)
-    a = apply_update(UpdateOp.increment(), (1, 1), base)
-    b = apply_update(UpdateOp.increment(), (2, 1), base)
+    base = GSet.empty(2)
+    a = apply_update(UpdateOp.set_add(b"x"), (1, 1), base)
+    b = apply_update(UpdateOp.set_add(b"x"), (2, 1), base)
     m = a.merge(b)
     assert m.frontier == (1, 1)
     assert tags(m) == ((1, 1), (2, 1))
-    assert m.value == GCounter((1, 1))
-    # ordering ignores tags entirely
-    assert a.compare(m) and b.compare(m)
+    assert m.elements == frozenset({b"x"})
+    # ordering ignores tags entirely: m holds more tags than a, yet a set no larger
+    assert a.compare(m) and m.compare(a) and b.compare(m) and m.compare(b)
 
 
 def test_tagged_cannot_mix_with_untagged():
-    with pytest.raises(ShapeError):
-        CausalTaggedState.initial(GCounter.zero(2), 2).merge(GCounter.zero(2))
+    # a set's frontier and a counter's slots never mix, even at one width
+    for a, b in ((GSet.empty(2), GCounter.zero(2)), (GCounter.zero(2), GSet.empty(2))):
+        with pytest.raises(ShapeError):
+            a.merge(b)
+        with pytest.raises(ShapeError):
+            a.compare(b)
 
 
 def test_tagged_frontier_widths_must_match():
     with pytest.raises(ShapeError):
-        CausalTaggedState.initial(GCounter.zero(2), 2).merge(
-            CausalTaggedState.initial(GCounter.zero(2), 3)
-        )
+        GSet.empty(2).merge(GSet.empty(3))
     with pytest.raises(ShapeError):
-        CausalTaggedState.initial(GCounter.zero(2), 0)
+        GSet.empty(3).compare(GSet.empty(2))
+    with pytest.raises(ShapeError):
+        GSet.empty(0)
 
 
 def test_tags_expand_the_frontier_in_order():
-    state = CausalTaggedState(GSet.empty(), (2, 0, 3))
+    state = GSet(frozenset(), (2, 0, 3))
     assert tags(state) == ((1, 1), (1, 2), (3, 1), (3, 2), (3, 3))
 
 
@@ -338,7 +352,7 @@ def test_tagged_update_must_be_its_origins_next_tag():
     # both payload forms: a counter is its own frontier, a set carries one
     for state, op in (
         (GCounter((2, 0, 0)), UpdateOp.increment()),
-        (CausalTaggedState(GSet.empty(), (2, 0, 0)), UpdateOp.set_add(b"x")),
+        (GSet(frozenset(), (2, 0, 0)), UpdateOp.set_add(b"x")),
     ):
         grown = apply_update(op, (1, 3), state)
         assert grown.frontier == (3, 0, 0)
@@ -367,17 +381,17 @@ def test_set_bytes_roundtrip(state):
 
 
 @settings(max_examples=200, deadline=None)
-@given(gsets, st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(tuple))
+@given(st.frozensets(elements, max_size=8), frontiers)
 def test_tagged_bytes_roundtrip(value, frontier):
-    state = CausalTaggedState(value, frontier)
+    state = GSet(value, frontier)
     data = state.canonical_bytes()
     assert len(data) == state.canonical_size()
     assert state_from_bytes(data) == state
 
 
 def test_canonical_bytes_are_order_insensitive():
-    a = GSet(frozenset([b"x", b"y", b"z"]))
-    b = GSet(frozenset([b"z", b"x", b"y"]))
+    a = gset(b"x", b"y", b"z")
+    b = gset(b"z", b"x", b"y")
     assert a.canonical_bytes() == b.canonical_bytes()
 
 
@@ -394,31 +408,38 @@ def test_malformed_bytes_rejected():
 
 
 def test_malformed_tagged_bytes_rejected():
-    good = CausalTaggedState(GCounter((1, 2, 3)), (1, 0, 4)).canonical_bytes()
-    assert len(good) == 58
+    # a set's canonical form: "S", count, elements, u32 width, u64 frontier
+    state = GSet(frozenset({b"ab"}), (1, 0, 4))
+    good = state.canonical_bytes()
+    assert good == bytes.fromhex("5300000001000000026162") + struct.pack(">I3Q", 3, 1, 0, 4)
     with pytest.raises(SerializationError):
         state_from_bytes(good[:-1])  # truncated frontier
     with pytest.raises(SerializationError):
         state_from_bytes(good[:-24])  # frontier width with no entries
-    empty = GCounter((1, 2, 3)).canonical_bytes() + b"\x00" * 4
     with pytest.raises(SerializationError):
-        state_from_bytes(b"T" + empty)  # a frontier of width 0
+        state_from_bytes(good[:-28])  # no frontier at all: every set carries one
+    with pytest.raises(SerializationError):
+        state_from_bytes(good[:-28] + b"\x00" * 4)  # a frontier of width 0
+    with pytest.raises(SerializationError):
+        state_from_bytes(b"T" + good)  # the retired wrapper form
     with pytest.raises(SerializationError):
         state_from_bytes(good + b"\x00")
     with pytest.raises(SerializationError):
         state_from_bytes(good + bytes(8))  # a whole extra entry beyond the width
 
 
-def test_untagged_values_answer_no_frontier():
+def test_every_value_answers_its_frontier():
     # a counter's slots count its replicas' tags, so it is its own frontier
-    assert GCounter((1, 0, 2)).frontier == (1, 0, 2) and gset(b"a").frontier is None
-    # the attribute lives on the value types, so the wrapper still needs its frontier
+    assert GCounter((1, 0, 2)).frontier == (1, 0, 2)
+    assert gset(b"a", frontier=(1, 0, 2)).frontier == (1, 0, 2)
+    # a set is built with its frontier or not at all
     with pytest.raises(TypeError):
-        CausalTaggedState(GCounter.zero(3))
+        GSet(frozenset({b"a"}))
 
 
-def test_only_crdt_names_the_tagged_wrapper():
-    # every value answers .frontier, so no other module needs the tagged type
+def test_only_the_package_init_names_the_tagged_wrapper():
+    # a set carries its own frontier; the old wrapper name is a bare alias of it
     src = Path(crdtlin.__file__).parent
     naming = sorted(p.name for p in src.glob("*.py") if "CausalTaggedState" in p.read_text())
-    assert naming == ["__init__.py", "crdt.py"]
+    assert naming == ["__init__.py"]
+    assert crdtlin.CausalTaggedState is GSet

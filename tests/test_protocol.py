@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import crdtlin
 from crdtlin.crdt import (
-    CausalTaggedState,
     GCounter,
     GSet,
     QueryCommand,
@@ -295,14 +294,14 @@ def test_stale_ack_only_feeds_the_gathered_lub():
 
 
 def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
-    # a tagged set, so two equivalent acks can hold different tags: replica 2
+    # a set, so two equivalent acks can hold different tags: replica 2
     # added x twice, and only A' has seen its second add
-    r = Replica(1, ProtocolConfig(n_replicas=3), CausalTaggedState.initial(GSet.empty(), 3))
+    r = Replica(1, ProtocolConfig(n_replicas=3), GSet.empty(3))
     out = r.step(Request(9, client_req_id(90), QueryCommand.set_elements()))
     req_id = sends_by_type(out, Prepare)[0][1].request_id
-    a = CausalTaggedState(GSet(frozenset({b"x"})), (0, 1, 0))
-    b = CausalTaggedState(GSet(frozenset({b"y"})), (0, 0, 1))
-    a_prime = CausalTaggedState(GSet(frozenset({b"x"})), (0, 2, 0))
+    a = GSet(frozenset({b"x"}), (0, 1, 0))
+    b = GSet(frozenset({b"y"}), (0, 0, 1))
+    a_prime = GSet(frozenset({b"x"}), (0, 2, 0))
     r.step(Ack(1, req_id, 1, a))
     out = r.step(Ack(2, req_id, 1, b))
     assert out.replies == [] and [backoff for _, backoff in out.timers] == [0]
@@ -505,18 +504,16 @@ def test_bad_command_against_cluster_type_fails_cleanly(batching):
     assert [dst for dst, _ in sends_by_type(out, Merge)] == [2, 3]
 
 
-@pytest.mark.parametrize("tagged", [False, True])
-def test_rejected_update_burns_no_tag(tagged):
+@pytest.mark.parametrize("batching", [False, True])
+def test_rejected_update_burns_no_tag(batching):
     # (empty value, an op that value rejects, an op it takes)
     cases = [
         (GCounter.zero(3), UpdateOp.set_add(b"x"), UpdateOp.increment()),  # wrong crdt
-        (GSet.empty(), UpdateOp("set_add", None), UpdateOp.set_add(b"x")),  # no element
+        (GSet.empty(3), UpdateOp("set_add", None), UpdateOp.set_add(b"x")),  # no element
         (GCounter.zero(3), UpdateOp("decrement"), UpdateOp.increment()),  # unknown kind
     ]
     for initial, bad, good in cases:
-        if tagged:
-            initial = CausalTaggedState.initial(initial, 3)
-        r = Replica(1, ProtocolConfig(n_replicas=3), initial)
+        r = Replica(1, ProtocolConfig(n_replicas=3, batching=batching), initial)
         failed = r.step(Request(1, client_req_id(1), bad))
         assert not failed.replies[0][1].ok, bad
         out = r.step(Request(1, client_req_id(2), good))
@@ -527,9 +524,9 @@ def test_rejected_update_burns_no_tag(tagged):
 
 def test_payload_claiming_unissued_local_updates_is_refused():
     config = ProtocolConfig(n_replicas=3)
-    r = Replica(2, config, CausalTaggedState.initial(GCounter.zero(3), 3))
+    r = Replica(2, config, GCounter.zero(3))
     before = r.state
-    forged = CausalTaggedState(GCounter((0, 1, 0)), (0, 1, 0))  # (2, 1) was never issued
+    forged = GCounter((0, 1, 0))  # (2, 1) was never issued
     for msg in (
         Merge(1, REQ, forged),
         Prepare(1, REQ, 1, forged),
@@ -538,14 +535,14 @@ def test_payload_claiming_unissued_local_updates_is_refused():
         with pytest.raises(PayloadRejected):
             r.step(msg)
     with pytest.raises(ShapeError):
-        r.step(Merge(1, REQ, CausalTaggedState.initial(GCounter.zero(3), 2)))
+        r.step(Merge(1, REQ, GCounter.zero(2)))
     assert r.state == before
     # once (2, 1) is issued here, the same payload is an ordinary merge
     out = r.step(Request(1, client_req_id(1), UpdateOp.increment()))
     assert sends_by_type(out, Merge)
     assert r.step(Merge(1, REQ, forged)).sends == [(1, Merged(2, REQ))]
     # from outside the cluster, a forged payload is dropped before it is read
-    assert r.step(Merge(17, REQ, CausalTaggedState(GCounter((0, 0, 0)), (0, 9, 0)))).sends == []
+    assert r.step(Merge(17, REQ, GCounter((0, 9, 0)))).sends == []
 
 
 def test_unknown_event_is_a_protocol_error():
@@ -629,7 +626,7 @@ def test_runtime_applies_timers_then_sends_then_replies():
     # a finished batch hands over to the next in one step, whose first op a
     # set rejects: the step replies to both batches but only the first ends
     rt = _FakeRuntime()
-    r = Replica(1, ProtocolConfig(n_replicas=3, batching=True), GSet.empty())
+    r = Replica(1, ProtocolConfig(n_replicas=3, batching=True), GSet.empty(3))
     rt.route(r, Request(1, client_req_id(1), UpdateOp.set_add(b"a")))
     [(first, first_timer)] = rt.timers.items()
     rt.route(r, Request(1, client_req_id(2), UpdateOp.increment()))

@@ -20,7 +20,6 @@ from crdtlin import service
 from crdtlin.checker import check_all, linearize
 from crdtlin.crdt import (
     CRDT_KINDS,
-    CausalTaggedState,
     GCounter,
     GSet,
     QueryCommand,
@@ -40,7 +39,8 @@ from crdtlin.service import (
     RequestFailed,
     load_cluster_config,
 )
-from crdtlin.wire import MAX_FRAME, encode, try_decode
+from crdtlin.wire import MAX_FRAME, FrameError, encode, try_decode
+from tests_support import answer_once, reply_learning_bytes
 
 
 def _free_ports(n: int) -> list[int]:
@@ -499,7 +499,7 @@ def test_a_replica_links_to_a_peer_as_soon_as_it_connects(monkeypatch):
 
 def test_link_to_a_down_peer_holds_no_more_than_the_byte_cap(caplog):
     caplog.set_level(logging.DEBUG, logger="crdtlin.service")
-    element = GSet(frozenset({b"x" * 65536}))
+    element = GSet(frozenset({b"x" * 65536}), (0, 0))
     c = Cluster(2, crdt="gset")
     c.start(1)  # replica 2 never starts
     daemon = c.daemons[1]
@@ -544,7 +544,7 @@ def test_malformed_frame_drops_connection_but_not_daemon(cluster):
 
 def test_oversized_frame_to_a_peer_is_dropped_and_the_link_kept(caplog):
     rid_a, rid_b = bytes(15) + b"\x01", bytes(15) + b"\x02"
-    huge = GSet(frozenset({b"a" * (MAX_FRAME // 2), b"b" * (MAX_FRAME // 2)}))
+    huge = GSet(frozenset({b"a" * (MAX_FRAME // 2), b"b" * (MAX_FRAME // 2)}), (0, 0))
     c = Cluster(2, crdt="gset")
     # a bare listener stands in for replica 2 and reads what replica 1 sends it
     with socket.create_server(("127.0.0.1", c.config.endpoint(2).port)) as peer:
@@ -664,35 +664,22 @@ def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
         assert cl.value().result == 1
 
 
-def _reply_once(learned) -> tuple[int, threading.Thread]:
-    """A one-shot replica on a free port that answers one query with ``learned``."""
-    listener = socket.create_server(("127.0.0.1", 0))
-
-    def serve():
-        with listener, listener.accept()[0] as conn:
-            buf = bytearray()
-            while (decoded := try_decode(buf)) is None:
-                buf += conn.recv(65536)
-            query = decoded[0]
-            conn.sendall(encode(Reply(1, query.request_id, True, None, 3, learned, 1, 0)))
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    return listener.getsockname()[1], thread
-
-
-def test_client_keeps_an_untagged_learned_state_out_of_its_record():
-    port, thread = _reply_once(GSet(frozenset({b"x"})))  # a set's payload always carries one
+def test_client_refuses_a_learned_set_without_a_frontier():
+    # the set form before sets carried a frontier: "S", count, elements, and nothing after
+    blob = b"S" + struct.pack(">II", 1, 1) + b"x"
+    port, thread = answer_once(lambda rid: reply_learning_bytes(rid, blob))
     with ReplicaClient("127.0.0.1", port, timeout=5) as cl:
-        rec = cl.value()
+        with pytest.raises(FrameError, match="truncated state encoding"):
+            cl.value()
     thread.join(5)
     assert not thread.is_alive()
-    assert rec.outcome == "ok" and rec.result == 3 and rec.learned_frontier is None
 
 
 def test_client_fails_a_reply_whose_learned_state_names_too_many_tags():
     n_tags = service._MAX_LEARNED_TAGS + 1
-    port, thread = _reply_once(CausalTaggedState(GCounter((3, 0, 0)), (n_tags, 0, 0)))
+    # a set whose replica 1 added one element n_tags times
+    learned = GSet(frozenset({b"x"}), (n_tags, 0, 0))
+    port, thread = answer_once(lambda rid: encode(Reply(1, rid, True, None, 3, learned, 1, 0)))
     with ReplicaClient("127.0.0.1", port, timeout=5, record=True) as cl:
         with pytest.raises(RequestFailed, match=f"names {n_tags} tags"):
             cl.value()

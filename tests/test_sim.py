@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from crdtlin.crdt import CRDT_KINDS, CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.crdt import CRDT_KINDS, GCounter, GSet, QueryCommand
 from crdtlin.history import (
     OpRecord,
     read_history,
@@ -123,7 +123,7 @@ _GOLDEN = {
         {
             "history.jsonl": "a6b17ae6fb195acd69b891a34eff69d2e564439029e2cebc25d1a93ea977fa39",
             "trace.jsonl": "bf1da87165a7bc92cb9f0869967ef035ca7e103349d3581a77d9f1ddd257b2b2",
-            "metrics.csv": "117961c62741729f79fd277eb3f0aba1025345247eabb635d37e356e2e0a3c3f",
+            "metrics.csv": "920d17559618fc68ec5d9b6f7a2cd4210fdb9effdca9bede5588034b65514aee",
         },
     ),
     "fixed-delay-batching": (
@@ -483,7 +483,7 @@ def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
     elements = [b"element-%04d" % i for i in range(1000)]
     reply = Reply(
         0, bytes(16), True, result=False,
-        learned=CausalTaggedState(GSet(frozenset(elements)), (400, 300, 300)), round_trips=1,
+        learned=GSet(frozenset(elements), (400, 300, 300)), round_trips=1,
     )
     rec = OpRecord(op_id=1, client=0, replica=1, kind="query",
                    op=QueryCommand.set_contains(b"absent"), invoke_t=0)

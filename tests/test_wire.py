@@ -7,14 +7,14 @@ import tracemalloc
 
 import pytest
 
-from crdtlin.crdt import CausalTaggedState, GCounter, GSet, QueryCommand
+from crdtlin.crdt import GCounter, GSet, QueryCommand
 from crdtlin.messages import Ack, Merge, Merged, Prepare, Reply, Request, UpdateOp
 from crdtlin.wire import MAX_FRAME, FrameError, decode_payload, encode, try_decode
 
 RID = bytes(range(16))
-STATE = CausalTaggedState(GCounter((3, 0, 7)), (1, 0, 2))
+STATE = GCounter((3, 0, 7))
 PLAIN = GCounter((1, 2, 3))
-SET_STATE = GSet(frozenset({b"", b"alpha", b"\x00\xff"}))
+SET_STATE = GSet(frozenset({b"", b"alpha", b"\x00\xff"}), (1, 0, 2))
 
 SAMPLES = [
     Request(0, RID, UpdateOp.increment()),
@@ -80,6 +80,37 @@ def test_an_int_result_outside_i64_is_a_frame_error(result):
         encode(Reply(1, RID, True, result=result))
 
 
+# commands that break the element rule: an element exactly where none is taken
+_MISMATCHED_COMMANDS = [
+    UpdateOp("increment", b"x"),
+    UpdateOp("set_add", None),
+    QueryCommand("counter_value", b""),
+    QueryCommand("set_contains", None),
+    QueryCommand("set_elements", b"x"),
+]
+
+
+@pytest.mark.parametrize("command", _MISMATCHED_COMMANDS, ids=lambda c: c.kind)
+def test_a_command_breaking_the_element_rule_is_a_frame_error_both_ways(command):
+    with pytest.raises(FrameError, match="element"):
+        encode(Request(0, RID, command))
+    # the same frame, laid out by hand: the header and kind byte of a valid
+    # command of that kind, then the mismatched element slot
+    valid = type(command)(command.kind, b"x" if command.element is None else None)
+    head = encode(Request(0, RID, valid))[4:26]
+    element = b"\x00" if command.element is None else b"\x01" + struct.pack(">I", 1) + b"x"
+    with pytest.raises(FrameError, match="element"):
+        decode_payload(head + element)
+
+
+@pytest.mark.parametrize(
+    "command", [UpdateOp.increment(), QueryCommand.counter_value(), QueryCommand.set_elements()],
+    ids=lambda c: c.kind,
+)
+def test_a_decoded_element_less_command_is_the_shared_one(command):
+    assert decode_payload(encode(Request(0, RID, command))[4:]).command is command
+
+
 def test_try_decode_waits_for_a_full_frame():
     frame = encode(Merge(1, RID, STATE))
     for cut in range(len(frame)):
@@ -107,7 +138,8 @@ def test_oversized_declared_length_is_rejected():
 
 
 def test_oversized_state_is_rejected_at_encode():
-    big = GSet(frozenset({bytes([i % 251, i // 251 % 251, i // 63001]) + b"x" * 40 for i in range(400_000)}))
+    elements = {bytes([i % 251, i // 251 % 251, i // 63001]) + b"x" * 40 for i in range(400_000)}
+    big = GSet(frozenset(elements), (1,))
     with pytest.raises(FrameError):
         encode(Merge(1, RID, big))
 
@@ -189,13 +221,12 @@ def test_fuzzed_mutations_of_valid_frames():
 
 
 def _random_state(rng: random.Random):
-    pick = rng.randrange(3)
-    if pick == 0:
+    if rng.randrange(2):
         return GCounter(tuple(rng.randrange(1 << 40) for _ in range(rng.randrange(1, 6))))
-    if pick == 1:
-        return GSet(frozenset(rng.randbytes(rng.randrange(0, 12)) for _ in range(rng.randrange(0, 6))))
     frontier = tuple(rng.randrange(1 << 30) for _ in range(rng.randrange(1, 8)))
-    return CausalTaggedState(GCounter((rng.randrange(1 << 20),)), frontier)
+    return GSet(
+        frozenset(rng.randbytes(rng.randrange(0, 12)) for _ in range(rng.randrange(0, 6))), frontier
+    )
 
 
 def test_hundred_thousand_random_valid_messages_round_trip():
@@ -235,21 +266,19 @@ def test_hundred_thousand_random_valid_messages_round_trip():
         assert decode_payload(encode(msg)[4:]) == msg
 
 
-_TAGGED_SET = CausalTaggedState(GSet(frozenset({b"e1", b"e22"})), (2, 0, 1))
+_FRAMED_SET = GSet(frozenset({b"e1", b"e22"}), (2, 0, 1))
 _HEAD = "000102030405060708090a0b0c0d0e0f"  # RID
-_TAGGED_HEX = (
-    "0000003a5443000000030000000000000003000000000000000000000000000000070000000300"
-    "0000000000000100000000000000000000000000000002"
-)
-_TAGGED_SET_HEX = (
-    "0000002f545300000002000000026531000000036532320000000300000000000000020000000000"
+# a state slot: u32 length, then the state's canonical form
+_COUNTER_HEX = "0000001d4300000003000000000000000300000000000000000000000000000007"
+_FRAMED_SET_HEX = (
+    "0000002e5300000002000000026531000000036532320000000300000000000000020000000000"
     "0000000000000000000001"
 )
 
 # one frame per message type, written out field by field from the layout in
 # the wire.py docstring: the wire format must not move by a byte. A Prepare,
 # for one: 1 type + 16 request id + 4 sender + 4 attempt + 4 slot length +
-# 58 state bytes = 87 (0x57) after the length prefix
+# 29 state bytes = 58 (0x3a) after the length prefix
 GOLDEN = [
     (Request(0, RID, UpdateOp.set_add(b"e7")),
      "0000001d01" + _HEAD + "00000000" + "6101000000026537"),
@@ -260,16 +289,17 @@ GOLDEN = [
     (Request(0, RID, QueryCommand.set_contains(b"x")),
      "0000001c01" + _HEAD + "00000000" + "63010000000178"),
     (Reply(1, RID, True, None, 42, STATE, 3, 1),
-     "0000006702" + _HEAD + "00000001"
-     + "01" + "0000000300000001" + "00" + "49000000000000002a" + _TAGGED_HEX + "00"),
-    (Merge(3, RID, _TAGGED_SET),
-     "0000004805" + _HEAD + "00000003" + _TAGGED_SET_HEX),
+     "0000004a02" + _HEAD + "00000001"
+     + "01" + "0000000300000001" + "00" + "49000000000000002a" + _COUNTER_HEX + "00"),
+    (Merge(3, RID, _FRAMED_SET),
+     "0000004705" + _HEAD + "00000003" + _FRAMED_SET_HEX),
     (Merged(2, RID), "0000001506" + _HEAD + "00000002"),
     (Prepare(1, RID, 4, STATE),
-     "0000005707" + _HEAD + "00000001" + "00000004" + _TAGGED_HEX),
+     "0000003a07" + _HEAD + "00000001" + "00000004" + _COUNTER_HEX),
     (Ack(2, RID, 12, SET_STATE),
-     "0000003508" + _HEAD + "00000002" + "0000000c"
-     + "000000185300000003000000000000000200ff00000005616c706861"),
+     "0000005108" + _HEAD + "00000002" + "0000000c"
+     + "000000345300000003000000000000000200ff00000005616c706861"
+     + "00000003" + "0000000000000001" + "0000000000000000" + "0000000000000002"),
     (Reply(1, RID, False, (2, 9), round_trips=4, retries=3, reason="max-retries"),
      "0000004402" + _HEAD + "00000001"
      + "00" + "0000000400000003" + "01" + "0000000000000002" + "0000000000000009"
@@ -289,9 +319,9 @@ def test_golden_frames_cover_every_message_type():
 
 
 def test_huge_declared_frontier_width_is_rejected_before_allocating():
-    # a 120-byte frame whose tagged state claims 2**32 - 1 frontier entries:
-    # the width is checked against the bytes present, so no 32 GiB unpack
-    blob = b"T" + GCounter((1,)).canonical_bytes() + struct.pack(">I", 0xFFFFFFFF)
+    # a 120-byte frame whose set claims 2**32 - 1 frontier entries: the
+    # width is checked against the bytes present, so no 32 GiB unpack
+    blob = b"S" + struct.pack(">II", 0, 0xFFFFFFFF)  # no elements, then the width
     blob += b"\x00" * (120 - 4 - 21 - 4 - len(blob))
     header = encode(Merged(2, RID))[5:]  # request id, sender
     payload = b"\x05" + header + struct.pack(">I", len(blob)) + blob  # a Merge
