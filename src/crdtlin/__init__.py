@@ -17,6 +17,7 @@ from .checker import (
     Verdict,
     Witness,
     check_all,
+    check_results,
     linearizability_oracle,
     linearize,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "Verdict",
     "Witness",
     "check_all",
+    "check_results",
     "linearizability_oracle",
     "linearize",
     "load_cluster_config",

@@ -6,9 +6,9 @@ prefix of each replica's sequence, so a learned state is a downward-closed
 tag set, recorded as its per-replica frontier: tag ``(r, k)`` is learned
 iff ``k <= frontier[r - 1]``. Two payloads have the same
 frontier exactly when they are the join of the same updates, so the
-pointwise order on frontiers is a faithful, payload-agnostic stand-in for
-the lattice order, and it stays exact even when a query response only
-carries a projection of the state. Each check costs O(replicas) per
+pointwise order on frontiers is the lattice order itself, the one
+``SemilatticeValue.compare`` states, and it stays exact even when a query
+response only carries a projection of the state. Each check costs O(replicas) per
 operation whatever the history length; a witness is searched for only
 once a check has failed.
 
@@ -26,6 +26,14 @@ Five conditions define safe query behavior:
 - update visibility: a query invoked after an update finished must learn
   that update's tag.
 
+One more condition reads what a query answered, not only what it learned:
+
+- results: each answered query's result is the one its learned frontier
+  names (a counter's count of the named updates, or the elements they
+  added). The five hold on tags alone, so this is the check that a
+  payload holds exactly the updates its frontier names. A set query costs
+  O(its answer) once per distinct learned frontier.
+
 ``linearize`` turns a history that passes all five into an explicit total
 order and verifies it is legal (each query's learned frontier counts
 exactly the updates ordered before it) and consistent with real-time
@@ -41,11 +49,12 @@ nothing; they are dropped.
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import le
 
-from .crdt import CausalTag
+from .crdt import CausalTag, QueryCommand
 from .history import OpRecord
 
 __all__ = [
@@ -58,6 +67,7 @@ __all__ = [
     "Witness",
     "check_all",
     "check_consistency",
+    "check_results",
     "check_stability",
     "check_update_stability",
     "check_update_visibility",
@@ -367,6 +377,68 @@ def check_update_visibility(history: list[OpRecord]) -> Verdict:
                 f"finished but did not learn its tag",
             )
     return Verdict("update-visibility", True)
+
+
+def _answer(cmd: QueryCommand, count: int, added: set):
+    """What a state holding ``count`` updates that added ``added`` answers."""
+    if cmd.kind == "counter_value":
+        return count
+    if cmd.kind == "set_contains":
+        return cmd.element in added
+    return tuple(sorted(added))
+
+
+def _same(result, expected) -> bool:
+    return type(result) is type(expected) and result == expected
+
+
+def check_results(history: list[OpRecord]) -> Verdict:
+    """Each answered query's result is the one its learned frontier names.
+
+    The five conditions read tags alone. A payload holds exactly the updates
+    its frontier names, so a counter query must answer how many updates its
+    learned frontier names, and a set query what the elements they added
+    give. A state that dropped an element under an advancing frontier passes
+    the five and fails here. The witness is the query alone, or the query
+    and one named update, whichever fails on its own.
+    """
+    updates, queries, _ = _extract(history)
+    by_origin: dict[int, list[OpRecord]] = {}
+    for u in sorted(updates, key=lambda r: r.tag):
+        by_origin.setdefault(u.tag[0], []).append(u)
+    seqs = {origin: [u.tag[1] for u in us] for origin, us in by_origin.items()}
+
+    def spans(frontier: Frontier) -> list[tuple[list[OpRecord], int]]:
+        # per origin, its updates by sequence number and how many the frontier names
+        return [
+            (by_origin.get(origin, []), bisect_right(seqs.get(origin, ()), top))
+            for origin, top in enumerate(frontier, 1)
+        ]
+
+    elements: dict[Frontier, set] = {}  # built once per distinct frontier
+    for q, frontier in queries:
+        counts = spans(frontier)
+        if q.op.kind != "counter_value" and frontier not in elements:
+            elements[frontier] = {
+                u.op.element for us, n in counts for u in us[:n] if u.op.element is not None
+            }
+        expected = _answer(q.op, sum(n for _, n in counts), elements.get(frontier, set()))
+        if _same(q.result, expected):
+            continue
+        witness = (q.op_id,)
+        if _same(q.result, type(expected)()):  # alone, the query answers as it should
+            lacking = next(
+                u for us, n in counts for u in us[:n]
+                if not _same(q.result, _answer(q.op, 1, {u.op.element}))
+            )
+            witness = (lacking.op_id, q.op_id)
+        return _fail(
+            "results",
+            witness,
+            f"query op {q.op_id} answered {reprlib.repr(q.result)}, but the updates "
+            f"its learned frontier names give {reprlib.repr(expected)}",
+        )
+    return Verdict("results", True)
 
 
 # the five safety conditions, in the order check_all and linearize run them

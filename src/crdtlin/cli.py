@@ -26,6 +26,7 @@ from .checker import (
     UnsupportedInput,
     Verdict,
     check_all,
+    check_results,
     linearize,
 )
 from .crdt import CRDT_KINDS
@@ -306,7 +307,7 @@ def _cmd_check(args) -> int:
         history = read_history(fp)
     failed = False
     verdicts = check_all(history)
-    for name, verdict in verdicts.items():
+    for name, verdict in [*verdicts.items(), ("results", check_results(history))]:
         if verdict.passed:
             print(f"{name}: pass")
         else:

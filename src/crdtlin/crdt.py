@@ -4,21 +4,22 @@ An update is the client's ``UpdateOp`` plus the causal tag its proposer
 gives it, ``apply_update(op, tag, state)``; it advances the tag's origin.
 
 The replication layer is generic over ``SemilatticeValue``: anything with a
-partial-order ``compare``, a least-upper-bound ``merge``, a canonical byte
-form and a ``frontier``. Each replica applies its own tags in sequence, so
-the tags in a payload are summarised by a per-replica frontier (a version
-vector). Each CRDT is its one payload form, which ``initial_state`` builds:
-a ``GCounter`` is its own frontier, since each slot counts its own replica's
-tags, and a ``GSet`` carries one next to its elements. The checker works on
-learned frontiers directly, so they cost O(replicas) per payload and per
-recorded query, however long the history.
+``frontier``, a join and a canonical byte form. Each replica applies its own
+tags in sequence, so the tags in a payload are summarised by a per-replica
+frontier (a version vector), and a payload holds exactly the updates its
+frontier names. So the frontier is the one order, said once on
+``SemilatticeValue``, and the checker applies it to learned frontiers. Each
+CRDT is its one payload form, which ``initial_state`` builds: a ``GCounter``
+is its own frontier, since each slot counts its own replica's tags, and a
+``GSet`` carries one next to its elements. Frontiers cost O(replicas) per
+payload and per recorded query, however long the history.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from operator import attrgetter, le
+from operator import le
 
 __all__ = [
     "COMMANDS",
@@ -67,38 +68,59 @@ class SerializationError(CrdtError):
 
 
 class SemilatticeValue:
-    """A value in a join semilattice.
+    """A value in a join semilattice, ordered by its ``frontier``.
 
-    Implementations are immutable: updates return fresh values, and merge
-    returns an operand itself when that operand already is the join. Each
-    one provides:
+    ``compare`` is pointwise ``<=`` on frontiers, true when self is dominated
+    by ``other``. ``merge`` is the least upper bound: an operand itself when
+    its frontier already is the join, else ``_join``. Both raise ShapeError
+    on another type or frontier width. Implementations are immutable, and
+    each provides:
 
-    - ``compare(other) -> bool``: the partial order, true when self is
-      dominated by ``other``;
-    - ``merge(other)``: the least upper bound of self and ``other``;
+    - ``frontier``: the per-replica frontier of its update tags;
+    - ``_join(other, frontier)``: the value holding both operands' updates
+      under their joined ``frontier``;
     - ``canonical_bytes() -> bytes``: a self-describing canonical encoding,
       equal for equal values;
     - ``canonical_size() -> int``: the length of ``canonical_bytes()``
-      without building it;
-    - ``frontier``: the per-replica frontier of its update tags.
+      without building it.
     """
 
     __slots__ = ()
 
-    def equivalent(self, other: "SemilatticeValue") -> bool:
-        return self.compare(other) and other.compare(self)
+    def _check(self, other: "SemilatticeValue") -> tuple[int, ...]:
+        """``other``'s frontier, if it has this value's type and width."""
+        if type(other) is not type(self):
+            raise ShapeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        theirs = other.frontier
+        if len(theirs) != len(self.frontier):
+            raise ShapeError(f"frontier width mismatch: {len(self.frontier)} vs {len(theirs)}")
+        return theirs
+
+    def compare(self, other: "SemilatticeValue") -> bool:
+        return other is self or all(map(le, self.frontier, self._check(other)))
+
+    def merge(self, other: "SemilatticeValue") -> "SemilatticeValue":
+        if other is self:
+            return self
+        mine, theirs = self.frontier, self._check(other)
+        frontier = tuple(map(max, mine, theirs))
+        if frontier == mine:
+            return self
+        if frontier == theirs:
+            return other
+        return self._join(other, frontier)
 
 
 @dataclass(frozen=True, slots=True)
 class GCounter(SemilatticeValue):
     """Grow-only counter with one slot per replica.
 
-    The slot count is fixed at cluster creation; merging counters of
-    different widths is a shape error, not a silent resize.
+    Slot ``r - 1`` counts replica ``r``'s tags, so the counts are its
+    frontier. The slot count is fixed at cluster creation; merging counters
+    of different widths is a shape error, not a silent resize.
     """
 
-    counts: tuple[int, ...]
-    frontier = property(attrgetter("counts"))  # slot r - 1 counts replica r's tags
+    frontier: tuple[int, ...]  # the counts
 
     @classmethod
     def zero(cls, width: int) -> "GCounter":
@@ -106,46 +128,25 @@ class GCounter(SemilatticeValue):
             raise ShapeError(f"counter needs at least one slot, got {width}")
         return cls((0,) * width)
 
-    def _check(self, other: "SemilatticeValue") -> "GCounter":
-        if not isinstance(other, GCounter):
-            raise ShapeError(f"cannot combine GCounter with {type(other).__name__}")
-        if len(other.counts) != len(self.counts):
-            raise ShapeError(
-                f"counter width mismatch: {len(self.counts)} vs {len(other.counts)}"
-            )
-        return other
-
-    def compare(self, other: "SemilatticeValue") -> bool:
-        return other is self or all(map(le, self.counts, self._check(other).counts))
-
-    def merge(self, other: "SemilatticeValue") -> "GCounter":
-        if other is self:
-            return self
-        other = self._check(other)
-        counts = tuple(map(max, self.counts, other.counts))
-        if counts == self.counts:
-            return self
-        if counts == other.counts:
-            return other
-        return GCounter(counts)
+    def _join(self, other: "GCounter", frontier: tuple[int, ...]) -> "GCounter":
+        return GCounter(frontier)
 
     def increment(self, slot: int) -> "GCounter":
-        if not 0 <= slot < len(self.counts):
-            raise CommandError(f"slot {slot} out of range for width {len(self.counts)}")
-        counts = list(self.counts)
+        if not 0 <= slot < len(self.frontier):
+            raise CommandError(f"slot {slot} out of range for width {len(self.frontier)}")
+        counts = list(self.frontier)
         counts[slot] += 1
         return GCounter(tuple(counts))
 
     def value(self) -> int:
-        return sum(self.counts)
+        return sum(self.frontier)
 
     def canonical_bytes(self) -> bytes:
-        return b"C" + _U32.pack(len(self.counts)) + struct.pack(
-            f">{len(self.counts)}Q", *self.counts
-        )
+        width = len(self.frontier)
+        return b"C" + _U32.pack(width) + struct.pack(f">{width}Q", *self.frontier)
 
     def canonical_size(self) -> int:
-        return 5 + 8 * len(self.counts)
+        return 5 + 8 * len(self.frontier)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,8 +158,8 @@ class GSet(SemilatticeValue):
     replica's sequence. ``frontier[r - 1]`` is the length of replica ``r``'s
     prefix: tag ``(r, k)`` is present iff ``frontier[r - 1] >= k``. A duplicate
     add advances the frontier but adds no element, so the frontier is not the
-    set's value. Its width is fixed at cluster creation and it merges by
-    pointwise max, but sets are ordered by their elements alone.
+    set's value; it still orders sets, since frontier ``<=`` implies elements
+    ``<=``. Its width is fixed at cluster creation.
     """
 
     elements: frozenset[bytes]
@@ -170,31 +171,7 @@ class GSet(SemilatticeValue):
             raise ShapeError(f"frontier needs at least one replica, got {width}")
         return cls(frozenset(), (0,) * width)
 
-    def _check(self, other: "SemilatticeValue") -> "GSet":
-        if not isinstance(other, GSet):
-            raise ShapeError(f"cannot combine GSet with {type(other).__name__}")
-        if len(other.frontier) != len(self.frontier):
-            raise ShapeError(
-                f"frontier width mismatch: {len(self.frontier)} vs {len(other.frontier)}"
-            )
-        return other
-
-    def compare(self, other: "SemilatticeValue") -> bool:
-        return other is self or self.elements <= self._check(other).elements
-
-    def merge(self, other: "SemilatticeValue") -> "GSet":
-        if other is self:
-            return self
-        other = self._check(other)
-        frontier = tuple(map(max, self.frontier, other.frontier))
-        mine = other.elements <= self.elements
-        theirs = self.elements <= other.elements
-        if mine and frontier == self.frontier:
-            return self
-        if theirs and frontier == other.frontier:
-            return other
-        if mine or theirs:
-            return GSet(self.elements if mine else other.elements, frontier)
+    def _join(self, other: "GSet", frontier: tuple[int, ...]) -> "GSet":
         return GSet(self.elements | other.elements, frontier)
 
     def add(self, element: bytes, slot: int) -> "GSet":
@@ -249,7 +226,7 @@ class UpdateOp:
 
     @classmethod
     def set_add(cls, element: bytes) -> "UpdateOp":
-        return cls(kind="set_add", element=element)
+        return make_command("set_add", element)
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,7 +242,7 @@ class QueryCommand:
 
     @classmethod
     def set_contains(cls, element: bytes) -> "QueryCommand":
-        return cls(kind="set_contains", element=element)
+        return make_command("set_contains", element)
 
     @classmethod
     def set_elements(cls) -> "QueryCommand":
@@ -291,13 +268,16 @@ COMMANDS: dict[str, tuple[type, UpdateOp | QueryCommand | None]] = {
 def make_command(kind: str, element: bytes | None = None) -> UpdateOp | QueryCommand:
     """The command of ``kind`` holding ``element``, shared if it takes none: the
     rule every decoder of commands follows. An unknown kind, or an element
-    given exactly when the kind takes none, raises CommandError."""
+    given exactly when the kind takes none, raises CommandError; an element
+    that is not ``bytes`` raises TypeError."""
     entry = COMMANDS.get(kind)
     if entry is None:
         raise CommandError(f"unknown command kind {kind!r}")
     cls, shared = entry
     if (element is None) == (shared is None):
         raise CommandError(f"{kind} {'needs an' if shared is None else 'takes no'} element")
+    if element is not None and not isinstance(element, bytes):
+        raise TypeError(f"{kind} element {element!r} is a {type(element).__name__}, not bytes")
     return cls(kind, element) if shared is None else shared
 
 

@@ -6,20 +6,23 @@ one gate, ``Replica._admit``. Updates apply at the proposer's own payload
 and spread through a single merge round; a query broadcasts a prepare. One
 handler answers a merge and a prepare alike: it folds the payload in and
 answers with a ``Merged``, or with an ``Ack`` carrying the merged state. As
-soon as a quorum of the live attempt's acks hold equivalent payloads, the
-query learns their join. When the attempt's first quorum disagrees (updates
-raced the prepare), the proposer sends nothing and asks for a back-off
-timer; it keeps counting the attempt's acks meanwhile, and folds every ack
-into everything gathered so far. If no agreeing quorum forms before the
-timer fires, it prepares again with that least upper bound. A lost prepare
-or ack retries the same way when the loss timer fires. Once writes quiesce,
-a retry carrying everything gathered ends the query.
+soon as a quorum of the live attempt's acks hold one frontier, and so one
+state, the query learns it. When the attempt's first quorum disagrees
+(updates raced the prepare), the proposer sends nothing and asks for a
+back-off timer; it keeps counting the attempt's acks meanwhile, and folds
+every ack into everything gathered so far. If no agreeing quorum forms
+before the timer fires, it prepares again with that least upper bound. A
+lost prepare or ack retries the same way when the loss timer fires. Once
+writes quiesce, a retry carrying everything gathered ends the query.
 
 Learning from any agreeing quorum is safe. Each ack is its acceptor's
 payload right after it merged the prepare, and payloads only grow; two
 quorums share an acceptor, so any two learned states are ordered. An update
 that finished before the query began sits at a merge quorum, which meets
-the agreeing one, so the learned state holds it.
+the agreeing one, so the learned state holds it. A duplicate set add moves
+a frontier but no element, so its ack disagrees with one that lacks it:
+that costs rounds, never safety. Traffic that repeats elements takes the
+rounds that unique elements take (README, "File formats").
 
 Handlers are pure state machines: no I/O, no clocks, no randomness. The
 same ``Replica`` runs under the simulator and the networked service, and
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable
+from typing import Collection, Iterable
 
 from .crdt import (
     CausalTag,
@@ -182,8 +185,8 @@ class Replica:
 
     # -- identity helpers
 
-    def is_quorum(self, ids: AbstractSet[int]) -> bool:
-        """True for more than half the replicas; two such sets always intersect."""
+    def is_quorum(self, ids: Collection[int]) -> bool:
+        """True for more than half the replicas; two such sets of ids always intersect."""
         return len(ids) > self.config.n_replicas // 2
 
     def _new_request_id(self) -> bytes:
@@ -338,14 +341,12 @@ class Replica:
         if not self.is_quorum(req.acks.keys()):
             return
         # only the newcomer can complete an agreeing quorum that was not
-        # there before, so look at its equivalence class alone; acks that
-        # arrive while backing off count too
-        agreeing = {r: s for r, s in req.acks.items() if s.equivalent(m.state)}
-        if self.is_quorum(agreeing.keys()):
-            learned = m.state
-            for s in agreeing.values():
-                learned = learned.merge(s)  # equivalent values; the join keeps every tag
-            self._complete_query(req, learned, out)
+        # there before, so look at the acks of its frontier alone, which
+        # hold its very state; acks that arrive while backing off count too
+        frontier = m.state.frontier
+        agreeing = [r for r, s in req.acks.items() if s.frontier == frontier]
+        if self.is_quorum(agreeing):
+            self._complete_query(req, m.state, out)
         elif not req.backing_off:
             # the first quorum disagrees, as updates raced the prepare: wait
             # for them to spread, then prepare again with everything gathered

@@ -476,6 +476,9 @@ class ReplicaClient:
     def call(self, command: UpdateOp | QueryCommand) -> OpRecord:
         """Run one update or query and return its record."""
         kind = "update" if isinstance(command, UpdateOp) else "query"
+        request_id = os.urandom(16)
+        # encoded first: a command with no wire form raises before it is recorded
+        frame = encode(Request(self.client_id, request_id, command))
         self._op_counter += 1
         rec = OpRecord(
             op_id=self._op_counter,
@@ -487,8 +490,7 @@ class ReplicaClient:
         )
         if self.record:
             self.history.append(rec)
-        request_id = os.urandom(16)
-        self._sock.sendall(encode(Request(self.client_id, request_id, command)))
+        self._sock.sendall(frame)
         reply = self._next_frame()
         while type(reply) is not Reply or reply.request_id != request_id:
             reply = self._next_frame()  # a stray frame for someone else's request

@@ -22,6 +22,7 @@ from crdtlin.checker import (
     CheckError,
     PreconditionFailed,
     check_all,
+    check_results,
     linearizability_oracle,
     linearize,
 )
@@ -29,7 +30,7 @@ from crdtlin.crdt import GCounter, GSet, UpdateOp, apply_update
 from crdtlin.history import merge_histories
 from crdtlin.service import ReplicaClient
 from crdtlin.sim import SimConfig, sim_run
-from tests_support import tags
+from tests_support import reachable_sets, tags
 
 
 def _line(num: int, passed: bool, detail: str) -> None:
@@ -139,7 +140,8 @@ def test_criterion_01_safety_sweep(sweep):
     runs = sweep["all"]
     failures = []
     for run in runs:
-        for name, verdict in check_all(list(run.history)).items():
+        history = list(run.history)
+        for name, verdict in [*check_all(history).items(), ("results", check_results(history))]:
             if not verdict.passed:
                 failures.append(f"{run.label}: {name}: {verdict.witness.message}")
     passed = len(sweep["grid"]) >= 1000 and not failures
@@ -402,15 +404,17 @@ def test_criterion_09_crdt_algebra():
     def counter() -> GCounter:
         return GCounter(tuple(rng.randrange(6) for _ in range(3)))
 
-    def gset(frontier: tuple[int, ...] = (0, 0, 0)) -> GSet:
-        # sets are ordered by their elements alone, so the law loop below
-        # gives them one frontier; the loops after it draw frontiers
-        return GSet(frozenset(bytes([rng.randrange(8)]) for _ in range(rng.randrange(4))), frontier)
+    def gsets(n: int) -> list[GSet]:
+        # states of one seeded run of tagged adds and joins: every slot
+        # vector is a reachable counter, but a set is reachable only when its
+        # frontier names exactly its elements' adds
+        seen = reachable_sets(rng, 3, rng.randrange(13))
+        return [rng.choice(seen) for _ in range(n)]
 
     cases = 10_000
-    for pick in (counter, gset):
+    for pick in (lambda: [counter() for _ in range(3)], lambda: gsets(3)):
         for _ in range(cases):
-            a, b, c = pick(), pick(), pick()
+            a, b, c = pick()
             assert a.merge(b) == b.merge(a)
             assert a.merge(b).merge(c) == a.merge(b.merge(c))
             assert a.merge(a) == a
@@ -418,14 +422,11 @@ def test_criterion_09_crdt_algebra():
             if a.compare(b) and b.compare(a):
                 assert a == b
 
-    def frontier() -> tuple[int, ...]:
-        return tuple(rng.randrange(6) for _ in range(3))
-
     for _ in range(cases):
         # each CRDT's payload form: a counter is its own frontier, a set carries one
         for s, op in (
             (counter(), UpdateOp.increment()),
-            (gset(frontier()), UpdateOp.set_add(b"new")),
+            (gsets(1)[0], UpdateOp.set_add(b"new")),
         ):
             origin = rng.randint(1, 3)
             tag = (origin, s.frontier[origin - 1] + 1)
@@ -434,7 +435,7 @@ def test_criterion_09_crdt_algebra():
             assert set(tags(grown)) == set(tags(s)) | {tag}
 
     for _ in range(cases):
-        a, b = gset(frontier()), gset(frontier())
+        a, b = gsets(2)
         joined = a.merge(b)
         assert set(tags(joined)) == set(tags(a)) | set(tags(b))  # tag sets join homomorphically
         assert joined.elements == a.elements | b.elements

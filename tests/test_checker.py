@@ -24,6 +24,7 @@ from crdtlin.checker import (
     UnsupportedInput,
     check_all,
     check_consistency,
+    check_results,
     check_stability,
     check_update_stability,
     check_update_visibility,
@@ -31,7 +32,8 @@ from crdtlin.checker import (
     linearize,
     linearizability_oracle,
 )
-from crdtlin.crdt import QueryCommand, UpdateOp
+from crdtlin import crdt
+from crdtlin.crdt import GSet, QueryCommand, UpdateOp
 from crdtlin.history import OpRecord
 from crdtlin.sim import SimConfig, sim_run
 
@@ -410,3 +412,90 @@ def test_safe_sim_histories_satisfy_checks_order_and_oracle():
         assert all(v.passed for v in check_all(history).values())
         linearize(history)
         assert linearizability_oracle(history)
+
+
+# ------------------------------------------------------------------- results
+
+
+def add(op_id, inv, resp, tag, element):
+    return OpRecord(
+        op_id=op_id, client=0, replica=1, kind="update",
+        op=UpdateOp.set_add(element), invoke_t=inv, tag=tag,
+        response_t=resp, outcome="ok",
+    )
+
+
+def answered(op_id, frontier, result, op=None):
+    return OpRecord(
+        op_id=op_id, client=0, replica=1, kind="query",
+        op=op or QueryCommand.counter_value(), invoke_t=10, response_t=11,
+        outcome="ok", result=result, learned_frontier=frontier,
+    )
+
+
+# each update overlaps each query, so any learned frontier passes the five
+_COUNTER_UPDATES = [u(1, 0, 20, (1, 1)), u(2, 0, 20, (1, 2)), u(3, 0, 20, (2, 1))]
+_SET_UPDATES = [add(1, 0, 20, (1, 1), b"a"), add(2, 0, 20, (1, 2), b"b"), add(3, 0, 20, (2, 1), b"a")]
+
+
+def test_results_accept_the_answers_their_frontiers_name():
+    history = _COUNTER_UPDATES + [answered(4, (2, 0), 2), answered(5, (2, 1), 3), answered(6, (0, 0), 0)]
+    assert check_results(history).passed
+    elements, contains = QueryCommand.set_elements(), QueryCommand.set_contains
+    history = _SET_UPDATES + [
+        answered(4, (1, 0), (b"a",), elements),
+        answered(5, (0, 1), (b"a",), elements),
+        answered(6, (2, 1), (b"a", b"b"), elements),
+        answered(7, (1, 0), False, contains(b"b")),
+        answered(8, (0, 1), True, contains(b"a")),
+        answered(9, (0, 0), (), elements),
+    ]
+    assert check_results(history).passed
+
+
+@pytest.mark.parametrize(
+    "updates, query, names_update",
+    [
+        (_COUNTER_UPDATES, answered(9, (2, 1), 2), False),
+        (_COUNTER_UPDATES, answered(9, (2, 1), 4), False),
+        (_COUNTER_UPDATES, answered(9, (2, 1), 0), True),
+        (_COUNTER_UPDATES, answered(9, (2, 1), None), False),
+        (_SET_UPDATES, answered(9, (2, 0), (b"a",), QueryCommand.set_elements()), False),
+        (_SET_UPDATES, answered(9, (1, 0), (b"a", b"b"), QueryCommand.set_elements()), False),
+        (_SET_UPDATES, answered(9, (0, 1), (), QueryCommand.set_elements()), True),
+        (_SET_UPDATES, answered(9, (1, 0), (b"a", b"a"), QueryCommand.set_elements()), False),
+        (_SET_UPDATES, answered(9, (0, 1), False, QueryCommand.set_contains(b"a")), True),
+        (_SET_UPDATES, answered(9, (1, 0), True, QueryCommand.set_contains(b"b")), False),
+        (_SET_UPDATES, answered(9, (1, 0), 1, QueryCommand.set_contains(b"a")), False),
+    ],
+    ids=[
+        "count-low", "count-high", "count-zero", "count-missing",
+        "set-lacks-element", "set-extra-element", "set-empty", "set-repeats-element",
+        "contains-false", "contains-true", "contains-not-bool",
+    ],
+)
+def test_results_reject_a_wrong_answer_with_a_witness_of_its_own(updates, query, names_update):
+    history = updates + [query]
+    verdict = check_results(history)
+    assert not verdict.passed and verdict.condition == "results"
+    assert verdict.witness.op_ids[-1] == query.op_id
+    assert (len(verdict.witness.op_ids) == 2) == names_update
+    # the five read tags alone and pass the same history
+    assert all(v.passed for v in check_all(history).values())
+    retriggers(check_results, history, verdict)
+
+
+def test_a_join_that_drops_elements_passes_the_five_and_fails_results(monkeypatch):
+    # a set whose join keeps only its own elements still advances the frontier,
+    # so every tag-level check and the simulator's frontier monitor pass
+    monkeypatch.setattr(crdt.GSet, "_join", lambda self, other, frontier: GSet(self.elements, frontier))
+    cfg = SimConfig(n_replicas=3, n_clients=4, crdt="gset", ops_per_client=30,
+                    update_fraction=0.5, drop_probability=0.1, delay_max=4,
+                    record_trace=False, seed=1)
+    history = sim_run(cfg).history
+    assert all(v.passed for v in check_all(history).values())
+    linearize(history)
+    verdict = check_results(history)
+    assert not verdict.passed
+    assert verdict.condition == "results"
+    retriggers(check_results, history, verdict)

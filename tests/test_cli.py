@@ -151,9 +151,28 @@ def test_check_passing_history(tmp_path, capsys):
     assert run_cli("check", str(path)) == 0
     out = capsys.readouterr().out
     for condition in ("validity", "stability", "consistency",
-                      "update-stability", "update-visibility"):
+                      "update-stability", "update-visibility", "results"):
         assert f"{condition}: pass" in out
     assert "linearizable: pass" in out
+
+
+def test_check_fails_a_query_whose_result_its_frontier_does_not_name(tmp_path, capsys):
+    history = sim_run(
+        SimConfig(n_clients=3, ops_per_client=10, crdt="gset", update_fraction=0.5, seed=4)
+    ).history
+    query = next(r for r in history if r.kind == "query" and r.outcome == "ok" and r.result)
+    if query.op.kind == "set_contains":
+        query.result = not query.result
+    else:
+        query.result = query.result[1:]
+    path = _write_history(tmp_path, history)
+    assert run_cli("check", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "update-visibility: pass" in out and "results: FAIL" in out
+    lines = out.splitlines()
+    witness = json.loads(lines[lines.index("results: FAIL") + 1])
+    assert witness["condition"] == "results" and witness["op_ids"][-1] == query.op_id
+    assert "linearizable" not in out
 
 
 def test_check_runs_each_safety_check_once(tmp_path, capsys, monkeypatch):
@@ -181,15 +200,15 @@ def test_check_runs_each_safety_check_once(tmp_path, capsys, monkeypatch):
 def test_check_gla_violation_exits_one_with_witness_json(tmp_path, capsys):
     from tests_support import make_query, make_update
 
-    history = [
-        make_update(1, 0, 10, (1, 1)),
-        make_query(2, 20, 30, (0, 0, 0)),
-    ]
+    query = make_query(2, 20, 30, (0, 0, 0))
+    query.result = 0  # the answer its frontier names, so only the tags are wrong
+    history = [make_update(1, 0, 10, (1, 1)), query]
     path = _write_history(tmp_path, history)
     assert run_cli("check", str(path)) == 1
     out = capsys.readouterr().out
-    assert "update-visibility: FAIL" in out
-    witness = json.loads(out.splitlines()[-1])
+    assert "update-visibility: FAIL" in out and "results: pass" in out
+    lines = out.splitlines()
+    witness = json.loads(lines[lines.index("update-visibility: FAIL") + 1])
     assert witness["condition"] == "update-visibility"
     assert witness["op_ids"] == [1, 2]
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import struct
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crdtlin
+from crdtlin.checker import _below
 from crdtlin.crdt import (
     CommandError,
     GCounter,
     GSet,
     QueryCommand,
+    SemilatticeValue,
     SerializationError,
     ShapeError,
     UpdateOp,
@@ -28,7 +31,7 @@ from crdtlin.crdt import (
     make_command,
     state_from_bytes,
 )
-from tests_support import gset, tags
+from tests_support import gset, reachable_sets, tags
 
 # ---------------------------------------------------------------- oracles
 
@@ -65,6 +68,17 @@ frontiers = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(tupl
 gsets = st.builds(GSet, st.frozensets(elements, max_size=8), st.tuples(*[st.integers(0, 3)] * 2))
 
 
+@st.composite
+def reachable(draw, n: int):
+    """``n`` set payloads that one seeded run of tagged adds and joins
+    reaches, so every tag names one element in all of them: the states a
+    cluster can hold. Arbitrary element sets under arbitrary frontiers are
+    not, and the frontier orders only reachable states."""
+    rng = draw(st.randoms(use_true_random=False))
+    seen = reachable_sets(rng, draw(st.integers(1, 4)), draw(st.integers(0, 16)))
+    return tuple(draw(st.sampled_from(seen)) for _ in range(n))
+
+
 # ---------------------------------------------------------------- examples
 
 
@@ -99,7 +113,7 @@ def test_counter_value_replay_oracle():
         state = GCounter.zero(width)
         for s in slots:
             # a counter is its own frontier: each origin's tags come in sequence
-            tag = (s + 1, state.counts[s] + 1)
+            tag = (s + 1, state.frontier[s] + 1)
             state = apply_update(UpdateOp.increment(), tag, state)
         assert apply_query(QueryCommand.counter_value(), state) == oracle_counter_replay(
             width, slots
@@ -116,19 +130,25 @@ def test_increment_out_of_range():
 def test_set_examples():
     s = GSet.empty(1)
     s1 = apply_update(UpdateOp.set_add(b"a"), (1, 1), s)
-    assert s1 == gset(b"a", frontier=(1,))
-    # adding the same element again only advances the frontier
+    assert s1 == gset([b"a"]) == GSet(frozenset({b"a"}), (1,))
+    # adding the same element again only advances the frontier, which still
+    # orders the two: the later state is strictly above, with equal elements
     s2 = apply_update(UpdateOp.set_add(b"a"), (1, 2), s1)
-    assert s2 == gset(b"a", frontier=(2,)) and s2.equivalent(s1)
+    assert s2 == gset([b"a", b"a"]) and s2.elements == s1.elements
+    assert s1.compare(s2) and not s2.compare(s1)
     assert apply_query(QueryCommand.set_contains(b"a"), s2) is True
     assert apply_query(QueryCommand.set_contains(b"b"), s2) is False
-    assert apply_query(QueryCommand.set_elements(), gset(b"b", b"a")) == (b"a", b"b")
+    assert apply_query(QueryCommand.set_elements(), gset([b"b", b"a"])) == (b"a", b"b")
 
 
 def test_set_merge_is_union():
-    assert gset(b"a", b"b").merge(gset(b"b", b"c")) == gset(b"a", b"b", b"c")
-    assert gset(b"a").compare(gset(b"a", b"b")) is True
-    assert gset(b"a", b"b").compare(gset(b"a")) is False
+    # replicas 1 and 2 each added two elements, b by both
+    a, b = gset([b"a", b"b"], []), gset([], [b"b", b"c"])
+    assert a.merge(b) == gset([b"a", b"b"], [b"b", b"c"])
+    assert a.merge(b).elements == {b"a", b"b", b"c"}
+    assert a.compare(b) is False and b.compare(a) is False
+    assert gset([b"a"], []).compare(gset([b"a"], [b"b"])) is True
+    assert gset([b"a"], [b"b"]).compare(gset([b"a"], [])) is False
 
 
 def test_cross_type_operations_rejected():
@@ -154,6 +174,11 @@ def test_make_command_shares_element_less_commands_and_checks_elements():
                           ("set_contains", None), ("decrement", None)):
         with pytest.raises(CommandError):
             make_command(kind, element)
+    # an element that is not bytes is named, by every builder of commands
+    for build in (UpdateOp.set_add, QueryCommand.set_contains, lambda e: make_command("set_add", e)):
+        for element in ("x", bytearray(b"x")):
+            with pytest.raises(TypeError, match=r"element .*'x'.* not bytes"):
+                build(element)
 
 
 # ---------------------------------------------------------------- lattice laws
@@ -165,9 +190,9 @@ def test_counter_merge_commutes_and_dominates(pair):
     a, b = pair
     m = a.merge(b)
     assert m == b.merge(a)
-    assert m.counts == tuple(oracle_counter_merge(list(a.counts), list(b.counts)))
+    assert m.frontier == tuple(oracle_counter_merge(list(a.frontier), list(b.frontier)))
     assert a.compare(m) and b.compare(m)
-    assert a.compare(b) == oracle_counter_leq(list(a.counts), list(b.counts))
+    assert a.compare(b) == oracle_counter_leq(list(a.frontier), list(b.frontier))
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,8 +202,9 @@ def test_counter_merge_idempotent(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(gsets, gsets, gsets)
-def test_set_merge_laws(a, b, c):
+@given(reachable(3))
+def test_set_merge_laws(abc):
+    a, b, c = abc
     assert a.merge(b) == b.merge(a)
     assert a.merge(a) == a
     assert a.merge(b).merge(c) == a.merge(b.merge(c))
@@ -187,29 +213,34 @@ def test_set_merge_laws(a, b, c):
 
 def _join(a, b):
     """The least upper bound by the pointwise and set definitions, built afresh."""
-    if isinstance(a, GCounter):
-        return GCounter(tuple(oracle_counter_merge(list(a.counts), list(b.counts))))
     frontier = tuple(oracle_counter_merge(list(a.frontier), list(b.frontier)))
+    if isinstance(a, GCounter):
+        return GCounter(frontier)
     return GSet(frozenset([*a.elements, *b.elements]), frontier)
 
 
 def _leq(a, b) -> bool:
-    if isinstance(a, GCounter):
-        return oracle_counter_leq(list(a.counts), list(b.counts))
-    return all(e in b.elements for e in a.elements)  # the frontier rides along
+    # a counter is its own frontier, and a reachable set holds exactly the
+    # updates its frontier names
+    return oracle_counter_leq(list(a.frontier), list(b.frontier))
 
 
 @st.composite
 def lattice_pairs(draw):
-    """Two operands of one shape: random, equal, one dominated, or the same object."""
-    counter = draw(st.booleans())
-    width = draw(st.integers(min_value=1, max_value=4))
+    """Two operands of one shape: random, equal, one dominated, or the same
+    object. Counters are any slot vectors, sets the states of one run."""
+    if draw(st.booleans()):
+        width = draw(st.integers(min_value=1, max_value=4))
 
-    def operand():
-        slots = tuple(draw(st.integers(0, 3)) for _ in range(width))
-        if counter:
-            return GCounter(slots)
-        return GSet(draw(st.frozensets(st.binary(max_size=2), max_size=4)), slots)
+        def operand():
+            return GCounter(tuple(draw(st.integers(0, 3)) for _ in range(width)))
+    else:
+        seen = reachable_sets(
+            draw(st.randoms(use_true_random=False)), draw(st.integers(1, 4)), draw(st.integers(0, 16))
+        )
+
+        def operand():
+            return draw(st.sampled_from(seen))
 
     a = operand()
     relation = draw(st.sampled_from(["random", "equal", "dominated", "identical"]))
@@ -255,8 +286,8 @@ def test_counter_compare_antisymmetry_exhaustive():
 @settings(max_examples=200, deadline=None)
 @given(counters, st.integers(min_value=0, max_value=5))
 def test_update_inflates(state, slot):
-    slot = slot % len(state.counts)
-    new = apply_update(UpdateOp.increment(), (slot + 1, state.counts[slot] + 1), state)
+    slot = slot % len(state.frontier)
+    new = apply_update(UpdateOp.increment(), (slot + 1, state.frontier[slot] + 1), state)
     assert state.compare(new)
     assert not new.compare(state)
 
@@ -309,8 +340,9 @@ def test_equal_tag_sets_imply_equivalent_values():
     for _ in range(1000):
         a, b = _random_run(rng, rng.randint(0, 12))
         assert tags(a) == tags(b)
-        assert a.equivalent(b)
-        assert a.elements == b.elements
+        # equal frontiers: each is below the other, and they are one state
+        assert a.compare(b) and b.compare(a)
+        assert a == b
 
 
 def test_tagged_merge_unions_tags():
@@ -321,8 +353,32 @@ def test_tagged_merge_unions_tags():
     assert m.frontier == (1, 1)
     assert tags(m) == ((1, 1), (2, 1))
     assert m.elements == frozenset({b"x"})
-    # ordering ignores tags entirely: m holds more tags than a, yet a set no larger
-    assert a.compare(m) and m.compare(a) and b.compare(m) and m.compare(b)
+    # the order is the frontier's: m holds more tags than a, so it is strictly
+    # above a, though its set is no larger
+    assert a.compare(m) and not m.compare(a)
+    assert b.compare(m) and not m.compare(b)
+    assert not a.compare(b) and not b.compare(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reachable(2))
+def test_compare_is_the_checkers_frontier_order(pair):
+    # one order across layers: the payload's compare is the pointwise
+    # frontier order the checker applies to learned frontiers, and on a
+    # reachable state it implies that the elements are contained
+    a, b = pair
+    below = all(map(le, a.frontier, b.frontier))
+    assert a.compare(b) == below == _below(a.frontier, b.frontier)
+    if below:
+        assert a.elements <= b.elements
+
+
+def test_the_order_is_said_once_on_the_base_class():
+    for cls in (GCounter, GSet):
+        for name in ("compare", "merge", "_check", "equivalent"):
+            assert name not in vars(cls), f"{cls.__name__} defines its own {name}"
+        assert "_join" in vars(cls)
+    assert not hasattr(SemilatticeValue, "equivalent")
 
 
 def test_tagged_cannot_mix_with_untagged():
@@ -390,8 +446,8 @@ def test_tagged_bytes_roundtrip(value, frontier):
 
 
 def test_canonical_bytes_are_order_insensitive():
-    a = gset(b"x", b"y", b"z")
-    b = gset(b"z", b"x", b"y")
+    a = gset([b"x", b"y", b"z"])
+    b = gset([b"z", b"x", b"y"])
     assert a.canonical_bytes() == b.canonical_bytes()
 
 
@@ -431,7 +487,7 @@ def test_malformed_tagged_bytes_rejected():
 def test_every_value_answers_its_frontier():
     # a counter's slots count its replicas' tags, so it is its own frontier
     assert GCounter((1, 0, 2)).frontier == (1, 0, 2)
-    assert gset(b"a", frontier=(1, 0, 2)).frontier == (1, 0, 2)
+    assert gset([b"a"], [], [b"a", b"b"]).frontier == (1, 0, 2)
     # a set is built with its frontier or not at all
     with pytest.raises(TypeError):
         GSet(frozenset({b"a"}))

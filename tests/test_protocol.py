@@ -16,12 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crdtlin
+from crdtlin.checker import check_validity
 from crdtlin.crdt import (
     GCounter,
     GSet,
     QueryCommand,
     ShapeError,
 )
+from crdtlin.history import OpRecord, record_reply
 from crdtlin.messages import Ack, Merge, Merged, Prepare, Request, UpdateOp
 from crdtlin.protocol import (
     PayloadRejected,
@@ -62,7 +64,7 @@ def sends_by_type(out, cls):
 
 def acceptor(rid, state):
     """A replica holding ``state`` with no request of its own: its acceptor alone."""
-    return Replica(rid, ProtocolConfig(n_replicas=len(state.counts)), state)
+    return Replica(rid, ProtocolConfig(n_replicas=len(state.frontier)), state)
 
 
 def test_merge_folds_the_payload():
@@ -96,7 +98,7 @@ _counters = st.lists(st.integers(0, 5), min_size=3, max_size=3).map(
 
 @given(_counters, _counters, st.integers(1, 60))
 def test_prepare_always_acks_with_a_state_at_least_the_prepares(held, sent, attempt):
-    sent = GCounter((0,) + sent.counts[1:])  # replica 1 has issued no update
+    sent = GCounter((0,) + sent.frontier[1:])  # replica 1 has issued no update
     a = acceptor(1, held)
     [(_, reply)] = a.step(Prepare(2, REQ, attempt, sent)).sends
     assert isinstance(reply, Ack) and reply.attempt == attempt
@@ -293,15 +295,19 @@ def test_stale_ack_only_feeds_the_gathered_lub():
     assert r.requests[req_id].gathered == GCounter((0, 5, 0))
 
 
-def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
-    # a set, so two equivalent acks can hold different tags: replica 2
-    # added x twice, and only A' has seen its second add
-    r = Replica(1, ProtocolConfig(n_replicas=3), GSet.empty(3))
+def _set_query(r):
     out = r.step(Request(9, client_req_id(90), QueryCommand.set_elements()))
-    req_id = sends_by_type(out, Prepare)[0][1].request_id
+    return sends_by_type(out, Prepare)[0][1].request_id
+
+
+def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
+    # a set: replica 2 added x, replica 3 added y; A' is an equal copy of A,
+    # a distinct object of the same frontier
+    r = Replica(1, ProtocolConfig(n_replicas=3), GSet.empty(3))
+    req_id = _set_query(r)
     a = GSet(frozenset({b"x"}), (0, 1, 0))
     b = GSet(frozenset({b"y"}), (0, 0, 1))
-    a_prime = GSet(frozenset({b"x"}), (0, 2, 0))
+    a_prime = GSet(frozenset({b"x"}), (0, 1, 0))
     r.step(Ack(1, req_id, 1, a))
     out = r.step(Ack(2, req_id, 1, b))
     assert out.replies == [] and [backoff for _, backoff in out.timers] == [0]
@@ -310,9 +316,25 @@ def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
     [(_, reply)] = out.replies
     assert reply.ok and reply.result == (b"x",)
     assert (reply.round_trips, reply.retries) == (1, 0)
-    # the join of A and A': the largest frontier of the agreeing acks, none of B's tags
-    assert reply.learned.frontier == (0, 2, 0)
+    # the agreeing acks' one state, none of B's tags
+    assert reply.learned == a and reply.learned.frontier == (0, 1, 0)
     assert req_id not in r.requests
+
+
+def test_a_duplicate_add_moves_the_frontier_so_its_ack_disagrees():
+    # replica 2 added x twice; A holds only its first add. The two sets hold
+    # the same elements, but the frontier orders payloads, so they disagree:
+    # safe, and the query may take longer
+    r = Replica(1, ProtocolConfig(n_replicas=3), GSet.empty(3))
+    req_id = _set_query(r)
+    a = GSet(frozenset({b"x"}), (0, 1, 0))
+    twice = GSet(frozenset({b"x"}), (0, 2, 0))
+    r.step(Ack(1, req_id, 1, a))
+    out = r.step(Ack(2, req_id, 1, twice))
+    assert out.replies == [] and out.sends == []
+    assert [backoff for _, backoff in out.timers] == [0]  # backs off
+    [(_, reply)] = r.step(Ack(3, req_id, 1, twice)).replies
+    assert reply.ok and reply.result == (b"x",) and reply.learned == twice
 
 
 def test_agreeing_group_one_short_of_a_quorum_waits():
@@ -543,6 +565,50 @@ def test_payload_claiming_unissued_local_updates_is_refused():
     assert r.step(Merge(1, REQ, forged)).sends == [(1, Merged(2, REQ))]
     # from outside the cluster, a forged payload is dropped before it is read
     assert r.step(Merge(17, REQ, GCounter((0, 9, 0)))).sends == []
+
+
+def test_a_restart_with_amnesia_reuses_a_tag_and_the_checker_names_both():
+    # a replica that restarts with an empty payload forgets the tags it
+    # issued: its earlier life's (3, 1) = x has spread, and the fresh one
+    # issues (3, 1) = y
+    config = ProtocolConfig(n_replicas=3)
+    peers = {rid: Replica(rid, config, GSet.empty(3)) for rid in (1, 2)}
+    earlier = Replica(3, config, GSet.empty(3))
+    out = earlier.step(Request(7, client_req_id(1), UpdateOp.set_add(b"x")))
+    merge_x = sends_by_type(out, Merge)[0][1]
+    for r in peers.values():
+        r.step(merge_x)
+    [(_, reply_x)] = earlier.step(Merged(1, merge_x.request_id)).replies
+    fresh = Replica(3, config, GSet.empty(3))
+    # the fresh replica refuses the peers' payloads, which claim a tag of its
+    # own that it has not issued
+    for rid, r in peers.items():
+        for msg in (Merge(rid, REQ, r.state), Prepare(rid, REQ, 1, r.state)):
+            with pytest.raises(PayloadRejected):
+                fresh.step(msg)
+    assert fresh.state == GSet.empty(3)
+    out = fresh.step(Request(7, client_req_id(2), UpdateOp.set_add(b"y")))
+    merge_y = sends_by_type(out, Merge)[0][1]
+    assert merge_y.state == GSet(frozenset({b"y"}), (0, 0, 1))
+    # a peer holds the same frontier, so under frontier order the two are
+    # one state: its merge keeps its own elements, and y is lost there
+    held = peers[1].state
+    assert peers[1].step(merge_y).sends == [(3, Merged(1, merge_y.request_id))]
+    assert peers[1].state is held and held.elements == {b"x"}
+    [(_, reply_y)] = fresh.step(Merged(1, merge_y.request_id)).replies
+    assert reply_x.tag == reply_y.tag == (3, 1)
+    # the recorded history stays loud: validity names both updates of (3, 1)
+    history = []
+    for op_id, (element, reply) in enumerate(((b"x", reply_x), (b"y", reply_y)), 1):
+        rec = OpRecord(
+            op_id=op_id, client=7, replica=3, kind="update",
+            op=UpdateOp.set_add(element), invoke_t=10 * op_id,
+        )
+        record_reply(rec, reply, 10 * op_id + 1)
+        history.append(rec)
+    verdict = check_validity(history)
+    assert not verdict.passed and verdict.witness.op_ids == (1, 2)
+    assert "(3, 1)" in verdict.witness.message
 
 
 def test_unknown_event_is_a_protocol_error():

@@ -723,6 +723,27 @@ def test_a_client_recorded_history_reads_back_equal(cluster):
     assert back[2].op is back[3].op is QueryCommand.set_elements()
 
 
+def test_a_str_element_raises_before_the_client_records_it(cluster):
+    c = cluster(3, crdt="gset")
+    with c.client(1, record=True) as alice:
+        alice.add(b"wren")
+        alice.contains(b"wren")
+        for call in (alice.add, alice.contains):
+            with pytest.raises(TypeError, match="'x'"):
+                call("x")
+        # a command built around make_command is refused when it is encoded
+        with pytest.raises(TypeError, match="'x'"):
+            alice.call(UpdateOp("set_add", "x"))
+        alice.elements()
+    assert [r.op_id for r in alice.history] == [1, 2, 3]
+    buf = io.StringIO()
+    write_history(alice.history, buf)
+    back = read_history(io.StringIO(buf.getvalue()))
+    assert [r.result for r in back] == [None, True, (b"wren",)]
+    verdicts = check_all(back)
+    assert all(v.passed for v in verdicts.values()), verdicts
+
+
 def test_benchmark_shaped_live_history_passes_every_check(cluster, tmp_path):
     # the live benchmark's shape: 3 daemons without batching, and 2 recording
     # clients on replicas 1 and 2, each a closed loop of seeded ops at 20%

@@ -338,6 +338,31 @@ def test_gset_updates_use_distinct_elements():
     assert final.tag is not None
 
 
+@pytest.mark.parametrize("batching", [False, True])
+def test_repeated_set_elements_keep_histories_checkable(monkeypatch, batching):
+    # adds drawn from a two-element alphabet: a repeated add moves the frontier
+    # and not the elements, so a query that agreed by elements alone learned
+    # frontiers that are no chain, and the tag-level checks refused the history
+    from crdtlin import sim as sim_module
+    from crdtlin.checker import check_all, check_results, linearize
+
+    workload_op = sim_module.workload_op
+    monkeypatch.setattr(
+        sim_module, "workload_op",
+        lambda crdt, kind, element: workload_op(crdt, kind, b"e%d" % (int(element[1:]) % 2)),
+    )
+    for seed in range(1, 4):
+        cfg = SimConfig(n_replicas=3, n_clients=8, crdt="gset", ops_per_client=20,
+                        update_fraction=0.5, batching=batching, drop_probability=0.05,
+                        delay_max=3, record_trace=False, seed=seed)
+        history = sim_run(cfg).history
+        assert {r.op.element for r in history if r.kind == "update"} == {b"e0", b"e1"}
+        verdicts = check_all(history)
+        assert all(v.passed for v in verdicts.values()), (seed, verdicts)
+        assert check_results(history).passed
+        linearize(history, verdicts)
+
+
 # ------------------------------------------------------- trace and history IO
 
 
@@ -542,7 +567,7 @@ def test_monitor_catches_a_batch_learning_an_inflated_state(monkeypatch):
         # whose replies all share one learned state
         if len(req.ops) >= 2:
             batch_sizes.append(len(req.ops))
-            learned = GCounter(tuple(c + 1000 for c in learned.counts))
+            learned = GCounter(tuple(c + 1000 for c in learned.frontier))
         complete(self, req, learned, out)
 
     monkeypatch.setattr(Replica, "_complete_query", inflate)

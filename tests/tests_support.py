@@ -1,18 +1,53 @@
-"""Builders shared by the tests: history records, sets, a payload's tags,
-a one-shot stand-in replica and the raw reply frames it sends."""
+"""Builders shared by the tests: history records, reachable sets, a
+payload's tags, a one-shot stand-in replica and the raw reply frames it
+sends."""
 
+import random
 import socket
 import struct
 import threading
 
-from crdtlin.crdt import GSet, QueryCommand, UpdateOp
+from crdtlin.crdt import GSet, QueryCommand, UpdateOp, apply_update
 from crdtlin.history import OpRecord
 from crdtlin.messages import Reply
 from crdtlin.wire import encode, try_decode
 
 
-def gset(*elements: bytes, frontier: tuple[int, ...] = (0,)) -> GSet:
-    return GSet(frozenset(elements), frontier)
+def gset(*adds: list[bytes]) -> GSet:
+    """The set of a cluster of ``len(adds)`` replicas once each has seen
+    every add: replica ``r`` added the elements ``adds[r - 1]`` in order,
+    under its tags ``(r, 1), (r, 2), ...``, so the frontier matches the
+    elements."""
+    state = GSet.empty(len(adds))
+    for origin, elements in enumerate(adds, 1):
+        for seq, element in enumerate(elements, 1):
+            state = apply_update(UpdateOp.set_add(element), (origin, seq), state)
+    return state
+
+
+def reachable_sets(rng: random.Random, width: int, steps: int) -> list[GSet]:
+    """Every payload a seeded run of ``width`` set replicas passes through.
+
+    The run starts from empty payloads. At each of ``steps`` steps one
+    replica either adds an element of a four-letter alphabet under its own
+    next tag, so adds repeat, or joins another replica's payload in. Joins
+    are built by the lattice definition (union of elements, pointwise-max
+    frontier), not by the ``merge`` under test. Each tag names one element
+    across the run, so any payloads it returns are states of one cluster.
+    """
+    parts = [GSet.empty(width) for _ in range(width)]
+    seen = [parts[0]]
+    for _ in range(steps):
+        r = rng.randrange(width)
+        if rng.random() < 0.4:
+            a, b = parts[r], parts[rng.randrange(width)]
+            parts[r] = GSet(a.elements | b.elements, tuple(map(max, a.frontier, b.frontier)))
+        else:
+            element = bytes([rng.randrange(4)])
+            tag = (r + 1, parts[r].frontier[r] + 1)
+            parts[r] = apply_update(UpdateOp.set_add(element), tag, parts[r])
+        seen.append(parts[r])
+    return seen
 
 
 def tags(state) -> tuple:
