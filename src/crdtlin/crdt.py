@@ -38,6 +38,10 @@ __all__ = [
     "apply_update",
     "initial_state",
     "make_command",
+    "pack_elements",
+    "pack_u64s",
+    "read_elements",
+    "read_u64s",
     "state_from_bytes",
     "workload_op",
 ]
@@ -142,8 +146,7 @@ class GCounter(SemilatticeValue):
         return sum(self.frontier)
 
     def canonical_bytes(self) -> bytes:
-        width = len(self.frontier)
-        return b"C" + _U32.pack(width) + struct.pack(f">{width}Q", *self.frontier)
+        return b"C" + pack_u64s(self.frontier)
 
     def canonical_size(self) -> int:
         return 5 + 8 * len(self.frontier)
@@ -190,13 +193,7 @@ class GSet(SemilatticeValue):
         return tuple(sorted(self.elements))
 
     def canonical_bytes(self) -> bytes:
-        parts = [b"S", _U32.pack(len(self.elements))]
-        for el in sorted(self.elements):
-            parts.append(_U32.pack(len(el)))
-            parts.append(el)
-        width = len(self.frontier)
-        parts.append(struct.pack(f">I{width}Q", width, *self.frontier))
-        return b"".join(parts)
+        return b"S" + pack_elements(sorted(self.elements)) + pack_u64s(self.frontier)
 
     def canonical_size(self) -> int:
         return 9 + sum(4 + len(el) for el in self.elements) + 8 * len(self.frontier)
@@ -346,22 +343,11 @@ def state_from_bytes(data: bytes, pos: int = 0, end: int | None = None) -> Semil
         end = len(data)
     lead = data[pos : pos + 1]
     if lead == b"C":
-        counts, pos = _read_u64s(data, pos + 1, end)
+        counts, pos = read_u64s(data, pos + 1, end)
         state = GCounter(counts)
     elif lead == b"S":
-        count, pos = _read_count(data, pos + 1, end, 4)
-        elements = []
-        for _ in range(count):
-            if pos + 4 > end:
-                raise SerializationError("truncated state encoding")
-            (length,) = _U32.unpack_from(data, pos)
-            pos += 4
-            stop = pos + length
-            if stop > end:
-                raise SerializationError("truncated state encoding")
-            elements.append(data[pos:stop])
-            pos = stop
-        frontier, pos = _read_u64s(data, pos, end)
+        elements, pos = read_elements(data, pos + 1, end)
+        frontier, pos = read_u64s(data, pos, end)
         if not frontier:
             raise SerializationError("set with an empty frontier")
         state = GSet(frozenset(elements), frontier)
@@ -372,17 +358,43 @@ def state_from_bytes(data: bytes, pos: int = 0, end: int | None = None) -> Semil
     return state
 
 
-def _read_count(data: bytes, pos: int, end: int, item_size: int) -> tuple[int, int]:
-    """A u32 count whose items of ``item_size`` bytes fit before ``end``, and the offset past it."""
-    if pos + 4 > end:
-        raise SerializationError("truncated state encoding")
-    (count,) = _U32.unpack_from(data, pos)
-    if pos + 4 + item_size * count > end:
-        raise SerializationError("truncated state encoding")
-    return count, pos + 4
+# the codec's two list layouts, each written and read only here: a state's
+# canonical form is built from them, and so are the wire's reply fields
 
 
-def _read_u64s(data: bytes, pos: int, end: int) -> tuple[tuple[int, ...], int]:
-    """A u32 count and that many u64s, and the offset just past them."""
-    count, pos = _read_count(data, pos, end, 8)
+def pack_u64s(values: tuple[int, ...]) -> bytes:
+    """The u64-list form: a u32 count, then each value as a u64."""
+    return struct.pack(f">I{len(values)}Q", len(values), *values)
+
+
+def pack_elements(elements: list[bytes] | tuple[bytes, ...]) -> bytes:
+    """The element-list form: a u32 count, then each element as a u32 length and its bytes."""
+    parts = [_U32.pack(len(elements))]
+    for el in elements:
+        parts += (_U32.pack(len(el)), el)
+    return b"".join(parts)
+
+
+def read_u64s(data: bytes, pos: int, end: int) -> tuple[tuple[int, ...], int]:
+    """The u64 list at ``data[pos:end]``, and the offset just past it."""
+    count, pos = _read_count(data, pos, end, 8, "frontier")
     return struct.unpack_from(f">{count}Q", data, pos), pos + 8 * count
+
+
+def read_elements(data: bytes, pos: int, end: int) -> tuple[tuple[bytes, ...], int]:
+    """The element list at ``data[pos:end]``, and the offset just past it."""
+    count, pos = _read_count(data, pos, end, 4, "element list")
+    elements = []
+    for _ in range(count):
+        if pos + 4 > end or (stop := pos + 4 + _U32.unpack_from(data, pos)[0]) > end:
+            raise SerializationError("truncated element list")
+        elements.append(data[pos + 4 : stop])
+        pos = stop
+    return tuple(elements), pos
+
+
+def _read_count(data: bytes, pos: int, end: int, item_size: int, what: str) -> tuple[int, int]:
+    """A u32 count whose items of ``item_size`` bytes fit before ``end``, and the offset past it."""
+    if pos + 4 > end or pos + 4 + item_size * (count := _U32.unpack_from(data, pos)[0]) > end:
+        raise SerializationError(f"truncated {what}")
+    return count, pos + 4

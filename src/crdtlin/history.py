@@ -84,8 +84,8 @@ def record_reply(rec: OpRecord, reply: Reply, response_t: int) -> None:
     rec.retries = reply.retries
     if rec.kind == "update":
         rec.tag = reply.tag
-    elif reply.ok and reply.learned is not None:
-        rec.learned_frontier = reply.learned.frontier
+    elif reply.ok:
+        rec.learned_frontier = reply.learned_frontier
 
 
 def _encode_result(result) -> object:

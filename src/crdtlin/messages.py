@@ -61,16 +61,17 @@ class Reply:
     it and the daemon sends it. It does not repeat the operation's kind; the
     client already holds the request it answers. ``tag`` is an update's
     causal tag, kept on a failure whose payload already merged locally (the
-    tag may still surface); ``result`` and ``learned`` answer an ok query
-    (the daemon sends ``learned`` only when ``instrument`` is on);
-    ``reason`` says why an op failed."""
+    tag may still surface); ``result`` answers an ok query, and
+    ``learned_frontier`` is the frontier of the state it learned, all the
+    offline checker needs of that state (the daemon sends it only when
+    ``instrument`` is on); ``reason`` says why an op failed."""
 
     sender: int
     request_id: bytes
     ok: bool
     tag: CausalTag | None = None
     result: object = None
-    learned: SemilatticeValue | None = None
+    learned_frontier: tuple[int, ...] | None = None
     round_trips: int = 0
     retries: int = 0
     reason: str | None = None

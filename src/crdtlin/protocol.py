@@ -401,7 +401,9 @@ class Replica:
             except CommandError as exc:
                 self._reply(req, client_request_id, False, out, reason=str(exc))
                 continue
-            self._reply(req, client_request_id, True, out, result=result, learned=learned)
+            self._reply(
+                req, client_request_id, True, out, result=result, learned_frontier=learned.frontier
+            )
         self._finish(req, out)
 
     def _finish(self, req: ProposerRequest, out: StepOutput) -> None:

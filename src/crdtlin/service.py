@@ -20,11 +20,12 @@ Clients speak the same framed protocol over a plain TCP connection: each
 update or query is one ``Request`` frame with a client-chosen 16-byte
 request id, and the one ``Reply`` frame that answers it echoes the id but
 not the kind, which the client already knows. The replica itself takes the
-``Request`` and returns the ``Reply``, which goes out without its learned
-state when the cluster's ``instrument`` is off. :class:`ReplicaClient`
-wraps that in a blocking API: each call returns the operation's
-:class:`OpRecord`, and with ``record=True`` the client also keeps them all
-as a history for the offline checker.
+``Request`` and returns the ``Reply``, which carries the frontier of the
+state a query learned, not the state, and goes out without it when the
+cluster's ``instrument`` is off. :class:`ReplicaClient` wraps that in a
+blocking API: each call returns the operation's :class:`OpRecord`, and
+with ``record=True`` the client also keeps them all as a history for the
+offline checker.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PEER_BUFFER_LIMIT = 128 << 10  # bytes a link may hold unsent: ~1,000 live-counter frames of 128 B
+_PEER_BUFFER_LIMIT = 128 << 10  # bytes a link may hold unsent: ~2,100-5,200 counter frames of 25-62 B
 _RECONNECT_DELAY = 0.2
 # bounds what a forged frontier can claim: no recordable session folds in
 # more updates than this, so a learned frontier naming more is refused
@@ -294,15 +295,15 @@ class ReplicaDaemon(Runtime):
         transport = self._client_transports.pop(reply.request_id, None)
         if transport is None:
             return  # the client went away; nothing to route
-        if reply.learned is not None and not self.config.instrument:
-            reply = replace(reply, learned=None)
+        if reply.learned_frontier is not None and not self.config.instrument:
+            reply = replace(reply, learned_frontier=None)
         try:
             frame = encode(reply)
         except FrameError as exc:
             # such as a sum of forged counter slots past i64: the client
             # gets a failed reply that says why, not a silent wait
             log.warning("replica %d: failing a reply with no wire form: %s", self.endpoint.id, exc)
-            reply = replace(reply, ok=False, result=None, learned=None,
+            reply = replace(reply, ok=False, result=None, learned_frontier=None,
                             reason=f"reply has no wire form: {exc}")
             frame = encode(reply)
         try:
@@ -496,12 +497,12 @@ class ReplicaClient:
             reply = self._next_frame()  # a stray frame for someone else's request
         response_t = time.monotonic_ns()
         rec.replica = self._replica_hint = reply.sender
-        if reply.learned is not None:
-            n_tags = sum(reply.learned.frontier)
+        if reply.learned_frontier is not None:
+            n_tags = sum(reply.learned_frontier)
             if n_tags > _MAX_LEARNED_TAGS:
                 reply = replace(
-                    reply, ok=False, result=None, learned=None,
-                    reason=f"learned state names {n_tags} tags",
+                    reply, ok=False, result=None, learned_frontier=None,
+                    reason=f"learned frontier names {n_tags} tags",
                 )
         record_reply(rec, reply, response_t)
         if not reply.ok:

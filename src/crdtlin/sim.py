@@ -36,6 +36,7 @@ import heapq
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import le
 from pathlib import Path
 
 from .crdt import CRDT_KINDS, SemilatticeValue, initial_state, workload_op
@@ -529,14 +530,14 @@ class Simulation(Runtime):
                 if last is not None and not last.compare(msg.state):
                     raise InvariantViolation(f"replica {rid} acknowledged a smaller payload")
                 self._last_acked[rid] = msg.state
-        checked = None  # a batch's replies share one learned state: check it once
+        checked = None  # a batch's replies share one learned frontier: check it once
         for _request_id, reply in out.replies:
-            learned = reply.learned
+            learned = reply.learned_frontier
             if not reply.ok or learned is None or learned is checked:
                 continue
             checked = learned
             dominating = {
-                r for r, rep in self.replicas.items() if learned.compare(rep.state)
+                r for r, rep in self.replicas.items() if all(map(le, learned, rep.state.frontier))
             }
             if not replica.is_quorum(dominating):
                 raise InvariantViolation(

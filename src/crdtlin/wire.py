@@ -8,13 +8,16 @@ itself) followed by a fixed header and a type-specific body:
     u32  sender (0 for clients)
     ...  body
 
-Replicated states travel in their canonical byte form (a counter is "C"
-and its slots; a set is "S", its elements, then its frontier) inside a
-length-prefixed slot (length zero means absent). Between replicas, Merge
-(type 5) is one state slot and Merged (type 6) has no body; Prepare (type
-7) and Ack (type 8) are a u32 attempt number and then a state slot.
-Decoding is strict end to end; anything malformed raises FrameError, never
-an arbitrary struct or index error.
+Every list on the wire has one of two layouts, each written and read by
+``crdt``: a u64 list (u32 count, then u64s) and an element list (u32
+count, then each element's u32 length and bytes). A replicated state
+travels in its canonical form (a counter is "C" and its slots' u64 list;
+a set is "S", its element list, then its frontier's u64 list) inside a
+state slot, a u32 length and then the form, which is never empty. Between
+replicas, Merge (type 5) is one state slot and Merged (type 6) has no
+body; Prepare (type 7) and Ack (type 8) are a u32 attempt number and then
+a state slot. Decoding is strict end to end; anything malformed raises
+FrameError, never an arbitrary struct or index error.
 
 Clients send every operation as one Request (type 1): a command kind
 byte, then the command's element (presence byte, then u32 length and the
@@ -28,8 +31,8 @@ kind, which the client's request already says:
     u8   ok (0 or 1)
     u32  round trips, u32 retries
     ...  tag (presence byte, then u64 replica, u64 counter)
-    ...  result (lead byte N, B, I or L, then its value)
-    ...  learned state slot
+    ...  result (lead byte N, B, I or L, then its value; L's is an element list)
+    ...  learned frontier (a u64 list, width 0 for none; never the state)
     ...  reason (presence byte, then u32 length and UTF-8 text)
 
 Types 3, 4, 9, 10, 11 and 12 are retired and decode as unknown, like any
@@ -40,8 +43,8 @@ from __future__ import annotations
 
 import struct
 
-from .crdt import CrdtError, QueryCommand, SemilatticeValue, UpdateOp
-from .crdt import make_command, state_from_bytes
+from .crdt import CrdtError, QueryCommand, SemilatticeValue, UpdateOp, make_command
+from .crdt import pack_elements, pack_u64s, read_elements, read_u64s, state_from_bytes
 from .messages import Ack, Merge, Merged, Message, Prepare, Reply, Request
 
 __all__ = ["MAX_FRAME", "FrameError", "encode", "decode_payload", "try_decode"]
@@ -77,9 +80,7 @@ class FrameError(Exception):
 # ------------------------------------------------------------------- encode
 
 
-def _state_slot(state: SemilatticeValue | None) -> bytes:
-    if state is None:
-        return b"\x00\x00\x00\x00"
+def _state_slot(state: SemilatticeValue) -> bytes:
     blob = state.canonical_bytes()
     return _U32.pack(len(blob)) + blob
 
@@ -106,10 +107,7 @@ def _result_slot(result) -> bytes:
             raise FrameError(f"result {result} does not fit an i64")
         return b"I" + _I64.pack(result)
     if isinstance(result, (tuple, list)):
-        parts = [b"L", _U32.pack(len(result))]
-        for element in result:
-            parts.append(_U32.pack(len(element)) + element)
-        return b"".join(parts)
+        return b"L" + pack_elements(result)
     raise FrameError(f"result {result!r} has no wire form")
 
 
@@ -136,7 +134,7 @@ def _body(msg: Message) -> bytes:
                 + _II.pack(msg.round_trips, msg.retries)
                 + _tag_slot(msg.tag)
                 + _result_slot(msg.result)
-                + _state_slot(msg.learned)
+                + pack_u64s(msg.learned_frontier or ())
                 + _bytes_slot(reason)
             )
     raise FrameError(f"{type(msg).__name__} has no wire form")
@@ -165,30 +163,15 @@ def encode(msg: Message) -> bytes:
 # short buffer; every declared length is checked against the payload first.
 
 
-def _read_state(p: bytes, pos: int) -> tuple[SemilatticeValue | None, int]:
+def _read_state(p: bytes, pos: int, mtype: int) -> tuple[SemilatticeValue, int]:
     (n,) = _U32.unpack_from(p, pos)
     pos += 4
     if n == 0:
-        return None, pos
+        raise FrameError(f"message type {mtype} requires a state payload")
     end = pos + n
     if end > len(p):
         raise FrameError("frame ends mid-field")
     return state_from_bytes(p, pos, end), end
-
-
-def _require_state(p: bytes, pos: int, mtype: int) -> tuple[SemilatticeValue, int]:
-    state, pos = _read_state(p, pos)
-    if state is None:
-        raise FrameError(f"message type {mtype} requires a state payload")
-    return state, pos
-
-
-def _read_bytes(p: bytes, pos: int) -> tuple[bytes, int]:
-    (n,) = _U32.unpack_from(p, pos)
-    end = pos + 4 + n
-    if end > len(p):
-        raise FrameError("frame ends mid-field")
-    return p[pos + 4 : end], end
 
 
 def _read_flag(p: bytes, pos: int, what: str) -> bool:
@@ -201,7 +184,10 @@ def _read_flag(p: bytes, pos: int, what: str) -> bool:
 def _read_bytes_slot(p: bytes, pos: int) -> tuple[bytes | None, int]:
     if not _read_flag(p, pos, "presence"):
         return None, pos + 1
-    return _read_bytes(p, pos + 1)
+    end = pos + 5 + _U32.unpack_from(p, pos + 1)[0]
+    if end > len(p):
+        raise FrameError("frame ends mid-field")
+    return p[pos + 5 : end], end
 
 
 def _read_result(p: bytes, pos: int):
@@ -216,15 +202,7 @@ def _read_result(p: bytes, pos: int):
     if lead == b"I":
         return _I64.unpack_from(p, pos)[0], pos + 8
     if lead == b"L":
-        (count,) = _U32.unpack_from(p, pos)
-        pos += 4
-        if pos + 4 * count > len(p):
-            raise FrameError("frame ends mid-field")
-        elements = []
-        for _ in range(count):
-            element, pos = _read_bytes(p, pos)
-            elements.append(element)
-        return tuple(elements), pos
+        return read_elements(p, pos, len(p))
     raise FrameError(f"unknown result lead byte {lead!r}")
 
 
@@ -239,7 +217,7 @@ def decode_payload(payload: bytes) -> Message:
         msg, pos = _decode(payload)
     except (struct.error, IndexError) as exc:
         raise FrameError("frame ends mid-field") from exc
-    except CrdtError as exc:  # a state slot or a command that does not decode
+    except CrdtError as exc:  # a state, a list or a command that does not decode
         raise FrameError(f"frame does not decode: {exc}") from exc
     if pos != len(payload):
         raise FrameError(f"{len(payload) - pos} trailing bytes after the body")
@@ -253,10 +231,10 @@ def _decode(p: bytes) -> tuple[Message, int]:
     pos = _HEADER.size
     if mtype == 7 or mtype == 8:
         (attempt,) = _U32.unpack_from(p, pos)
-        state, pos = _require_state(p, pos + 4, mtype)
+        state, pos = _read_state(p, pos + 4, mtype)
         return _BY_NUMBER[mtype](sender, request_id, attempt, state), pos  # Prepare, Ack
     if mtype == 5:
-        state, pos = _require_state(p, pos, mtype)
+        state, pos = _read_state(p, pos, mtype)
         return Merge(sender, request_id, state), pos
     if mtype == 6:
         return Merged(sender, request_id), pos
@@ -270,14 +248,16 @@ def _decode(p: bytes) -> tuple[Message, int]:
     round_trips, retries = _II.unpack_from(p, pos + 1)
     tag, pos = _read_tag(p, pos + 9)
     result, pos = _read_result(p, pos)
-    learned, pos = _read_state(p, pos)
+    learned_frontier, pos = read_u64s(p, pos, len(p))
     reason, pos = _read_bytes_slot(p, pos)
     if reason is not None:
         try:
             reason = reason.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FrameError("reply reason is not valid UTF-8") from exc
-    return Reply(sender, request_id, ok, tag, result, learned, round_trips, retries, reason), pos
+    return Reply(
+        sender, request_id, ok, tag, result, learned_frontier or None, round_trips, retries, reason
+    ), pos
 
 
 def try_decode(buffer: bytes | bytearray) -> tuple[Message, int] | None:

@@ -17,7 +17,7 @@ from crdtlin.history import HistoryFormatError, read_history, record_to_json, wr
 from crdtlin.service import ClusterConfig, ReplicaDaemon, ReplicaEndpoint
 from crdtlin.sim import SimConfig, sim_run
 from crdtlin.wire import encode
-from tests_support import answer_once, reply_learning_bytes
+from tests_support import answer_once, reply_with_frontier_slot
 
 
 def run_cli(*argv) -> int:
@@ -435,16 +435,15 @@ def _unknown_type_frame(rid: bytes) -> bytes:
 
 
 def _wrapped_set_frame(rid: bytes) -> bytes:
-    # the retired "T" wrapper around a frontier-less set, as a daemon of the
-    # wrapper's days sent it
-    blob = b"T" + b"S" + struct.pack(">II", 1, 1) + b"x" + struct.pack(">IQ", 1, 1)
-    return reply_learning_bytes(rid, blob)
+    # a set reply whose whole frontier slot is followed by one stray byte
+    return reply_with_frontier_slot(rid, struct.pack(">IQ", 1, 1) + b"\x00")
 
 
-@pytest.mark.parametrize("frame", [_unknown_type_frame, _wrapped_set_frame],
+@pytest.mark.parametrize("frame, needle", [(_unknown_type_frame, "unknown message type 99"),
+                                           (_wrapped_set_frame, "1 trailing bytes")],
                          ids=["unknown-type", "wrapped-set"])
 @pytest.mark.parametrize("command", ["client", "bench"])
-def test_a_malformed_reply_is_a_clean_error(frame, command, tmp_path, capsys):
+def test_a_malformed_reply_is_a_clean_error(frame, needle, command, tmp_path, capsys):
     port, thread = answer_once(frame)
     if command == "client":
         argv = ["client", f"127.0.0.1:{port}", "get", "--timeout", "5"]
@@ -456,7 +455,7 @@ def test_a_malformed_reply_is_a_clean_error(frame, command, tmp_path, capsys):
     assert run_cli(*argv) == 3
     thread.join(5)
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
 
 
 def test_bench_live_cluster_then_check(live_cluster, tmp_path, capsys):

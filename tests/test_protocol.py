@@ -316,8 +316,8 @@ def test_late_ack_completing_an_agreeing_quorum_ends_the_query_in_one_round():
     [(_, reply)] = out.replies
     assert reply.ok and reply.result == (b"x",)
     assert (reply.round_trips, reply.retries) == (1, 0)
-    # the agreeing acks' one state, none of B's tags
-    assert reply.learned == a and reply.learned.frontier == (0, 1, 0)
+    # the agreeing acks' one state, none of B's tags: equal frontiers, equal states
+    assert reply.learned_frontier == a.frontier == (0, 1, 0)
     assert req_id not in r.requests
 
 
@@ -334,7 +334,7 @@ def test_a_duplicate_add_moves_the_frontier_so_its_ack_disagrees():
     assert out.replies == [] and out.sends == []
     assert [backoff for _, backoff in out.timers] == [0]  # backs off
     [(_, reply)] = r.step(Ack(3, req_id, 1, twice)).replies
-    assert reply.ok and reply.result == (b"x",) and reply.learned == twice
+    assert reply.ok and reply.result == (b"x",) and reply.learned_frontier == twice.frontier
 
 
 def test_agreeing_group_one_short_of_a_quorum_waits():
@@ -438,14 +438,16 @@ def test_senders_outside_the_cluster_ignored(kind):
 
 
 def test_learned_state_attached_only_when_exposed():
-    # every query reply carries its learned state; the daemon decides what
-    # reaches the client (nothing when the cluster is not instrumented)
+    # every query reply carries its learned state's frontier; the daemon
+    # decides what reaches the client (nothing when the cluster is not
+    # instrumented)
     r = make_replica(rid=1, n=3)
     req_id, _ = start_query(r)
     s = GCounter((0, 2, 0))
     r.step(Ack(1, req_id, 1, s))
     out = r.step(Ack(2, req_id, 1, s))
-    assert out.replies[0][1].learned == s
+    reply = out.replies[0][1]
+    assert reply.result == 2 and reply.learned_frontier == s.frontier
 
 
 # ---------------------------------------------------------------- batching

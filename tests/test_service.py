@@ -40,7 +40,7 @@ from crdtlin.service import (
     load_cluster_config,
 )
 from crdtlin.wire import MAX_FRAME, FrameError, encode, try_decode
-from tests_support import answer_once, reply_learning_bytes
+from tests_support import answer_once, reply_with_frontier_slot
 
 
 def _free_ports(n: int) -> list[int]:
@@ -267,7 +267,7 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
         outcome = alice.value()
         assert outcome.result == 1
         assert outcome.learned_frontier is None
-    # the reply frame itself carries no learned state, not just the client's view of it
+    # the reply frame itself carries no learned frontier, not just the client's view of it
     endpoint = c.config.endpoint(1)
     with socket.create_connection((endpoint.host, endpoint.port), timeout=5) as raw:
         raw.sendall(encode(Request(0, bytes(16), QueryCommand.counter_value())))
@@ -278,7 +278,7 @@ def test_uninstrumented_cluster_omits_learned_state(cluster):
             buf += chunk
     reply = decoded[0]
     assert isinstance(reply, Reply) and reply.ok and reply.tag is None
-    assert reply.result == 1 and reply.learned is None
+    assert reply.result == 1 and reply.learned_frontier is None
 
 
 @pytest.mark.parametrize("crdt", CRDT_KINDS)
@@ -665,12 +665,12 @@ def test_reply_frames_sent_at_a_daemon_are_rejected(cluster):
 
 
 def test_client_refuses_a_learned_set_without_a_frontier():
-    # the set form before sets carried a frontier: "S", count, elements, and nothing after
-    blob = b"S" + struct.pack(">II", 1, 1) + b"x"
-    port, thread = answer_once(lambda rid: reply_learning_bytes(rid, blob))
+    # a set reply whose frontier slot declares 3 entries, and the frame ends after one
+    slot = struct.pack(">IQ", 3, 1)
+    port, thread = answer_once(lambda rid: reply_with_frontier_slot(rid, slot))
     with ReplicaClient("127.0.0.1", port, timeout=5) as cl:
-        with pytest.raises(FrameError, match="truncated state encoding"):
-            cl.value()
+        with pytest.raises(FrameError, match="truncated frontier"):
+            cl.elements()
     thread.join(5)
     assert not thread.is_alive()
 
@@ -679,7 +679,9 @@ def test_client_fails_a_reply_whose_learned_state_names_too_many_tags():
     n_tags = service._MAX_LEARNED_TAGS + 1
     # a set whose replica 1 added one element n_tags times
     learned = GSet(frozenset({b"x"}), (n_tags, 0, 0))
-    port, thread = answer_once(lambda rid: encode(Reply(1, rid, True, None, 3, learned, 1, 0)))
+    port, thread = answer_once(
+        lambda rid: encode(Reply(1, rid, True, None, 3, learned.frontier, 1, 0))
+    )
     with ReplicaClient("127.0.0.1", port, timeout=5, record=True) as cl:
         with pytest.raises(RequestFailed, match=f"names {n_tags} tags"):
             cl.value()

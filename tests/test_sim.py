@@ -506,10 +506,8 @@ def test_query_records_do_not_grow_with_the_history():
 
 def test_a_query_record_holds_the_learned_frontier_not_the_learned_value():
     elements = [b"element-%04d" % i for i in range(1000)]
-    reply = Reply(
-        0, bytes(16), True, result=False,
-        learned=GSet(frozenset(elements), (400, 300, 300)), round_trips=1,
-    )
+    learned = GSet(frozenset(elements), (400, 300, 300))
+    reply = Reply(0, bytes(16), True, result=False, learned_frontier=learned.frontier, round_trips=1)
     rec = OpRecord(op_id=1, client=0, replica=1, kind="query",
                    op=QueryCommand.set_contains(b"absent"), invoke_t=0)
     record_reply(rec, reply, 5)

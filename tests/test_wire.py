@@ -4,11 +4,13 @@ against truncated, oversized, and random-garbage input."""
 import random
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from crdtlin.crdt import GCounter, GSet, QueryCommand
 from crdtlin.messages import Ack, Merge, Merged, Prepare, Reply, Request, UpdateOp
+from crdtlin.protocol import ProtocolConfig, Replica
 from crdtlin.wire import MAX_FRAME, FrameError, decode_payload, encode, try_decode
 
 RID = bytes(range(16))
@@ -24,11 +26,11 @@ SAMPLES = [
     Request(0, RID, QueryCommand.counter_value()),
     Request(0, RID, QueryCommand.set_contains(b"x")),
     Request(0, RID, QueryCommand.set_elements()),
-    Reply(1, RID, True, None, 42, STATE, 3, 1),
+    Reply(1, RID, True, None, 42, STATE.frontier, 3, 1),
     Reply(1, RID, True, None, None, None, 1, 0),
     Reply(1, RID, True, None, True, None, 1, 0),
-    Reply(1, RID, True, None, False, SET_STATE, 2, 0),
-    Reply(1, RID, True, None, (b"", b"two"), SET_STATE, 1, 0),
+    Reply(1, RID, True, None, False, SET_STATE.frontier, 2, 0),
+    Reply(1, RID, True, None, (b"", b"two"), SET_STATE.frontier, 1, 0),
     Merge(3, RID, PLAIN),
     Merge(3, RID, STATE),
     Merged(2, RID),
@@ -174,12 +176,45 @@ def test_wrong_request_id_length_is_rejected():
 
 
 def test_merge_requires_a_state_payload():
-    # absent state slot (length 0) is only legal where states are optional
-    payload = bytearray(encode(Merge(1, RID, PLAIN))[4:])
-    header_end = 1 + 16 + 4
-    truncated = payload[:header_end] + struct.pack(">I", 0)
-    with pytest.raises(FrameError):
-        decode_payload(bytes(truncated))
+    # a peer message's state slot is always present: length 0 is no state at all
+    for msg in (Merge(1, RID, PLAIN), Prepare(1, RID, 4, PLAIN), Ack(2, RID, 4, SET_STATE)):
+        payload = encode(msg)[4:]
+        slot = len(payload) - 4 - msg.state.canonical_size()
+        with pytest.raises(FrameError, match=f"message type {payload[0]} requires a state payload"):
+            decode_payload(payload[:slot] + bytes(4))
+
+
+def test_a_width_0_frontier_slot_decodes_as_no_learned_frontier():
+    reply = Reply(1, RID, True, None, 3, None, 1, 0)
+    payload = encode(reply)[4:]
+    assert payload[-5:] == bytes(4) + b"\x00"  # frontier width 0, then no reason
+    assert decode_payload(payload).learned_frontier is None
+    assert encode(replace(reply, learned_frontier=())) == encode(reply)
+
+
+def test_a_truncated_element_list_result_names_the_element_list():
+    payload = encode(Reply(1, RID, True, None, (b"alpha", b"beta"), None, 1, 0))[4:]
+    # the result's last element loses its last byte, and the frontier slot after it
+    with pytest.raises(FrameError, match="truncated element list"):
+        decode_payload(payload[:-6])
+
+
+def test_a_set_contains_reply_frame_does_not_grow_with_the_set():
+    def reply_frame(size: int) -> bytes:
+        # replica 1 answers a contains query once a quorum acks a set of
+        # ``size`` elements that replica 2 added
+        state = GSet(frozenset(b"element-%04d" % i for i in range(size)), (0, size, 0))
+        r = Replica(1, ProtocolConfig(n_replicas=3), state)
+        out = r.step(Request(9, RID, QueryCommand.set_contains(b"absent")))
+        request_id = next(m for _, m in out.sends if isinstance(m, Prepare)).request_id
+        r.step(Ack(1, request_id, 1, state))
+        [(_, reply)] = r.step(Ack(2, request_id, 1, state)).replies
+        assert reply.ok and reply.result is False
+        assert reply.learned_frontier == (0, size, 0)
+        return encode(reply)
+
+    small, big = reply_frame(0), reply_frame(1000)
+    assert len(big) == len(small) <= 100
 
 
 def test_corrupt_state_bytes_are_rejected():
@@ -248,7 +283,7 @@ def test_hundred_thousand_random_valid_messages_round_trip():
             result = rng.choice([None, True, False, rng.randrange(-(1 << 40), 1 << 40),
                                  tuple(rng.randbytes(3) for _ in range(rng.randrange(0, 4)))])
             msg = Reply(sender, rid, True, None, result,
-                        rng.choice([None, _random_state(rng)]), rng.randrange(1 << 8),
+                        rng.choice([None, _random_state(rng).frontier]), rng.randrange(1 << 8),
                         rng.randrange(1 << 8))
         elif pick == 4:
             msg = Merge(sender, rid, _random_state(rng))
@@ -288,9 +323,10 @@ GOLDEN = [
      + "4e" + "00000000" + "00"),
     (Request(0, RID, QueryCommand.set_contains(b"x")),
      "0000001c01" + _HEAD + "00000000" + "63010000000178"),
-    (Reply(1, RID, True, None, 42, STATE, 3, 1),
-     "0000004a02" + _HEAD + "00000001"
-     + "01" + "0000000300000001" + "00" + "49000000000000002a" + _COUNTER_HEX + "00"),
+    (Reply(1, RID, True, None, 42, STATE.frontier, 3, 1),
+     "0000004502" + _HEAD + "00000001"
+     + "01" + "0000000300000001" + "00" + "49000000000000002a"
+     + "00000003" + "0000000000000003" + "0000000000000000" + "0000000000000007" + "00"),
     (Merge(3, RID, _FRAMED_SET),
      "0000004705" + _HEAD + "00000003" + _FRAMED_SET_HEX),
     (Merged(2, RID), "0000001506" + _HEAD + "00000002"),
@@ -319,22 +355,26 @@ def test_golden_frames_cover_every_message_type():
 
 
 def test_huge_declared_frontier_width_is_rejected_before_allocating():
-    # a 120-byte frame whose set claims 2**32 - 1 frontier entries: the
-    # width is checked against the bytes present, so no 32 GiB unpack
+    # 120-byte frames whose frontier claims 2**32 - 1 entries in a Merge's set
+    # state and 2**31 in a Reply's frontier slot: the width is checked against
+    # the bytes present, so no 16 or 32 GiB unpack
     blob = b"S" + struct.pack(">II", 0, 0xFFFFFFFF)  # no elements, then the width
-    blob += b"\x00" * (120 - 4 - 21 - 4 - len(blob))
     header = encode(Merged(2, RID))[5:]  # request id, sender
-    payload = b"\x05" + header + struct.pack(">I", len(blob)) + blob  # a Merge
-    frame = struct.pack(">I", len(payload)) + payload
-    assert len(frame) == 120
-    tracemalloc.start()
-    try:
-        with pytest.raises(FrameError):
-            try_decode(frame)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    merge = b"\x05" + header + struct.pack(">I", 120 - 4 - 21 - 4) + blob
+    head = encode(Reply(1, RID, True, None, 3, None, 1, 0))[4:-5]  # up to the frontier slot
+    reply = head + struct.pack(">I", 1 << 31)
+    for payload in (merge, reply):
+        payload += b"\x00" * (116 - len(payload))
+        frame = struct.pack(">I", len(payload)) + payload
+        assert len(frame) == 120
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="truncated frontier"):
+                try_decode(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_back_to_back_frames_decode_in_sequence():

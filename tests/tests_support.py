@@ -72,10 +72,10 @@ def answer_once(frame) -> tuple[int, threading.Thread]:
     return listener.getsockname()[1], thread
 
 
-def reply_learning_bytes(request_id: bytes, blob: bytes) -> bytes:
-    """An ok query reply frame whose learned-state slot holds ``blob`` as it is."""
-    head = encode(Reply(1, request_id, True, None, 3, None, 1, 0))[4:-5]  # up to the state slot
-    payload = head + struct.pack(">I", len(blob)) + blob + b"\x00"  # the slot, then no reason
+def reply_with_frontier_slot(request_id: bytes, slot: bytes) -> bytes:
+    """An ok set-query reply frame whose learned-frontier slot is ``slot`` as it is."""
+    head = encode(Reply(1, request_id, True, None, (b"x",)))[4:-5]  # up to the frontier slot
+    payload = head + slot + b"\x00"  # the slot, then no reason
     return struct.pack(">I", len(payload)) + payload
 
 
