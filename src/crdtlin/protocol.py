@@ -105,20 +105,26 @@ class Runtime:
     arming it again cancels the one before, and the request's end cancels
     the last. A timer's back-off is None for the loss timer, which waits
     ``timeout``; back-off ``r``, a query's retries so far as it waits to
-    prepare again after a disagreeing quorum, waits ``(r + 2) * round_trip``.
-    A runtime supplies those two, a ``timers`` dict (request id -> handle)
-    and four hooks: ``send(src, dst, msg)``, which delivers a message to
+    prepare again after a disagreeing quorum, waits ``(r + 2)`` round trips
+    of the failed attempt, so that attempt's late acks can still agree.
+    A runtime supplies ``timeout``, a ``timers`` dict (request id -> handle)
+    and five hooks: ``send(src, dst, msg)``, which delivers a message to
     ``src`` itself back through ``route``, reliably and in order;
     ``answer(request_id, reply)``; ``schedule(rid, delay, request_id)``,
     which returns a handle and steps replica ``rid`` with
-    ``TimerFire(request_id)`` after ``delay``; and ``unschedule(handle)``.
+    ``TimerFire(request_id)`` after ``delay``; ``unschedule(handle)``; and
+    ``round_trip(handle)``, the round trip of the attempt whose loss timer
+    is ``handle``, armed as its prepare went out.
     """
 
     def route(self, replica: Replica, event) -> StepOutput:
         out = replica.step(event)
         for request_id, backoff in out.timers:
+            if backoff is None:
+                delay = self.timeout
+            else:  # it replaces the loss timer of the attempt whose quorum disagreed
+                delay = (backoff + 2) * self.round_trip(self.timers[request_id])
             self.cancel(request_id)
-            delay = self.timeout if backoff is None else (backoff + 2) * self.round_trip
             self.timers[request_id] = self.schedule(replica.rid, delay, request_id)
         for dst, msg in out.sends:
             self.send(replica.rid, dst, msg)

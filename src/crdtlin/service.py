@@ -4,13 +4,14 @@ One daemon hosts both protocol roles for its replica id. All protocol state
 lives on a single asyncio event loop: protocol callbacks feed each complete
 frame and each timer fire into the state machine synchronously, so no two
 handlers ever interleave inside it. As a :class:`~crdtlin.protocol.Runtime`
-the daemon takes the config's ``timeout`` seconds as its timeout and 0 as
-its round trip, so a query's back-off fires on the loop's next turn, once
-the frames already received have been handled. Peer frames are written
-straight to the socket, or held while the link reconnects; past a byte cap
-a dead or slow peer's frames are dropped, which the protocol is built to
-absorb. A link that is down retries as soon as the daemon accepts a
-connection, since a peer that comes up connects to us, or else every 0.2 s.
+the daemon takes the config's ``timeout`` seconds as its timeout and
+measures a failed attempt's round trip as the time since its loss timer
+was armed, so a query's back-off leaves that attempt's late acks time to
+agree. Peer frames are written straight to the socket, or held while the
+link reconnects; past a byte cap a dead or slow peer's frames are dropped,
+which the protocol is built to absorb. A link that is down retries as soon
+as the daemon accepts a connection, since a peer that comes up connects to
+us, or else every 0.2 s.
 
 Replicas keep no durable state. A killed daemon is a crash-stop: the rest
 of the cluster carries on while a quorum survives, and bringing the same
@@ -192,7 +193,6 @@ class ReplicaDaemon(Runtime):
         self._links = {p.id: _PeerLink() for p in config.replicas if p.id != replica_id}
         self._client_transports: dict[bytes, asyncio.Transport] = {}
         self.timeout = config.timeout
-        self.round_trip = 0  # a back-off waits only for the frames already received
         self.timers: dict[bytes, asyncio.TimerHandle] = {}  # by request id
         self._local: deque[Message] = deque()  # messages to this replica, in order
         self._framed: tuple[Message, bytes] | None = None  # last peer message and its frame
@@ -254,6 +254,10 @@ class ReplicaDaemon(Runtime):
 
     def unschedule(self, handle: asyncio.TimerHandle) -> None:
         handle.cancel()
+
+    def round_trip(self, handle: asyncio.TimerHandle) -> float:
+        # the loss timer was armed as its attempt's prepare went out
+        return self._loop.time() - (handle.when() - self.timeout)
 
     def _fire(self, request_id: bytes) -> None:
         del self.timers[request_id]

@@ -308,7 +308,6 @@ class Simulation(Runtime):
         self._heap: list = []
         self.timers: dict[bytes, list] = {}  # request id -> heap entry of its armed timer
         self.timeout = cfg.effective_timeout()
-        self.round_trip = cfg.delay_max
         self._sized = None  # the state sent last; states are immutable, so size it once
         self._now = 0
         self._tracing = cfg.record_trace
@@ -365,6 +364,9 @@ class Simulation(Runtime):
 
     def unschedule(self, entry: list) -> None:
         entry[2] = None  # the run loop skips it
+
+    def round_trip(self, entry: list) -> int:
+        return self.config.delay_max
 
     def _trace(self, t: int, kind: str, detail: tuple[tuple[str, object], ...]) -> None:
         # callers test ``_tracing`` first, so an untraced run builds no detail

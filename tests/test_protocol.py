@@ -633,11 +633,15 @@ class _FakeRuntime(Runtime):
     """Records each hook call in order; its timers never fire on their own."""
 
     timeout = 7
-    round_trip = 3
 
     def __init__(self):
         self.timers = {}
         self.calls = []
+        self.measured = []  # the handle each round_trip call measured
+
+    def round_trip(self, handle):
+        self.measured.append(handle)
+        return 3
 
     def schedule(self, rid, delay, request_id):
         handle = _Handle(delay)
@@ -668,12 +672,15 @@ def test_runtime_rearming_a_timer_cancels_the_one_before_and_sizes_it():
     rt.route(r, Ack(2, req_id, 1, GCounter((0, 1, 0))))  # a disagreeing quorum
     backoff = rt.timers[req_id]
     assert loss.cancelled and not backoff.cancelled
-    assert backoff.delay == (0 + 2) * rt.round_trip
+    assert backoff.delay == (0 + 2) * 3
     rt.fire(r, req_id)  # prepares again under a fresh loss timer
-    assert rt.timers[req_id].delay == rt.timeout and not backoff.cancelled
+    second_loss = rt.timers[req_id]
+    assert second_loss.delay == rt.timeout and not backoff.cancelled
     rt.route(r, Ack(1, req_id, 2, GCounter((1, 1, 0))))
     rt.route(r, Ack(2, req_id, 2, GCounter((1, 2, 0))))
-    assert rt.timers[req_id].delay == (1 + 2) * rt.round_trip  # back-off 1
+    assert rt.timers[req_id].delay == (1 + 2) * 3  # back-off 1
+    # each back-off measured the loss timer of the attempt it replaced
+    assert rt.measured == [loss, second_loss]
 
 
 def test_runtime_cancels_a_timer_when_a_reply_ends_its_request():

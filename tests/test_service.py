@@ -27,7 +27,7 @@ from crdtlin.crdt import (
     workload_op,
 )
 from crdtlin.history import merge_histories, read_history, write_history
-from crdtlin.messages import Merge, Merged, Prepare, Reply, Request, UpdateOp
+from crdtlin.messages import Ack, Merge, Merged, Prepare, Reply, Request, UpdateOp
 from crdtlin.protocol import PayloadRejected, TimerFire
 from crdtlin.service import (
     ClusterConfig,
@@ -333,6 +333,16 @@ def test_contended_backoff_never_waits_for_the_loss_timer(cluster):
         except Exception as exc:  # surfaced after join
             errors.append(exc)
 
+    backoffs = []  # every back-off a daemon armed
+    for daemon in c.daemons.values():
+        route = daemon.route
+
+        def counting_route(replica, event, route=route):
+            out = route(replica, event)
+            backoffs.extend(backoff for _, backoff in out.timers if backoff is not None)
+            return out
+
+        daemon.route = counting_route
     threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
     start = time.monotonic()
     for t in threads:
@@ -342,9 +352,55 @@ def test_contended_backoff_never_waits_for_the_loss_timer(cluster):
     elapsed = time.monotonic() - start
     assert not errors and len(records) == 360
     # updates raced queries, so some quorums disagreed and their queries backed off
-    assert any(r.kind == "query" and r.retries for r in records)
+    assert backoffs
     # yet the whole run took less than one loss timer: no back-off waited for it
     assert elapsed < 5.0, elapsed
+
+
+class _StubTimer:
+    def __init__(self, when: float):
+        self._when = when
+
+    def when(self) -> float:
+        return self._when
+
+    def cancel(self) -> None:
+        pass
+
+
+class _StubLoop:
+    """The loop calls a daemon's timers make, on a clock the test sets;
+    its timers never fire on their own."""
+
+    def __init__(self, now: float):
+        self.now = now
+        self.delays = []  # of every call_later, in order
+
+    def time(self) -> float:
+        return self.now
+
+    def call_later(self, delay, callback, *args) -> _StubTimer:
+        self.delays.append(delay)
+        return _StubTimer(self.now + delay)
+
+
+def test_daemon_backoff_waits_r_plus_two_of_the_failed_attempts_round_trips():
+    config = Cluster(3, timeout=0.5).config
+    daemon = ReplicaDaemon(config, 1)
+    daemon._loop = loop = _StubLoop(100.0)
+    daemon._dispatch(Request(0, bytes(16), QueryCommand.counter_value()))  # prepare, self-ack
+    [request_id] = daemon.timers
+    loop.now = 100.004
+    daemon._dispatch(Ack(2, request_id, 1, GCounter((0, 1, 0))))  # a disagreeing quorum
+    # back-off 0 waits two round trips of 4 ms, the time since the prepare went out
+    assert loop.delays == [0.5, pytest.approx(2 * 0.004)]
+    loop.now = 100.012
+    daemon._fire(request_id)  # the second attempt prepares under its own loss timer
+    loop.now = 100.015
+    daemon._dispatch(Ack(2, request_id, 2, GCounter((0, 2, 0))))
+    # back-off 1 waits three round trips of the second attempt, not of the first
+    assert loop.delays == [0.5, pytest.approx(0.008), 0.5, pytest.approx(3 * 0.003)]
+    assert daemon.replica.requests[request_id].retries == 1
 
 
 def test_idle_daemon_fires_no_timers(cluster):
