@@ -131,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duplicate", type=float, default=0.0)
     p.add_argument("--delay-min", type=int, default=1)
     p.add_argument("--delay-max", type=int, default=1)
-    p.add_argument("--timeout-ticks", type=int, default=None)
     p.add_argument("--max-retries", type=int, default=50)
     p.add_argument("--batching", action="store_true")
     p.add_argument("--no-instrument", action="store_true",
@@ -246,7 +245,6 @@ def _sim_config(args, seed: int, record_trace: bool) -> SimConfig:
         duplicate_probability=args.duplicate,
         delay_min=args.delay_min,
         delay_max=args.delay_max,
-        timeout_ticks=args.timeout_ticks,
         max_retries=args.max_retries if args.max_retries >= 0 else None,
         batching=args.batching,
         instrument=not args.no_instrument,

@@ -2,12 +2,15 @@
 
 Every replica runs both roles. Its acceptor is its payload,
 ``Replica.state``, which only grows, and every peer message first passes
-one gate, ``Replica._admit``. Updates apply at the proposer's own payload
-and spread through a single merge round; a query broadcasts a prepare. One
-handler answers a merge and a prepare alike: it folds the payload in and
-answers with a ``Merged``, or with an ``Ack`` carrying the merged state. As
-soon as a quorum of the live attempt's acks hold one frontier, and so one
-state, the query learns it. When the attempt's first quorum disagrees
+one gate, ``Replica._admit``. Every request has one lifecycle: it starts,
+and each of its rounds sends its payload and arms its loss timer, the
+first and every retry alike. An update applies at the proposer's own
+payload and merges it at the replicas yet to answer; a query prepares
+everything it has gathered at every replica. One handler answers a merge
+and a prepare alike: it folds the payload in and answers with a
+``Merged``, or with an ``Ack`` carrying the merged state. As soon as a
+quorum of the live attempt's acks hold one frontier, and so one state,
+the query learns it. When the attempt's first quorum disagrees
 (updates raced the prepare), the proposer sends nothing and asks for a
 back-off timer; it keeps counting the attempt's acks meanwhile, and folds
 every ack into everything gathered so far. If no agreeing quorum forms
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Collection
 
 from .crdt import (
     CausalTag,
@@ -149,14 +152,13 @@ class ProposerRequest:
     request_id: bytes
     kind: str  # "update" | "query"
     ops: list[tuple[bytes, object]]  # (client request id, an update's tag or the query command)
+    payload: SemilatticeValue  # each round's: an update's as applied, a query's LUB of all it saw
     attempt: int = 1  # number of the live prepare
     backing_off: bool = False  # a query whose live attempt's first quorum disagreed
     acks: dict[int, SemilatticeValue] = field(default_factory=dict)  # of the live prepare
-    merged: set[int] = field(default_factory=set)
-    gathered: SemilatticeValue | None = None  # LUB of every payload seen so far
-    merge_state: SemilatticeValue | None = None
+    merged: set[int] = field(default_factory=set)  # an update's: replicas holding its payload
     retries: int = 0
-    round_trips: int = 0
+    round_trips: int = 1
 
 
 class Replica:
@@ -198,13 +200,6 @@ class Replica:
     def _new_request_id(self) -> bytes:
         self._request_counter += 1
         return _REQ_ID.pack(self.rid, self._request_counter)
-
-    def _peers(self) -> Iterable[int]:
-        return (r for r in range(1, self.config.n_replicas + 1) if r != self.rid)
-
-    def _broadcast(self, msg: ReplicaMessage, out: StepOutput) -> None:
-        # one message object for every destination, so a runtime can encode it once
-        out.sends.extend((dst, msg) for dst in range(1, self.config.n_replicas + 1))
 
     # -- event entry point
 
@@ -260,18 +255,29 @@ class Replica:
             self._flush(kind, out)
 
     def _flush(self, kind: str, out: StepOutput) -> None:
+        """Start one request for every op waiting of ``kind``."""
         items = self._pending[kind]
         if not items:
             return
         self._pending[kind] = []
-        req = (self._start_update if kind == "update" else self._start_query)(items, out)
+        request_id = self._new_request_id()  # first, so a rejected op's reply carries it
+        update = kind == "update"
+        if update and not (items := self._apply_updates(request_id, items, out)):
+            return
+        merged = {self.rid} if update else set()  # an update's payload is here already
+        # a query, too, starts from the local payload, not from bottom
+        req = ProposerRequest(request_id, kind, items, self.state, merged=merged)
+        self.requests[request_id] = req
+        self._round(req, out)
+        if update:  # a single-replica cluster is its own merge quorum
+            self._check_merge_quorum(req, out)
         # without batching each op runs alone; a single-replica cluster
         # completes its update before the request could be in flight
-        if self.config.batching and req is not None and req.request_id in self.requests:
-            self._inflight[kind] = req.request_id
+        if self.config.batching and request_id in self.requests:
+            self._inflight[kind] = request_id
 
-    def _start_update(self, items, out: StepOutput) -> ProposerRequest | None:
-        request_id = self._new_request_id()
+    def _apply_updates(self, request_id: bytes, items, out: StepOutput) -> list:
+        """Apply and tag update ops at the local payload; answer each rejected op at once."""
         tagged: list[tuple[bytes, CausalTag]] = []
         for client_request_id, op in items:
             tag = (self.rid, self._update_seq + 1)
@@ -284,37 +290,20 @@ class Replica:
             # taken once the op applies: a rejected op leaves no gap in the tags
             self._update_seq += 1
             tagged.append((client_request_id, tag))
-        if not tagged:
-            return None
-        req = ProposerRequest(
-            request_id=request_id,
-            kind="update",
-            ops=tagged,
-            merged={self.rid},
-            merge_state=self.state,
-            round_trips=1,
-        )
-        self.requests[request_id] = req
-        merge = Merge(self.rid, request_id, req.merge_state)
-        out.sends.extend((peer, merge) for peer in self._peers())
-        self._arm_timer(req, out)
-        self._check_merge_quorum(req, out)
-        return req
+        return tagged
 
-    def _start_query(self, items, out: StepOutput) -> ProposerRequest:
-        request_id = self._new_request_id()
-        payload = self.state  # start from the local payload, not bottom
-        req = ProposerRequest(
-            request_id=request_id,
-            kind="query",
-            ops=items,
-            gathered=payload,
-            round_trips=1,
+    def _round(self, req: ProposerRequest, out: StepOutput) -> None:
+        """Send ``req``'s payload and arm its loss timer: an update merges it
+        at every replica not yet holding it, a query prepares it at all."""
+        if req.kind == "update":
+            msg = Merge(self.rid, req.request_id, req.payload)
+        else:
+            msg = Prepare(self.rid, req.request_id, req.attempt, req.payload)
+        # one message object for every destination, so a runtime can encode it once
+        out.sends.extend(
+            (dst, msg) for dst in range(1, self.config.n_replicas + 1) if dst not in req.merged
         )
-        self.requests[request_id] = req
-        self._broadcast(Prepare(self.rid, request_id, req.attempt, payload), out)
         self._arm_timer(req, out)
-        return req
 
     # -- proposer message handlers
 
@@ -340,7 +329,7 @@ class Replica:
         req = self.requests.get(m.request_id)
         if req is None or req.kind != "query":
             return
-        req.gathered = req.gathered.merge(m.state)
+        req.payload = req.payload.merge(m.state)
         if m.attempt != req.attempt or m.sender in req.acks:
             return  # an earlier attempt's ack, or a repeat: keep only the payload
         req.acks[m.sender] = m.state
@@ -360,45 +349,29 @@ class Replica:
             self._arm_timer(req, out, backoff=req.retries)
 
     def on_timeout(self, event: TimerFire, out: StepOutput) -> None:
-        request_id = event.request_id
-        req = self.requests.get(request_id)
+        """A loss or a back-off ends: run another round, or fail a request out of retries."""
+        req = self.requests.get(event.request_id)
         if req is None:
             return
-        if req.kind == "update":
-            req.retries += 1
-            if self._retries_exhausted(req, out):
-                return
-            req.round_trips += 1
-            out.retries.append(RequestRetry(req.request_id, "merge-resend"))
-            merge = Merge(self.rid, request_id, req.merge_state)
-            out.sends.extend((peer, merge) for peer in self._peers() if peer not in req.merged)
-            self._arm_timer(req, out)
-        else:
-            self._retry_incremental(req, out)
-
-    def _retry_incremental(self, req: ProposerRequest, out: StepOutput) -> None:
         req.retries += 1
-        if self._retries_exhausted(req, out):
-            return
-        req.backing_off = False
-        req.attempt += 1
-        req.acks = {}
-        req.round_trips += 1
-        out.retries.append(RequestRetry(req.request_id, "incremental"))
-        self._broadcast(Prepare(self.rid, req.request_id, req.attempt, req.gathered), out)
-        self._arm_timer(req, out)
-
-    def _retries_exhausted(self, req: ProposerRequest, out: StepOutput) -> bool:
+        update = req.kind == "update"
         limit = self.config.max_retries
-        if limit is None or req.retries <= limit:
-            return False
-        for client_request_id, entry in req.ops:
-            # a failed update may still take effect: its payload already merged
-            # into the local payload, so surface the tentative tag
-            tag = entry if req.kind == "update" else None
-            self._reply(req, client_request_id, False, out, reason="max-retries", tag=tag)
-        self._finish(req, out)
-        return True
+        if limit is not None and req.retries > limit:
+            for client_request_id, entry in req.ops:
+                # a failed update may still take effect: its payload already merged
+                # into the local payload, so surface the tentative tag
+                tag = entry if update else None
+                self._reply(req, client_request_id, False, out, reason="max-retries", tag=tag)
+            self._finish(req, out)
+            return
+        req.round_trips += 1
+        if not update:  # a new attempt, whose acks count afresh
+            req.backing_off = False
+            req.attempt += 1
+            req.acks = {}
+        retry = RequestRetry(req.request_id, "merge-resend" if update else "incremental")
+        out.retries.append(retry)
+        self._round(req, out)
 
     def _complete_query(self, req: ProposerRequest, learned: SemilatticeValue, out: StepOutput) -> None:
         for client_request_id, query in req.ops:

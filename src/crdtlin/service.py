@@ -276,8 +276,13 @@ class ReplicaDaemon(Runtime):
             transport = None  # its writes would be lost; hold them for the next link
         buffered = len(link.held) if transport is None else transport.get_write_buffer_size()
         if buffered >= _PEER_BUFFER_LIMIT:
-            log.debug("replica %d: link to peer %d full, dropping frame", self.endpoint.id, dst)
+            # loud once per episode: the link stays full until it takes a frame again
+            level = logging.DEBUG if link.full else logging.WARNING
+            link.full = True
+            log.log(level, "replica %d: link to peer %d full, dropping frame",
+                    self.endpoint.id, dst)
             return
+        link.full = False
         # a broadcast hands every peer one message object: encode it once
         if self._framed is None or self._framed[0] is not msg:
             try:
@@ -313,7 +318,7 @@ class ReplicaDaemon(Runtime):
         try:
             transport.write(frame)
         except Exception:
-            log.debug("replica %d: client reply write failed", self.endpoint.id, exc_info=True)
+            log.warning("replica %d: client reply write failed", self.endpoint.id, exc_info=True)
 
     # -- inbound connections (peers and clients share the listener)
 
@@ -395,6 +400,7 @@ class _PeerLink(asyncio.Protocol):
 
     transport: asyncio.Transport | None = None
     lost: asyncio.Future  # resolved when the current connection ends
+    full = False  # dropping frames since the last one it took
 
     def __init__(self):
         self.held = bytearray()

@@ -13,10 +13,10 @@ and groups can be partitioned for a window. Messages a replica addresses
 to itself take one reliable tick. Clients are closed-loop: each runs a
 generated script and issues the next operation one tick after the previous
 response. Replicas are driven through :class:`~crdtlin.protocol.Runtime`,
-whose timer rules hold here with ``effective_timeout()`` ticks as the
-timeout and ``delay_max`` ticks as the round trip; a replica's crash also
-cancels its timers. A cancelled timer neither steps a replica nor appears
-in the trace.
+whose timer rules hold here with ``8 * delay_max`` ticks, four round trips
+of the longest delay, as the timeout and ``delay_max`` ticks as the round
+trip; a replica's crash also cancels its timers. A cancelled timer neither
+steps a replica nor appears in the trace.
 
 While it runs, the simulator cross-checks execution invariants that the
 protocol promises: acceptor payloads only grow, each acceptor's
@@ -79,7 +79,6 @@ class SimConfig:
     duplicate_probability: float = 0.0
     delay_min: int = 1
     delay_max: int = 1
-    timeout_ticks: int | None = None  # default: 4x the round-trip upper bound
     max_retries: int | None = 50
     batching: bool = False
     instrument: bool = True  # record each query's learned frontier in the history
@@ -89,11 +88,6 @@ class SimConfig:
     max_virtual_time: int = 1_000_000
     crash_schedule: tuple[tuple[int, int], ...] = ()
     partition_schedule: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...] = ()
-
-    def effective_timeout(self) -> int:
-        if self.timeout_ticks is not None:
-            return self.timeout_ticks
-        return 8 * self.delay_max
 
     def validate(self) -> None:
         if self.n_replicas < 1:
@@ -111,8 +105,6 @@ class SimConfig:
             raise ConfigError("delay_min must be at least 1 tick")
         if self.delay_max < self.delay_min:
             raise ConfigError("delay_max must be >= delay_min")
-        if self.effective_timeout() <= 2 * self.delay_max:
-            raise ConfigError("timeout must exceed one round trip of maximum delay")
         if self.max_retries is not None and self.max_retries < 0:
             raise ConfigError("max_retries cannot be negative")
         if self.max_virtual_time < 1:
@@ -307,7 +299,7 @@ class Simulation(Runtime):
         self._seq = 0
         self._heap: list = []
         self.timers: dict[bytes, list] = {}  # request id -> heap entry of its armed timer
-        self.timeout = cfg.effective_timeout()
+        self.timeout = 8 * cfg.delay_max
         self._sized = None  # the state sent last; states are immutable, so size it once
         self._now = 0
         self._tracing = cfg.record_trace

@@ -168,11 +168,6 @@ def test_late_merged_after_completion_dropped():
 
 
 def test_update_timeout_resends_to_silent_acceptors_only():
-    r = make_replica(rid=1, n=3)
-    out = r.step(Request(1, client_req_id(1), UpdateOp.increment()))
-    req_id = sends_by_type(out, Merge)[0][1].request_id
-    r.step(Merged(sender=2, request_id=req_id))  # not yet a reply-quorum... 2 of 3 is
-    # quorum already met with self + 2; rebuild a fresh scenario for N=5
     r = make_replica(rid=1, n=5)
     out = r.step(Request(1, client_req_id(1), UpdateOp.increment()))
     req_id = sends_by_type(out, Merge)[0][1].request_id
@@ -182,6 +177,33 @@ def test_update_timeout_resends_to_silent_acceptors_only():
     assert sorted(dst for dst, _ in resent) == [3, 4, 5]
     assert out2.retries and out2.retries[0].kind == "merge-resend"
     assert r.requests[req_id].round_trips == 2
+
+
+def test_merge_resend_carries_the_payload_its_update_started_with():
+    r = make_replica(rid=1, n=3)
+    out = r.step(Request(1, client_req_id(1), UpdateOp.increment()))
+    req_id = sends_by_type(out, Merge)[0][1].request_id
+    r.step(Request(1, client_req_id(2), UpdateOp.increment()))  # a second request
+    assert r.state == GCounter((2, 0, 0))
+    resent = sends_by_type(r.step(TimerFire(req_id)), Merge)
+    assert [dst for dst, _ in resent] == [2, 3]
+    assert all(m.request_id == req_id and m.state == GCounter((1, 0, 0)) for _, m in resent)
+
+
+def test_update_out_of_retries_fails_keeping_its_tentative_tag():
+    r = make_replica(rid=1, n=3, max_retries=2)
+    out = r.step(Request(4, client_req_id(40), UpdateOp.increment()))
+    req_id = sends_by_type(out, Merge)[0][1].request_id
+    for _ in range(2):
+        assert sends_by_type(r.step(TimerFire(req_id)), Merge)
+    out = r.step(TimerFire(req_id))
+    assert out.sends == [] and out.timers == [] and out.retries == []
+    [(proposer_req_id, reply)] = out.replies
+    assert proposer_req_id == req_id and reply.request_id == client_req_id(40)
+    assert not reply.ok and reply.reason == "max-retries"
+    assert reply.tag == (1, 1)  # its payload may already have spread
+    assert reply.round_trips == reply.retries == 3
+    assert req_id not in r.requests
 
 
 # ---------------------------------------------------------------- proposer: queries
@@ -246,7 +268,7 @@ def test_ack_during_backoff_joins_gathered_and_sends_nothing():
     disagree(r, req_id)
     out = r.step(Ack(3, req_id, 1, GCounter((0, 0, 4))))
     assert out.sends == [] and out.timers == [] and out.replies == []
-    assert r.requests[req_id].gathered == GCounter((1, 1, 4))
+    assert r.requests[req_id].payload == GCounter((1, 1, 4))
 
 
 def test_backoff_fire_reprepares_with_gathered_as_one_retry():
@@ -292,7 +314,7 @@ def test_stale_ack_only_feeds_the_gathered_lub():
     out = r.step(Ack(2, req_id, 1, GCounter((0, 5, 0))))
     assert out.replies == [] and out.timers == []
     assert r.requests[req_id].acks == {}
-    assert r.requests[req_id].gathered == GCounter((0, 5, 0))
+    assert r.requests[req_id].payload == GCounter((0, 5, 0))
 
 
 def _set_query(r):
@@ -434,7 +456,7 @@ def test_senders_outside_the_cluster_ignored(kind):
         assert r.state == before
         assert r.requests[update_id].merged == {1}
         assert r.requests[query_id].acks == {}
-        assert r.requests[query_id].gathered == before
+        assert r.requests[query_id].payload == before
 
 
 def test_learned_state_attached_only_when_exposed():

@@ -576,6 +576,33 @@ def test_link_to_a_down_peer_holds_no_more_than_the_byte_cap(caplog):
     assert any("full, dropping frame" in r.getMessage() for r in caplog.records)
 
 
+def test_a_full_link_warns_once_per_episode_of_drops(caplog):
+    caplog.set_level(logging.DEBUG, logger="crdtlin.service")
+    element = GSet(frozenset({b"x" * 65536}), (0, 0))
+    c = Cluster(2, crdt="gset")
+    c.start(1)  # replica 2 never starts
+    daemon = c.daemons[1]
+    link = daemon._links[2]
+    try:
+        done = threading.Event()
+
+        def episodes() -> None:
+            for episode in range(2):
+                for i in range(_PEER_BUFFER_LIMIT // 65536 + 4):  # 4 frames more than fit
+                    rid = (10 * episode + i).to_bytes(16, "big")
+                    daemon._enqueue_peer(2, Merge(1, rid, element))
+                link.held = bytearray()  # as a link that comes up sends what it held
+            done.set()
+
+        daemon._loop.call_soon_threadsafe(episodes)
+        assert done.wait(10)
+    finally:
+        c.stop_all()
+    drops = [r.levelno for r in caplog.records if "full, dropping frame" in r.getMessage()]
+    # each episode: its first drop at WARNING, the three after it at DEBUG
+    assert drops == ([logging.WARNING] + [logging.DEBUG] * 3) * 2
+
+
 # ---------------------------------------------------------------- robustness
 
 

@@ -58,12 +58,6 @@ def test_validate_rejects_zero_delay():
         SimConfig(delay_min=0).validate()
 
 
-def test_validate_rejects_timeout_within_one_round_trip():
-    with pytest.raises(ConfigError):
-        SimConfig(delay_max=5, timeout_ticks=10).validate()
-    SimConfig(delay_max=5, timeout_ticks=11).validate()
-
-
 def test_validate_rejects_unknown_crash_target():
     with pytest.raises(ConfigError):
         SimConfig(n_replicas=3, crash_schedule=((4, 0),)).validate()
@@ -391,7 +385,7 @@ def test_responses_are_never_fabricated():
 
 def test_retry_instrumentation_records_incremental_rounds():
     cfg = SimConfig(n_clients=6, ops_per_client=25, drop_probability=0.3,
-                    update_fraction=0.3, delay_max=4, timeout_ticks=20, seed=13)
+                    update_fraction=0.3, delay_max=4, seed=13)
     result = sim_run(cfg)
     retried = [r for r in result.history if r.kind == "query" and r.incremental_retry_times]
     assert retried, "a 30% drop rate should force at least one query retry"
